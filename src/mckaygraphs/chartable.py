@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cyclotomic import CycInt
-from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_from_elements
+from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
 from .modp import FpMatrix, simultaneous_split
 
 
@@ -341,53 +341,32 @@ def tensor_multiplicity(ct: CharacterTable, i: int, rho, j: int) -> int:
     return val
 
 
-def _integer_values(ct: CharacterTable) -> Optional[np.ndarray]:
-    out = np.zeros((ct.r, ct.r), dtype=np.int64)
-    for i in range(ct.r):
-        for k in range(ct.r):
-            v = ct.values[i][k].as_integer()
-            if v is None:
-                return None
-            out[i, k] = v
-    return out
-
-
 def adjacency_matrix(ct: CharacterTable, rho: Rho) -> list[list[int]]:
-    """Full McKay multiplicity matrix N[i][j] = dim Hom(chi_i (x) rho, chi_j)."""
-    r = ct.r
+    """Full McKay multiplicity matrix N[i][j] = dim Hom(chi_i (x) rho, chi_j).
+
+    N = M diag(h rho_mod) M[:, inv]^T / |G| mod p for the modular table M.
+    Since 0 <= N_ij <= d_i dim rho, the residue is the integer whenever
+    max(d) dim rho < p; past that bound every entry is computed exactly.
+    """
+    r, p = ct.r, ct.prime
+    if max(ct.degrees) * rho.dim >= p or r * p * p >= 2**63:
+        return [[tensor_multiplicity(ct, i, rho, j) for j in range(r)] for i in range(r)]
     cd = ct.conj
-    inv = cd.inverse_class
-    if rho.dim == 1:
-        # tensoring with a linear character permutes the irreducibles
-        rows = []
-        for i in range(r):
-            prod = tuple(ct.values[i][k] * rho.chi[k] for k in range(r))
-            j = next(jj for jj in range(r) if ct.values[jj] == prod)
-            rows.append([1 if jj == j else 0 for jj in range(r)])
-        return rows
-    ints = _integer_values(ct)
-    rho_ints = [v.as_integer() for v in rho.chi]
-    if ints is not None and all(v is not None for v in rho_ints):
-        h = np.array(cd.sizes, dtype=np.int64)
-        w = ints * (h * np.array(rho_ints, dtype=np.int64))[None, :]
-        num = w @ ints[:, inv].T
-        assert np.all(num % ct.group.order == 0)
-        mat = num // ct.group.order
-        assert np.all(mat >= 0)
-        return [[int(v) for v in row] for row in mat]
-    return [[tensor_multiplicity(ct, i, rho, j) for j in range(r)] for i in range(r)]
+    m = ct.modular
+    rho_mod = np.array(rho.mults, dtype=np.int64) % p @ m % p
+    weight = np.array(cd.sizes, dtype=np.int64) * rho_mod % p
+    num = (m * weight[None, :] % p) @ m[:, cd.inverse_class].T % p
+    return (num * pow(ct.group.order, p - 2, p) % p).tolist()
 
 
 def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
-    """Union of the classes where the character attains its identity value."""
+    """Union of the classes where the character attains its identity value;
+    a character kernel is a normal subgroup, so no closure is needed."""
     cd = ct.conj
     top = chi[0]
-    elems: list[int] = []
-    for k in range(ct.r):
-        if chi[k] == top:
-            elems.extend(int(x) for x in cd.classes[k])
-    sub = subgroup_from_elements(ct.group, elems)
-    assert sub.order == len(elems) and sub.normal
+    elems = np.sort(np.concatenate([cd.classes[k] for k in range(ct.r) if chi[k] == top]))
+    sub = subgroup_on(ct.group, elems)
+    assert sub.normal
     return sub
 
 
@@ -397,7 +376,8 @@ def is_self_dual(ct: CharacterTable, chi) -> bool:
 
 
 def is_faithful(ct: CharacterTable, chi) -> bool:
-    return kernel_of_character(ct, chi).order == 1
+    """No non-identity class attains the identity value, so the kernel is trivial."""
+    return all(chi[k] != chi[0] for k in range(1, ct.r))
 
 
 def restrict_character(ct: CharacterTable, sub: Subgroup, sub_cd: ConjugacyData, chi):

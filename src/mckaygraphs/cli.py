@@ -15,6 +15,7 @@ from .chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
     Irrep,
+    NoSuchIrrep,
     RhoSelector,
     SelectorEmpty,
     compute_character_table,
@@ -35,6 +36,7 @@ from .groups import (
     Semidirect,
     build_group,
     conjugacy,
+    order_cap,
     spec_text,
 )
 from .shapes import classify_component
@@ -269,12 +271,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def cmd_graph(args) -> int:
-    try:
-        spec = parse_group_spec(args.spec)
-        doc = graph_document(spec, args.rho, args.components)
-    except (SpecParseError, GroupBuildError, SelectorEmpty) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = graph_document(parse_group_spec(args.spec), args.rho, args.components)
     if args.out == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
@@ -283,12 +280,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_chartab(args) -> int:
-    try:
-        spec = parse_group_spec(args.spec)
-        doc = chartab_document(spec)
-    except (SpecParseError, GroupBuildError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = chartab_document(parse_group_spec(args.spec))
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -342,7 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        order_cap()  # a bad MCKAY_ORDER_CAP is a usage error for every command
+        return args.fn(args)
+    except (SpecParseError, GroupBuildError, NoSuchIrrep, SelectorEmpty) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

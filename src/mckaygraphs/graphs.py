@@ -1,8 +1,8 @@
 """McKay graphs: multiplicity matrices on Irr(G), components, orbit matching.
 
 The graph of (G, rho) has one vertex per irreducible and N[i][j] =
-dim Hom(chi_i (x) rho, chi_j) edges from i to j, all computed in exact
-cyclotomic arithmetic.  Connected components are matched against the orbits
+dim Hom(chi_i (x) rho, chi_j) edges from i to j, computed exactly and checked
+by integer identities.  Connected components are matched against the orbits
 of G on the irreducibles of the kernel of rho.
 """
 

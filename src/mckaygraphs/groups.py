@@ -47,7 +47,10 @@ class SubgroupNotFound(GroupBuildError):
 
 
 def order_cap() -> int:
-    return int(os.environ.get("MCKAY_ORDER_CAP", DEFAULT_ORDER_CAP))
+    raw = os.environ.get("MCKAY_ORDER_CAP", str(DEFAULT_ORDER_CAP))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise GroupBuildError(f"MCKAY_ORDER_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -677,37 +680,30 @@ class Subgroup:
 
 
 def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
+    """The subgroup generated by elems: products of the member set with itself
+    until it stops growing (in a finite group that also closes inverses)."""
+    inside = np.zeros(g.order, dtype=bool)
+    inside[0] = True
+    inside[np.asarray(elems, dtype=np.int64)] = True
+    while True:
+        arr = np.flatnonzero(inside)
+        inside[g.mul[np.ix_(arr, arr)]] = True
+        if inside.sum() == len(arr):
+            return subgroup_on(g, arr)
+
+
+def subgroup_on(g: FiniteGroup, arr: np.ndarray) -> Subgroup:
+    """Subgroup on a sorted element array that is already closed (asserted)."""
     mul, inv = g.mul, g.inv
-    members = {0}
-    frontier = [0]
-    for e in elems:
-        if int(e) not in members:
-            members.add(int(e))
-            frontier.append(int(e))
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (int(mul[x, y]), int(mul[y, x])):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-        xi = int(inv[x])
-        if xi not in members:
-            members.add(xi)
-            frontier.append(xi)
-    sorted_elems = tuple(sorted(members))
-    arr = np.array(sorted_elems)
     inside = np.zeros(g.order, dtype=bool)
     inside[arr] = True
-    normal = True
-    for x in range(g.order):
-        if not np.all(inside[mul[mul[x, arr], inv[x]]]):
-            normal = False
-            break
+    # x h x^-1 for every x in G and h in arr: one (n, |H|) gather
+    normal = bool(np.all(inside[mul[mul[:, arr], inv[:, None]]]))
     local = np.full(g.order, -1, dtype=np.int32)
     local[arr] = np.arange(len(arr), dtype=np.int32)
     sub_mul = local[mul[np.ix_(arr, arr)]]
     assert np.all(sub_mul >= 0), "element set is not closed"
+    sorted_elems = tuple(int(x) for x in arr)
     induced = FiniteGroup(
         order=len(arr),
         mul=sub_mul.astype(np.int32),

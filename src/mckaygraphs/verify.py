@@ -87,6 +87,18 @@ class ClassificationViolated(Exception):
     """A tree/forest McKay graph escaped the classification; highest severity."""
 
 
+class _Stopwatch:
+    """lap() gives the seconds since the previous lap (or the start), so each
+    record of a multi-record case is timed by its own work alone."""
+
+    def __init__(self) -> None:
+        self.t0 = time.perf_counter()
+
+    def lap(self) -> float:
+        t0, self.t0 = self.t0, time.perf_counter()
+        return self.t0 - t0
+
+
 @dataclass
 class CheckRecord:
     check_id: str
@@ -677,7 +689,7 @@ def build_construction(fx: ConstructionFixture):
 
 
 def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
-    t0 = time.perf_counter()
+    watch = _Stopwatch()
     ctx, rho, H, K, action, gp, cdp, ctp, graph, decomp = build_construction(fx)
     records: list[CheckRecord] = []
 
@@ -690,7 +702,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
             expected="2 components, 2 orbits",
             observed=f"{len(decomp.components)} components, {len(decomp.orbits)} orbits",
             passed=count_ok,
-            seconds=time.perf_counter() - t0,
+            seconds=watch.lap(),
         )
     )
 
@@ -708,6 +720,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
             expected="isomorphic",
             observed="isomorphic" if iso else "NOT isomorphic",
             passed=iso,
+            seconds=watch.lap(),
         )
     )
 
@@ -720,6 +733,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
             expected=f"order {fx.stabilizer_order}",
             observed=f"order {stab.order}, {same} H",
             passed=stab.order == fx.stabilizer_order,
+            seconds=watch.lap(),
         )
     )
 
@@ -735,10 +749,12 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
             expected=f"{fx.expected_shapes} with {fx.expected_vertex_counts} vertices",
             observed=f"{shapes} with {counts} vertices",
             passed=shapes == fx.expected_shapes and counts == fx.expected_vertex_counts,
+            seconds=watch.lap(),
         )
     )
 
     records.append(verify_sum_of_squares(decomp, fx.name))
+    watch.lap()  # that record timed itself
 
     quotient_order = gp.order // decomp.kernel.order
     bad_div = []
@@ -755,6 +771,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
             expected="all divisible",
             observed="all divisible" if not bad_div else f"failures {bad_div}",
             passed=not bad_div,
+            seconds=watch.lap(),
         )
     )
 
@@ -779,7 +796,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
 
 
 def verify_normal_tower() -> list[CheckRecord]:
-    t0 = time.perf_counter()
+    watch = _Stopwatch()
     ctx = fixture(BinaryPoly("O"))
     bo, cd = ctx.group, ctx.cd
     q8 = build_group(BinaryDihedral(2))
@@ -795,7 +812,7 @@ def verify_normal_tower() -> list[CheckRecord]:
             expected=expected,
             observed=observed,
             passed=ok,
-            seconds=time.perf_counter() - t0,
+            seconds=watch.lap(),
         )
     )
     rec(

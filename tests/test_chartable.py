@@ -1,11 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
     Irrep,
     SelectorEmpty,
+    adjacency_matrix,
     char_inner,
     compute_character_table,
     decompose_character,
@@ -27,6 +31,7 @@ from mckaygraphs.groups import (
     Dihedral,
     ElemAb,
     Extraspecial2,
+    Heisenberg,
     Product,
     build_group,
     conjugacy,
@@ -235,3 +240,90 @@ def test_deterministic_table():
     assert a.degrees == b.degrees
     assert a.values == b.values
     assert np.array_equal(a.modular, b.modular)
+
+
+# ---------------------------------------------------------------------------
+# the modular adjacency against the exact per-pair oracle
+
+ADJACENCY_SPECS = [
+    Cyclic(5),
+    Dihedral(9),
+    Dihedral(8),
+    BinaryPoly("T"),
+    Heisenberg(3, 1),
+    BinaryDihedral(3),
+    Cyclic(12),
+]
+
+
+@lru_cache(maxsize=None)
+def cached_table(spec):
+    return table(spec)[2]
+
+
+def tensor_oracle(ct, rho):
+    return [[tensor_multiplicity(ct, i, rho, j) for j in range(ct.r)] for i in range(ct.r)]
+
+
+@pytest.mark.parametrize("spec", ADJACENCY_SPECS)
+def test_adjacency_matches_oracle_on_irreducibles(spec):
+    ct = cached_table(spec)
+    assert 1 in ct.degrees  # linear rho is covered
+    for i in range(ct.r):
+        rho = resolve_rho(ct, Irrep(i))
+        assert adjacency_matrix(ct, rho) == tensor_oracle(ct, rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(ADJACENCY_SPECS),
+    mults=st.lists(st.integers(0, 4), min_size=12, max_size=12),
+)
+# cyclic:5 has p = 11, so dim rho = 11 is past the lift bound: the exact fallback
+@example(spec=Cyclic(5), mults=[3, 3, 3, 2, 0] + [0] * 7)
+def test_adjacency_matches_oracle_on_random_charvectors(spec, mults):
+    ct = cached_table(spec)
+    mults = tuple(mults[: ct.r])
+    if not any(mults):
+        mults = (1,) + mults[1:]
+    rho = resolve_rho(ct, CharVector(mults))
+    assert adjacency_matrix(ct, rho) == tensor_oracle(ct, rho)
+
+
+def test_adjacency_fallback_past_the_lift_bound(monkeypatch):
+    import mckaygraphs.chartable as chartable
+
+    ct = cached_table(Cyclic(5))
+    assert ct.prime == 11
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tensor_multiplicity(*args)
+
+    monkeypatch.setattr(chartable, "tensor_multiplicity", counted)
+    small = resolve_rho(ct, CharVector((2, 2, 2, 2, 2)))  # dim 10 < p: modular
+    assert adjacency_matrix(ct, small) == [[2] * 5 for _ in range(5)] and not calls
+    big = resolve_rho(ct, CharVector((3, 3, 3, 2, 0)))  # dim 11 = p: exact fallback
+    assert adjacency_matrix(ct, big) == tensor_oracle(ct, big) and len(calls) == 25
+
+
+# ---------------------------------------------------------------------------
+# kernels and faithfulness without a closure
+
+
+# in product(binary:T,cyclic:2), class 1 is the central C_2 on its own: a kernel
+@pytest.mark.parametrize(
+    "spec",
+    [Extraspecial2(3, "+"), BinaryPoly("O"), Dihedral(9), Product(BinaryPoly("T"), Cyclic(2))],
+)
+def test_kernels_match_closure_oracle(spec):
+    g, cd, ct = table(spec)
+    for i in range(ct.r):
+        chi = ct.values[i]
+        kern = kernel_of_character(ct, chi)
+        classes = [cd.classes[k] for k in range(ct.r) if chi[k] == chi[0]]
+        closure = subgroup_from_elements(g, np.concatenate(classes))
+        assert kern.elements == closure.elements
+        assert kern.normal and closure.normal
+        assert is_faithful(ct, chi) == (kern.order == 1)

@@ -147,3 +147,21 @@ def test_cli_output_file(tmp_path):
 def test_cli_bogus_suite_exits_2():
     code, _, err = run_cli("verify", "--suite", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["graph", "cyclic:5", "--rho", "irrep:9"], None),  # no such irreducible
+        (["graph", "cyclic:5", "--rho", "charvec:1,0"], None),  # wrong length
+        (["graph", "cyclic:5"], "abc"),  # MCKAY_ORDER_CAP is not an integer
+        (["verify", "--suite", "trees"], "abc"),
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(argv, cap, monkeypatch, capsys):
+    if cap is not None:
+        monkeypatch.setenv("MCKAY_ORDER_CAP", cap)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")

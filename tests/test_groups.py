@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -10,6 +13,7 @@ from mckaygraphs.groups import (
     ElemAb,
     ExplicitAction,
     Extraspecial2,
+    GroupBuildError,
     Heisenberg,
     InvalidAction,
     NotNormal,
@@ -22,6 +26,7 @@ from mckaygraphs.groups import (
     conjugacy,
     expanded_order,
     normal_subgroups,
+    order_cap,
     quotient_group,
     spec_text,
     subgroup_from_elements,
@@ -117,6 +122,40 @@ def test_subgroups_of_q8():
     # <i> equals the centralizer of i
     k = int(cd.class_of[i_elem])
     assert sorted(cd.centralizer(k)) == list(gen.elements)
+
+
+def _closure_reference(g, elems):
+    """Generated subgroup by a breadth-first loop over products, and normality
+    by conjugating every member by every element."""
+    members = {0, *(int(e) for e in elems)}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (int(g.mul[x, y]), int(g.mul[y, x])):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    normal = all(g.conj(h, x) in members for x in range(g.order) for h in members)
+    return tuple(sorted(members)), normal
+
+
+_group = lru_cache(maxsize=None)(build_group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [Dihedral(6), BinaryPoly("T"), BinaryDihedral(3), Extraspecial2(2, "-"), Cyclic(12)]
+    ),
+    st.data(),
+)
+def test_subgroup_closure_matches_reference(spec, data):
+    g = _group(spec)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    sub = subgroup_from_elements(g, elems)
+    assert (sub.elements, sub.normal) == _closure_reference(g, elems)
+    assert sub.group.order == sub.order
 
 
 def test_quotients():
@@ -258,6 +297,10 @@ def test_order_cap_env_override(monkeypatch):
     with pytest.raises(OrderCapExceeded):
         build_group(Cyclic(11))
     assert build_group(Cyclic(10)).order == 10
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("MCKAY_ORDER_CAP", bad)
+        with pytest.raises(GroupBuildError, match="MCKAY_ORDER_CAP"):
+            order_cap()
 
 
 def test_closure_diverged():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -209,6 +210,20 @@ def test_normal_tower_records():
     assert all(r.passed for r in records)
     ids = [r.check_id for r in records]
     assert ids == ["tower:subgroups", "tower:BO/BT", "tower:BO/Q8", "tower:BT/Q8"]
+
+
+@pytest.mark.parametrize("case", ["tower", "btxF4"])
+def test_record_seconds_time_each_record_alone(case):
+    if case == "tower":
+        run = verify_normal_tower
+    else:
+        fx = next(f for f in CONSTRUCTIONS if f.name == case)
+        run = lambda: verify_construction_531(fx)
+    t0 = time.perf_counter()
+    records = run()
+    wall = time.perf_counter() - t0
+    assert all(r.seconds > 0 for r in records), [r.check_id for r in records if r.seconds <= 0]
+    assert sum(r.seconds for r in records) <= wall
 
 
 def test_decomposition_sum_of_squares_values():
