@@ -1,9 +1,13 @@
-"""Exact character tables via the modular class-algebra method.
+"""Exact character tables via the modular class-algebra method (Dixon, 1967).
 
 The table is computed over F_p for a prime p = 1 (mod exponent), p > 2|G|:
-the class-sum matrices are simultaneously diagonalized, degrees are recovered
-from the orthogonality relation, and values are lifted to exact cyclotomic
-integers through a discrete Fourier step over each cyclic subgroup.  No
+the class-sum matrices are simultaneously diagonalized (`modp`), degrees are
+recovered from the orthogonality relation, and the whole modular table is
+lifted to exact cyclotomic integers at once.  The lift runs one discrete
+Fourier transform over F_p, for all rows, per class whose element generates
+a maximal cyclic subgroup; every power class of that element takes its
+values by remapping the eigenvalue exponents.  All arithmetic is int64 with
+the overflow bound asserted next to each product, or Python integers; no
 floating point is involved anywhere.
 """
 
@@ -17,7 +21,8 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
-from .modp import FpMatrix, simultaneous_split
+from .groups import _is_prime, _primitive_root
+from .modp import FpMatrix, mul_mod, simultaneous_split
 
 
 class NoSuitablePrime(Exception):
@@ -40,17 +45,6 @@ class SelectorEmpty(Exception):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*order."""
     k = max(1, (2 * order + exponent - 1) // exponent)
@@ -60,26 +54,6 @@ def dixon_prime(order: int, exponent: int) -> int:
             return p
         k += 1
     raise NoSuitablePrime(f"no prime = 1 mod {exponent} above {2 * order} found")
-
-
-def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
-    for r in range(2, p):
-        if all(pow(r, (p - 1) // q, p) != 1 for q in factors):
-            return r
-    raise AssertionError("no primitive root")
 
 
 @dataclass
@@ -97,36 +71,18 @@ class CharacterTable:
     def r(self) -> int:
         return len(self.degrees)
 
-    @property
-    def modular_values(self) -> FpMatrix:
-        return FpMatrix(self.prime, self.modular)
-
     def value(self, i: int, k: int) -> CycInt:
         return self.values[i][k]
-
-    def dual_index(self, i: int) -> int:
-        """Index of the contragredient irreducible."""
-        inv = self.conj.inverse_class
-        target = tuple(self.values[i][inv[k]] for k in range(self.r))
-        for j in range(self.r):
-            if self.values[j] == target:
-                return j
-        raise AssertionError("dual character missing from the table")
 
 
 def _class_matrix(g: FiniteGroup, cd: ConjugacyData, i: int) -> np.ndarray:
     """Matrix of multiplication by the i-th class sum, oriented so that the
     vectors (omega(c_k))_k of central characters are column eigenvectors."""
     r = cd.r
-    mat = np.zeros((r, r), dtype=np.int64)
-    cls = cd.classes[i]
-    inv = g.inv
-    for k in range(r):
-        zk = cd.reps[k]
-        # row k over j counts {x in C_i : x^-1 z_k in C_j}
-        cols = g.mul[inv[cls], zk]
-        mat[k] = np.bincount(cd.class_of[cols], minlength=r)
-    return mat.T
+    # row k over j counts {x in C_i : x^-1 z_k in C_j}
+    prods = g.mul[g.inv[cd.classes[i]][:, None], np.asarray(cd.reps)[None, :]]
+    flat = cd.class_of[prods] + r * np.arange(r)[None, :]
+    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r).T
 
 
 def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) -> CharacterTable:
@@ -142,33 +98,28 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
         for i in range(1, r):
             yield FpMatrix(p, _class_matrix(g, cd, i) % p)
 
-    vectors = simultaneous_split(matrices(), p=p, dim=r)
+    vectors = np.array(simultaneous_split(matrices(), p=p, dim=r))
     assert len(vectors) == r
+    assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"
 
-    xi = pow(_primitive_root(p), (p - 1) // e, p)
-    rows = []
-    for vec in vectors:
-        assert vec[0] % p != 0, "eigenvector vanishes at the identity class"
-        scale = pow(int(vec[0]), p - 2, p)
-        omega = [(int(v) * scale) % p for v in vec]
-        total = 0
-        for k in range(r):
-            total += omega[k] * omega[invmap[k]] * pow(int(h[k]), p - 2, p)
-        total %= p
-        dsq = n * pow(total, p - 2, p) % p
-        cands = [d for d in range(1, isqrt(n) + 1) if d * d % p == dsq]
-        assert len(cands) == 1, f"degree not unique from d^2 = {dsq} mod {p}"
-        d = cands[0]
-        modrow = [
-            d * omega[k] % p * pow(int(h[k]), p - 2, p) % p for k in range(r)
-        ]
-        lifted = _lift_row(modrow, d, cd, e, p, xi)
-        rows.append((d, lifted, modrow))
+    # central characters omega, normalized at the identity class
+    scale = np.array([pow(int(v), p - 2, p) for v in vectors[:, 0]], dtype=np.int64)
+    omega = vectors * scale[:, None] % p
+    h_inv = np.array([pow(int(x), p - 2, p) for x in h], dtype=np.int64)
+    total = (omega * omega[:, invmap] % p * h_inv % p).sum(axis=1) % p
+    # the degree d is the one d <= sqrt|G| with d^2 = |G| / total mod p
+    ds = np.arange(1, isqrt(n) + 1)
+    dsq = n * np.array([pow(int(t), p - 2, p) for t in total], dtype=np.int64) % p
+    hits = ds[None, :] ** 2 % p == dsq[:, None]
+    assert np.all(hits.sum(axis=1) == 1), "degree not unique from d^2 mod p"
+    degrees = ds[hits.argmax(axis=1)].tolist()
+    modular = np.array(degrees, dtype=np.int64)[:, None] * omega % p * h_inv % p
+    lifted = _lift(modular, degrees, cd, p)
 
-    rows.sort(key=lambda t: (t[0], tuple(v.coeffs for v in t[1])))
-    degrees = [t[0] for t in rows]
-    values = [tuple(t[1]) for t in rows]
-    modular = np.array([t[2] for t in rows], dtype=np.int64)
+    order = sorted(range(r), key=lambda i: (degrees[i], tuple(v.coeffs for v in lifted[i])))
+    degrees = [degrees[i] for i in order]
+    values = [lifted[i] for i in order]
+    modular = modular[order]
 
     assert sum(d * d for d in degrees) == n, "degree squares must sum to |G|"
     one = CycInt.one()
@@ -176,7 +127,7 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
         i for i in range(r) if degrees[i] == 1 and all(v == one for v in values[i])
     )
     # modular row orthogonality: sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij
-    gram = (modular * h[None, :]) @ modular[:, invmap].T % p
+    gram = mul_mod(modular * h[None, :] % p, modular[:, invmap].T, p)
     assert np.array_equal(gram, (n % p) * np.eye(r, dtype=np.int64) % p)
     return CharacterTable(
         group=g,
@@ -190,46 +141,75 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     )
 
 
-def _lift_row(modrow, d: int, cd: ConjugacyData, e: int, p: int, xi: int):
-    """Lift one modular character row to exact cyclotomic values."""
-    r = cd.r
-    out = []
-    for k in range(r):
-        nk = cd.element_orders[cd.reps[k]]
-        pc = cd.power_classes(k)
-        xik = pow(xi, e // nk, p)
-        xik_inv = pow(xik, p - 2, p)
-        nk_inv = pow(nk, p - 2, p)
-        coeffs = [0] * e
-        total = 0
-        for j in range(nk):
-            acc = 0
-            w = pow(xik_inv, j, p)
-            term = 1
-            for t in range(nk):
-                acc = (acc + modrow[pc[t]] * term) % p
-                term = term * w % p
-            m = acc * nk_inv % p
-            if m > d:
-                raise LiftOutOfRange(
-                    f"Fourier coefficient {m} exceeds the degree bound {d}"
-                )
-            if m:
-                coeffs[(j * (e // nk)) % e] = m
-                total += m
-        if total != d:
-            raise LiftOutOfRange(
-                f"eigenvalue multiplicities sum to {total}, expected {d}"
-            )
-        val = CycInt(e, coeffs)
-        # round trip: evaluating at zeta_e -> xi must return the modular value
-        check = 0
-        for t, c in enumerate(val.coeffs):
-            if c:
-                check = (check + c * pow(xi, t, p)) % p
-        assert check == modrow[k] % p, "cyclotomic lift does not reduce back"
-        out.append(val)
-    return out
+def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
+    """Lift every modular character row to exact cyclotomic values.
+
+    For an element g of order n, xi_n = xi^(e/n) and the DFT over <g> gives,
+    for every row at once, the multiplicity m_j of the eigenvalue zeta_n^j:
+    m_j = (1/n) sum_t chi(g^t) xi_n^(-jt).  The class of g^t holds
+    sum_j m_j zeta_n^(jt), so one DFT per maximal cyclic subgroup serves all
+    the classes of its elements.  Returns one tuple of values per row.
+    """
+    r = modular.shape[0]
+    e = cd.exponent
+    xi = pow(_primitive_root(p), (p - 1) // e, p)
+    xis = [pow(xi, s, p) for s in range(e)]
+    xi_arr = np.array(xis, dtype=np.int64)
+    deg = np.array(degrees, dtype=np.int64)
+    known: dict[tuple, CycInt] = {}
+
+    def value(terms: tuple[tuple[int, int], ...]) -> CycInt:
+        """sum m zeta_e^s over the (s, m) terms, built once per distinct sum."""
+        val = known.get(terms)
+        if val is None:
+            hist = [0] * e
+            for s, m in terms:
+                hist[s] += m
+            val = known[terms] = CycInt(e, hist)
+            # its reduced coefficients at zeta_e -> xi give the residue of the terms
+            at_xi = sum(c * xis[t] for t, c in enumerate(val.coeffs))
+            assert (at_xi - sum(m * xis[s] for s, m in terms)) % p == 0, "lift does not reduce back"
+        return val
+
+    columns: list = [None] * r
+    order_of = [cd.element_orders[rep] for rep in cd.reps]
+    for k in sorted(range(r), key=lambda k: -order_of[k]):
+        if columns[k] is not None:
+            continue  # a power of an element already transformed
+        nk, pc = order_of[k], cd.power_classes(k)
+        step = e // nk
+        w = pow(pow(xi, step, p), p - 2, p)
+        w_pow = np.array([pow(w, s, p) for s in range(nk)], dtype=np.int64)
+        ts = np.arange(nk)
+        dft = w_pow[np.outer(ts, ts) % nk] * pow(nk, p - 2, p) % p
+        mult = mul_mod(modular[:, pc], dft, p)
+        over = np.argwhere(mult > deg[:, None])
+        if over.size:
+            i, j = over[0]
+            raise LiftOutOfRange(f"Fourier coefficient {mult[i, j]} exceeds degree {degrees[i]}")
+        sums = mult.sum(axis=1)
+        if np.any(sums != deg):
+            i = int(np.argmax(sums != deg))
+            raise LiftOutOfRange(f"eigenvalue multiplicities sum to {sums[i]}, not {degrees[i]}")
+        rows, js = np.nonzero(mult)
+        for t, c in enumerate(pc):
+            if columns[c] is not None:
+                continue
+            # g^t has the eigenvalues zeta_e^s, s = j t step; merge the j that meet
+            cells, where = np.unique(rows * e + js * t % nk * step, return_inverse=True)
+            ms = np.zeros(cells.size, dtype=np.int64)
+            np.add.at(ms, where, mult[rows, js])
+            cell_rows, expo = np.divmod(cells, e)
+            back = np.zeros(r, dtype=np.int64)
+            np.add.at(back, cell_rows, ms * xi_arr[expo] % p)
+            if not np.array_equal(back % p, modular[:, c]):
+                i = int(np.argmax(back % p != modular[:, c]))
+                raise LiftOutOfRange(f"eigenvalues of row {i} do not reduce back at class {c}")
+            terms: list[list] = [[] for _ in range(r)]
+            for i, s, m in zip(cell_rows.tolist(), expo.tolist(), ms.tolist()):
+                terms[i].append((s, m))
+            columns[c] = [value(tuple(row)) for row in terms]
+    return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +335,7 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> list[list[int]]:
     m = ct.modular
     rho_mod = np.array(rho.mults, dtype=np.int64) % p @ m % p
     weight = np.array(cd.sizes, dtype=np.int64) * rho_mod % p
-    num = (m * weight[None, :] % p) @ m[:, cd.inverse_class].T % p
+    num = mul_mod(m * weight[None, :] % p, m[:, cd.inverse_class].T, p)
     return (num * pow(ct.group.order, p - 2, p) % p).tolist()
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 from typing import Optional
 
 from .chartable import (
@@ -258,12 +260,14 @@ def chartab_document(spec: GroupSpec) -> dict:
     }
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(out, output: Optional[str]) -> None:
+    """Write text, or a document as indented JSON.  The JSON text is never held
+    whole, and its chunks are joined into blocks: json.dump writes each token."""
+    chunks = iter([out]) if isinstance(out, str) else chain(
+        json.JSONEncoder(indent=2).iterencode(out), "\n")
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        while block := "".join(islice(chunks, 1 << 16)):
+            fh.write(block)
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +276,19 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def cmd_graph(args) -> int:
     doc = graph_document(parse_group_spec(args.spec), args.rho, args.components)
-    if args.out == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _emit(render_dot(doc), args.output)
+    _emit(doc if args.out == "json" else render_dot(doc), args.output)
     return 0
 
 
 def cmd_chartab(args) -> int:
     doc = chartab_document(parse_group_spec(args.spec))
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(doc, args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, jobs=args.jobs)
-    if args.out == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
-    else:
-        _emit(report.render_text() + "\n", args.output)
+    _emit(report.to_dict() if args.out == "json" else report.render_text() + "\n", args.output)
     return 0 if report.passed else 1
 
 

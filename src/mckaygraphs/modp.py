@@ -54,6 +54,20 @@ def _inv_mod(v: int, p: int) -> int:
     return pow(int(v) % p, p - 2, p)
 
 
+def check_bound(n: int, p: int) -> None:
+    """A sum of n products of residues must fit in int64."""
+    assert n * (p - 1) ** 2 < 2**63, f"{n} products mod {p} overflow int64"
+
+
+def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue matrices, with the int64 bound asserted.
+
+    numpy's integer matmul has no BLAS; from n = 512 on it runs several times
+    faster on a row-major left and a column-major right operand."""
+    check_bound(a.shape[-1], p)
+    return np.ascontiguousarray(a) @ np.asfortranarray(b) % p
+
+
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (matrix, pivot column list)."""
     m = a.copy() % p
@@ -69,11 +83,12 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = (m[r] * _inv_mod(m[r, c], p)) % p
+        # rows r and below are zero left of c, so only columns c: change
+        m[r, c:] = m[r, c:] * _inv_mod(m[r, c], p) % p
         other = np.nonzero(m[:, c])[0]
-        for i in other:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        other = other[other != r]
+        if other.size:
+            m[other, c:] = (m[other, c:] - np.outer(m[other, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -81,20 +96,21 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _right_kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Rows form a basis of {v : a @ v == 0 mod p}."""
-    rows, cols = a.shape
+    cols = a.shape[1]
     red, pivots = _rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % p
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
     return basis
 
 
-def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
+def _hessenberg(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Hessenberg h and transform u with a @ u == u @ h mod p."""
     h = a.copy() % p
     n = h.shape[0]
+    check_bound(n, p)
+    u = np.eye(n, dtype=np.int64)
     for j in range(n - 2):
         col = h[j + 1 :, j]
         nz = np.nonzero(col)[0]
@@ -104,35 +120,35 @@ def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
         if piv != j + 1:
             h[[j + 1, piv]] = h[[piv, j + 1]]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+            u[:, [j + 1, piv]] = u[:, [piv, j + 1]]
         inv = _inv_mod(h[j + 1, j], p)
         f = (h[j + 2 :, j] * inv) % p
         if np.any(f):
             h[j + 2 :, :] = (h[j + 2 :, :] - np.outer(f, h[j + 1, :])) % p
             h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ f) % p
-    return h
+            u[:, j + 1] = (u[:, j + 1] + u[:, j + 2 :] @ f) % p
+    return h, u
 
 
-def _charpoly(a: np.ndarray, p: int) -> np.ndarray:
-    """Monic characteristic polynomial mod p, coefficients lowest degree first."""
-    n = a.shape[0]
-    if n == 0:
-        return np.array([1], dtype=np.int64)
-    h = _hessenberg(a, p)
-    # polys[k] = charpoly of the leading k x k block, length k + 1
-    polys = [np.array([1], dtype=np.int64)]
-    # subdiag products beta[i] = prod_{j=i..k-2} h[j+1, j], built per step
+def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
+    """Monic characteristic polynomial of an upper Hessenberg h, lowest degree first."""
+    n = h.shape[0]
+    check_bound(n, p)
+    # polys[k, :k + 1] = charpoly of the leading k x k block
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    # beta[i] = prod_{j=i..k-1} h[j, j-1], the subdiagonal products of step k
+    beta = np.zeros(n, dtype=np.int64)
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = np.zeros(k + 1, dtype=np.int64)
+        prev = polys[k - 1, :k]
+        cur = polys[k, : k + 1]
         cur[1:] = prev
         cur[:-1] = (cur[:-1] - h[k - 1, k - 1] * prev) % p
-        beta = 1
-        for i in range(k - 1, 0, -1):
-            beta = (beta * h[i, i - 1]) % p
-            coef = (h[i - 1, k - 1] * beta) % p
-            if coef:
-                cur[: i] = (cur[: i] - coef * polys[i - 1]) % p
-        polys.append(cur % p)
+        if k > 1:
+            beta[1 : k - 1] = beta[1 : k - 1] * h[k - 1, k - 2] % p
+            beta[k - 1] = h[k - 1, k - 2]
+            coefs = h[: k - 1, k - 1] * beta[1:k] % p
+            cur[:k] = (cur[:k] - coefs @ polys[: k - 1, :k]) % p
     return polys[n]
 
 
@@ -142,6 +158,25 @@ def _poly_roots(poly: np.ndarray, p: int) -> list[int]:
     for c in poly[-2::-1]:
         acc = (acc * xs + int(c)) % p
     return [int(x) for x in xs[acc == 0]]
+
+
+def _hessenberg_eigenvectors(h: np.ndarray, u: np.ndarray, roots: list[int], p: int) -> np.ndarray:
+    """Rows v with v @ a.T == lam v for each root lam, where a @ u == u @ h.
+
+    h must be unreduced (no zero subdiagonal entry), so each eigenvalue has a
+    one-dimensional eigenspace: x[n-1] = 1 and row i of (h - lam) x = 0 fixes
+    x[i-1], for all roots at once.  Row 0 is left over and must vanish.
+    """
+    n = h.shape[0]
+    check_bound(n + 1, p)
+    lam = np.array(roots, dtype=np.int64)
+    x = np.zeros((lam.size, n), dtype=np.int64)
+    x[:, n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        s = (x[:, i:] @ h[i, i:] - lam * x[:, i]) % p
+        x[:, i - 1] = -s * _inv_mod(h[i, i - 1], p) % p
+    assert not np.any((x @ h[0] - lam * x[:, 0]) % p), "a root is not an eigenvalue"
+    return mul_mod(x, u.T, p)
 
 
 class FpMatrix:
@@ -160,36 +195,11 @@ class FpMatrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def entry(self, i: int, j: int) -> FpElem:
-        return FpElem(self.p, int(self.a[i, j]))
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        assert self.p == other.p
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
-
-    def rref(self) -> tuple["FpMatrix", list[int]]:
-        red, pivots = _rref(self.a, self.p)
-        return FpMatrix(self.p, red), pivots
-
     def right_kernel(self) -> "FpMatrix":
         return FpMatrix(self.p, _right_kernel(self.a, self.p))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
-
-    def charpoly(self) -> np.ndarray:
-        return _charpoly(self.a, self.p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.all(self.a == other.a))
-        )
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p},\n{self.a})"
@@ -198,18 +208,24 @@ class FpMatrix:
 def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: int):
     """Split an invariant row-space by the eigenvalues of mat; None if no split."""
     m = basis.shape[0]
-    r = (basis @ mat.T % p)[:, pivots] % p
-    # scalar action cannot split
-    lam = int(r[0, 0])
-    if np.array_equal(r, (lam * np.eye(m, dtype=np.int64)) % p):
-        return None
+    # a[:, i] = coordinates of basis[i] @ mat.T, read on the pivot columns
+    a = mul_mod(mat[pivots], basis.T, p)
+    lam = int(a[0, 0])
+    if np.array_equal(a, lam * np.eye(m, dtype=np.int64)):
+        return None  # scalar action cannot split
+    h, u = _hessenberg(a, p)
+    roots = _poly_roots(_hessenberg_charpoly(h, p), p)
+    if len(roots) == m and np.all(h.diagonal(-1)):
+        vecs = _hessenberg_eigenvectors(h, u, roots, p)
+        assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[:, None] * vecs % p)
+        return [_rref(v[None], p) for v in mul_mod(vecs, basis, p)]
     pieces = []
     total = 0
-    for lam in _poly_roots(_charpoly(r, p), p):
-        ker = _right_kernel((r.T - lam * np.eye(m, dtype=np.int64)) % p, p)
+    for lam in roots:
+        ker = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
         if ker.shape[0] == 0:
             continue
-        sub = (ker @ basis) % p
+        sub = mul_mod(ker, basis, p)
         red, piv = _rref(sub, p)
         pieces.append((red, piv))
         total += red.shape[0]

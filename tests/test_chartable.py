@@ -8,7 +8,9 @@ from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
     Irrep,
+    LiftOutOfRange,
     SelectorEmpty,
+    _lift,
     adjacency_matrix,
     char_inner,
     compute_character_table,
@@ -33,6 +35,7 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
+    _primitive_root,
     build_group,
     conjugacy,
     subgroup_from_elements,
@@ -105,8 +108,6 @@ def test_exact_orthogonality_small():
 def test_modular_round_trip():
     _, _, ct = table(BinaryPoly("I"))
     p, e = ct.prime, ct.exponent
-    from mckaygraphs.chartable import _primitive_root
-
     xi = pow(_primitive_root(p), (p - 1) // e, p)
     for i in range(ct.r):
         for k in range(ct.r):
@@ -327,3 +328,60 @@ def test_kernels_match_closure_oracle(spec):
         assert kern.elements == closure.elements
         assert kern.normal and closure.normal
         assert is_faithful(ct, chi) == (kern.order == 1)
+
+
+# ---------------------------------------------------------------------------
+# the batched lift against a per-entry DFT
+
+
+def lift_entry(modrow, d, cd, k, p, xi):
+    """One value: a DFT over the powers of the class representative alone."""
+    e = cd.exponent
+    nk = cd.element_orders[cd.reps[k]]
+    pc = cd.power_classes(k)
+    xik_inv = pow(pow(xi, e // nk, p), p - 2, p)
+    coeffs = [0] * e
+    for j in range(nk):
+        acc = sum(int(modrow[pc[t]]) * pow(xik_inv, j * t, p) for t in range(nk))
+        m = acc * pow(nk, p - 2, p) % p
+        assert m <= d
+        coeffs[j * (e // nk)] = m
+    assert sum(coeffs) == d
+    return CycInt(e, coeffs)
+
+
+# cyclic:12 and cyclic:30 have power classes of every divisor order; binary:O,
+# heis:3:1 and product(binary:T,cyclic:2) have several maximal cyclic subgroups
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Cyclic(12),
+        Cyclic(30),
+        Dihedral(9),
+        BinaryPoly("O"),
+        Heisenberg(3, 1),
+        Product(BinaryPoly("T"), Cyclic(2)),
+    ],
+)
+def test_lift_matches_per_entry_dft(spec):
+    _, cd, ct = table(spec)
+    p = ct.prime
+    xi = pow(_primitive_root(p), (p - 1) // ct.exponent, p)
+    oracle = [
+        tuple(lift_entry(ct.modular[i], ct.degrees[i], cd, k, p, xi) for k in range(ct.r))
+        for i in range(ct.r)
+    ]
+    assert oracle == ct.values
+    assert _lift(ct.modular, ct.degrees, cd, p) == ct.values
+
+
+# class 0 is the identity, which enters every DFT; class 6 of cyclic:12 has
+# order 2, so its values come only from the DFT of a generator
+@pytest.mark.parametrize("k", [0, 6])
+def test_lift_rejects_a_spoiled_row(k):
+    _, cd, ct = table(Cyclic(12))
+    assert cd.element_orders[cd.reps[6]] == 2
+    spoiled = ct.modular.copy()
+    spoiled[3, k] = (spoiled[3, k] + 1) % ct.prime
+    with pytest.raises(LiftOutOfRange):
+        _lift(spoiled, ct.degrees, cd, ct.prime)
