@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every CLI output in a fixed set, one line per command.
+
+Usage: PYTHONPATH=src python scripts/cli_digest.py
+
+Each command runs through `mckaygraphs.cli.main` with `--output` to a
+temporary file, and prints `<sha256>  mckay <args>`, with `exit <code>` in
+place of the digest when the command fails and writes nothing.  The set is
+the `export_fixture_graphs.py` fixtures as DOT with components, `chartab` of
+the identity fixtures and of the semidirect sweep specs, and
+`graph --out json --components` of the same semidirect specs.  Run it once
+with PYTHONPATH on each of two source trees (say a `git archive` export of
+the parent commit and the working tree) and diff the two outputs: a change
+that keeps the CLI bytes prints the same lines.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from export_fixture_graphs import FIXTURES, pullback_selector
+from mckaygraphs import cli
+from mckaygraphs.groups import Semidirect, spec_text
+from mckaygraphs.verify import IDENTITY_FIXTURES, SWEEP_SPECS
+
+
+def commands() -> list[list[str]]:
+    semidirect = [spec_text(s) for s in SWEEP_SPECS if isinstance(s, Semidirect)]
+    cmds = []
+    for spec, rho in FIXTURES:
+        if rho == "pullback":
+            rho = pullback_selector(spec)
+        cmds.append(["graph", spec, "--rho", rho, "--components"])
+    cmds += [["chartab", spec_text(s)] for s in IDENTITY_FIXTURES]
+    cmds += [["chartab", s] for s in semidirect]
+    cmds += [["graph", s, "--out", "json", "--components"] for s in semidirect]
+    return cmds
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for args in commands():
+            out.unlink(missing_ok=True)
+            code = cli.main(args + ["--output", str(out)])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+            print(f"{digest}  mckay {' '.join(args)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

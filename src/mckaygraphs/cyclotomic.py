@@ -108,6 +108,9 @@ def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
 
 def _reduce_coeffs(e: int, coeffs) -> tuple[int, ...]:
     phi = euler_phi(e)
+    if len(coeffs) <= phi:
+        # already in the power basis: rows k < phi of _power_reductions are unit vectors
+        return tuple(coeffs) + (0,) * (phi - len(coeffs))
     rows = _power_reductions(e)
     acc = [0] * phi
     for k, v in enumerate(coeffs):
@@ -288,12 +291,6 @@ class CycInt:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def exact_div(self, n: int) -> "CycInt":
         assert n != 0

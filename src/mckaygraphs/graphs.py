@@ -26,6 +26,7 @@ from .chartable import (
 )
 from .cyclotomic import CycInt, cyc_sum
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, quotient_group
+from .shapes import graph_flags, weak_components
 
 
 class OrbitMismatch(Exception):
@@ -61,9 +62,7 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     rho = sel if isinstance(sel, Rho) else resolve_rho(ct, sel)
     adj = adjacency_matrix(ct, rho)
     r = ct.r
-    undirected = all(adj[i][j] == adj[j][i] for i in range(r) for j in range(i + 1, r))
-    loopless = all(adj[i][i] == 0 for i in range(r))
-    simply = all(adj[i][j] <= 1 for i in range(r) for j in range(r) if i != j)
+    undirected, loopless, simply = graph_flags(adj)
     dims = tuple(ct.degrees)
     # row dimension count: sum_j N_ij d_j = d_i * dim rho
     for i in range(r):
@@ -98,27 +97,6 @@ def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
 
 # ---------------------------------------------------------------------------
 # components
-
-
-def weak_components(adj) -> list[list[int]]:
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if not seen[w] and (adj[v][w] or adj[w][v]):
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def strongly_connected(adj, vertices) -> bool:

@@ -17,8 +17,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycInt
-
 DEFAULT_ORDER_CAP = 1024
 
 
@@ -189,7 +187,6 @@ class FiniteGroup:
     identity: int = 0
     generators: list[int] = field(default_factory=list)
     gen_words: Optional[list[tuple[int, ...]]] = None  # per element, word in generators
-    pair_shape: Optional[tuple[int, int]] = None  # product/semidirect layout
     payload: object = None  # carrier-specific element data
 
     def power(self, x: int, k: int) -> int:
@@ -243,62 +240,10 @@ def _inverses_from_table(mul: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix elements for the binary polyhedral carriers
-
-
-class _Mat2:
-    """2x2 matrix over a cyclotomic field: integer-cyclotomic entries over a
-    common positive denominator, stored in lowest terms."""
-
-    __slots__ = ("a", "b", "c", "d", "den")
-
-    def __init__(self, a: CycInt, b: CycInt, c: CycInt, d: CycInt, den: int = 1):
-        assert den > 0
-        g = den
-        for v in (a, b, c, d):
-            g = gcd(g, v.content())
-        if g > 1:
-            a, b, c, d = (v.exact_div(g) for v in (a, b, c, d))
-            den //= g
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.den = den
-
-    def __mul__(self, o: "_Mat2") -> "_Mat2":
-        return _Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-            self.den * o.den,
-        )
-
-    def _key(self):
-        return (self.a, self.b, self.c, self.d, self.den)
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, _Mat2) and self._key() == o._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-def _quat_mat(order: int, a, b, c, d, den: int = 1) -> _Mat2:
-    """Quaternion a + bi + cj + dk as a 2x2 matrix over Q(zeta_order), 4 | order."""
-    i = CycInt.root(order, order // 4)
-
-    def cy(v):
-        return v if isinstance(v, CycInt) else CycInt.integer(v)
-
-    a, b, c, d = cy(a), cy(b), cy(c), cy(d)
-    return _Mat2(a + b * i, c + d * i, -c + d * i, a - b * i, den)
-
-
-# ---------------------------------------------------------------------------
 # breadth-first closure
 
 
-def _close_and_build(gens, carrier: str, cap: int, namer=None, mulfun=None) -> FiniteGroup:
-    mulfun = mulfun or (lambda x, y: x * y)
+def _close_and_build(gens, carrier: str, cap: int, mulfun, namer=None) -> FiniteGroup:
     # identity = gens[0]^ord(gens[0]): walk powers until the walk returns
     x = gens[0]
     power = x
@@ -392,44 +337,63 @@ def _build_dihedral(n: int) -> FiniteGroup:
         return "s" if k == 0 else f"{rot}*s"
 
     gens = [(1 % n, 0), (0, 1)] if n > 1 else [(0, 1)]
-    return _close_and_build(gens, f"dihedral:{n}", cap=2 * n, namer=namer, mulfun=mulfun)
+    return _close_and_build(gens, f"dihedral:{n}", cap=2 * n, mulfun=mulfun, namer=namer)
 
 
 def _build_bindihedral(n: int) -> FiniteGroup:
+    # elements (k, eps) = a^k x^eps with a of order 2n, x a x^-1 = a^-1, x^2 = a^n
     e = 2 * n
-    zero, one = CycInt.zero(), CycInt.one()
-    a = _Mat2(CycInt.root(e, 1), zero, zero, CycInt.root(e, e - 1))
-    x = _Mat2(zero, one, -one, zero)
-    return _close_and_build([a, x], f"bindihedral:{n}", cap=4 * n)
+
+    def mulfun(x, y):
+        (k1, e1), (k2, e2) = x, y
+        return ((k1 + (k2 if e1 == 0 else -k2) + n * e1 * e2) % e, (e1 + e2) % 2)
+
+    return _close_and_build([(1, 0), (0, 1)], f"bindihedral:{n}", cap=4 * n, mulfun=mulfun)
+
+
+# The binary polyhedral carriers are quaternion matrices [[a+bi, c+di], [-c+di, a-bi]]
+# over F_41, as row tuples of residues.  41 = 1 (mod 40), so zeta_4, zeta_8,
+# zeta_20 and 1/2 exist mod 41, and reduction mod 41 is injective on these
+# groups because 41 divides none of their orders (24, 48, 120).
+_QUAT_P = 41
+
+
+def _zeta(m: int, k: int = 1) -> int:
+    """zeta_m^k in F_41 for m | 40, as a power of one primitive root, so the
+    roots of different orders are compatible (zeta_20^5 = zeta_4)."""
+    return pow(_primitive_root(_QUAT_P), (_QUAT_P - 1) // m * k, _QUAT_P)
+
+
+def _quat(a: int, b: int, c: int, d: int, den: int = 1):
+    """Quaternion (a + bi + cj + dk) / den as a 2x2 matrix over F_41."""
+    i, s = _zeta(4), pow(den, -1, _QUAT_P)
+    return (
+        ((a + b * i) * s % _QUAT_P, (c + d * i) * s % _QUAT_P),
+        ((-c + d * i) * s % _QUAT_P, (a - b * i) * s % _QUAT_P),
+    )
 
 
 def _build_binary(kind: str) -> FiniteGroup:
     if kind == "T":
-        order = 4
-        gens = [
-            _quat_mat(order, 0, 1, 0, 0),
-            _quat_mat(order, 0, 0, 1, 0),
-            _quat_mat(order, -1, 1, 1, 1, den=2),
-        ]
+        gens = [_quat(0, 1, 0, 0), _quat(0, 0, 1, 0), _quat(-1, 1, 1, 1, den=2)]
     elif kind == "O":
-        order = 8
-        zeta = CycInt.root(8, 1)
         gens = [
-            _quat_mat(order, 0, 1, 0, 0),
-            _quat_mat(order, 0, 0, 1, 0),
-            _quat_mat(order, -1, 1, 1, 1, den=2),
-            _Mat2(zeta, CycInt.zero(), CycInt.zero(), CycInt.root(8, 7)),
+            _quat(0, 1, 0, 0),
+            _quat(0, 0, 1, 0),
+            _quat(-1, 1, 1, 1, den=2),
+            ((_zeta(8), 0), (0, _zeta(8, 7))),
         ]
     elif kind == "I":
-        order = 20
-        phi = CycInt.one() + CycInt.root(20, 4) + CycInt.root(20, 16)  # golden ratio
-        gens = [
-            _quat_mat(order, -1, 1, 1, 1, den=2),
-            _quat_mat(order, phi, phi - 1, 1, 0, den=2),
-        ]
+        phi = 1 + _zeta(20, 4) + _zeta(20, 16)  # golden ratio
+        gens = [_quat(-1, 1, 1, 1, den=2), _quat(phi, phi - 1, 1, 0, den=2)]
     else:
         raise ValueError(f"unknown binary polyhedral kind {kind!r}")
-    g = _close_and_build(gens, f"binary:{kind}", cap=_BINARY_ORDERS[kind])
+    g = _close_and_build(
+        gens,
+        f"binary:{kind}",
+        cap=_BINARY_ORDERS[kind],
+        mulfun=lambda x, y: _mat_mul_mod(x, y, _QUAT_P),
+    )
     assert g.order == _BINARY_ORDERS[kind], (
         f"binary:{kind} closed to order {g.order}, expected {_BINARY_ORDERS[kind]}"
     )
@@ -512,7 +476,6 @@ def build_product(a: FiniteGroup, b: FiniteGroup, carrier: Optional[str] = None)
         element_names=names,
         generators=gens,
         gen_words=None,
-        pair_shape=(na, nb),
     )
 
 
@@ -562,7 +525,6 @@ def build_semidirect(
         element_names=names,
         generators=[x * nk for x in g.generators] + [int(y) for y in k.generators],
         gen_words=None,
-        pair_shape=(ng, nk),
     )
     return grp
 
@@ -871,34 +833,38 @@ def _greedy_generators(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def _extend_hom(a: FiniteGroup, gens: list[int], images, mul_t, ident) -> Optional[list]:
+    """Images of every element of a under the map sending gens[i] to images[i],
+    extended along products with the generators (which must generate a);
+    None when two products reach one element with different images."""
+    val = {0: ident}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for gv, img in zip(gens, images):
+            y = int(a.mul[x, gv])
+            v = mul_t(val[x], img)
+            if y in val:
+                if val[y] != v:
+                    return None
+            else:
+                val[y] = v
+                frontier.append(y)
+    return [val[x] for x in range(a.order)]
+
+
 def _abelian_homs(a: FiniteGroup, m: int) -> list[np.ndarray]:
     """All homomorphisms from the abelian group a to Z_m, as value arrays."""
     gens = _greedy_generators(a)
-    if not gens:
-        return [np.zeros(a.order, dtype=np.int64)]
     cand = []
     for x in gens:
         o = a.element_order(x)
         cand.append([v for v in range(m) if (v * o) % m == 0])
     homs = []
     for choice in iproduct(*cand):
-        val = {0: 0}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            x = frontier.pop()
-            for gv, img in zip(gens, choice):
-                y = int(a.mul[x, gv])
-                v = (val[x] + img) % m
-                if y in val:
-                    if val[y] != v:
-                        ok = False
-                        break
-                else:
-                    val[y] = v
-                    frontier.append(y)
-        if ok and len(val) == a.order:
-            homs.append(np.array([val[i] for i in range(a.order)], dtype=np.int64))
+        vals = _extend_hom(a, gens, choice, lambda u, v: (u + v) % m, 0)
+        if vals is not None:
+            homs.append(np.array(vals, dtype=np.int64))
     return homs
 
 
@@ -981,40 +947,19 @@ def _mat_mul_mod(a, b, p: int):
     )
 
 
-def _group_embedding(q: FiniteGroup, targets: list, mul_t, order_t) -> Optional[dict]:
-    """First injective homomorphism q -> targets (a group given by a multiply
-    function), found by depth-first search over generator images."""
+def _group_embedding(q: FiniteGroup, targets: list, mul_t, order_t, ident_t) -> Optional[list]:
+    """Images of the first injective homomorphism q -> targets (a group given by
+    a multiply function and its identity), found by depth-first search over
+    generator images."""
     gens = _greedy_generators(q)
-    ident_t = next(t for t in targets if all(mul_t(t, s) == s for s in targets))
-    if not gens:
-        return {0: ident_t}
     cands = []
     for x in gens:
         o = q.element_order(x)
         cands.append([t for t in targets if order_t(t) == o])
-
-    def extend(choice) -> Optional[dict]:
-        val = {0: ident_t}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for gv, img in zip(gens, choice):
-                y = int(q.mul[x, gv])
-                v = mul_t(val[x], img)
-                if y in val:
-                    if val[y] != v:
-                        return None
-                else:
-                    val[y] = v
-                    frontier.append(y)
-        if len(val) != q.order or len(set(val.values())) != q.order:
-            return None
-        return val
-
     for choice in iproduct(*cands):
-        val = extend(choice)
-        if val is not None:
-            return val
+        vals = _extend_hom(q, gens, choice, mul_t, ident_t)
+        if vals is not None and len(set(vals)) == q.order:
+            return vals
     return None
 
 
@@ -1027,10 +972,10 @@ def derive_elemab_action(
     vecs: list[tuple[int, ...]] = kernel.payload  # lexicographic tuples
     vec_index = {v: i for i, v in enumerate(vecs)}
     gl = _gl_elements(p, n)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     def order_t(m) -> int:
         k, cur = 1, m
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         while cur != ident:
             cur = _mat_mul_mod(cur, m, p)
             k += 1
@@ -1065,9 +1010,9 @@ def derive_elemab_action(
         if not h.normal:
             continue
         q, coset_of = quotient_group(g, h)
-        if q.order > len(gl) or q.order % 1:
+        if q.order > len(gl):
             continue
-        emb = _group_embedding(q, gl, lambda a, b: _mat_mul_mod(a, b, p), order_t)
+        emb = _group_embedding(q, gl, lambda a, b: _mat_mul_mod(a, b, p), order_t, ident)
         if emb is None:
             continue
         if not transitive(list({emb[x] for x in range(q.order)})):
@@ -1191,26 +1136,13 @@ def tables_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     orders_b = sorted(b.element_order(x) for x in range(b.order))
     if orders_a != orders_b:
         return False
-    gens = _greedy_generators(a) or [0]
+    gens = _greedy_generators(a)
     by_order: dict[int, list[int]] = {}
     for y in range(b.order):
         by_order.setdefault(b.element_order(y), []).append(y)
-
-    def extend(choice) -> bool:
-        val = {0: 0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for gv, img in zip(gens, choice):
-                y = int(a.mul[x, gv])
-                w = int(b.mul[val[x], img])
-                if y in val:
-                    if val[y] != w:
-                        return False
-                else:
-                    val[y] = w
-                    frontier.append(y)
-        return len(val) == a.order and len(set(val.values())) == a.order
-
     cands = [by_order[a.element_order(x)] for x in gens]
-    return any(extend(choice) for choice in iproduct(*cands))
+    for choice in iproduct(*cands):
+        vals = _extend_hom(a, gens, choice, lambda u, v: int(b.mul[u, v]), 0)
+        if vals is not None and len(set(vals)) == a.order:
+            return True
+    return False

@@ -7,47 +7,11 @@ diagonalizable over F_p is split into r one-dimensional common eigenspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class SplitIncomplete(Exception):
     """Some joint subspace of dimension > 1 resisted every available matrix."""
-
-
-@dataclass(frozen=True)
-class FpElem:
-    p: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FpElem"):
-        assert self.p == other.p, "mixed moduli"
-
-    def __add__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.p, self.value + other.value)
-
-    def __sub__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.p, self.value - other.value)
-
-    def __mul__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.p, self.value * other.value)
-
-    def __neg__(self) -> "FpElem":
-        return FpElem(self.p, -self.value)
-
-    def inverse(self) -> "FpElem":
-        assert self.value != 0, "zero has no inverse"
-        return FpElem(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __truediv__(self, other: "FpElem") -> "FpElem":
-        return self * other.inverse()
 
 
 def _inv_mod(v: int, p: int) -> int:
@@ -187,19 +151,9 @@ class FpMatrix:
         self.a = np.array(rows, dtype=np.int64) % p
         assert self.a.ndim == 2
 
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def right_kernel(self) -> "FpMatrix":
-        return FpMatrix(self.p, _right_kernel(self.a, self.p))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p},\n{self.a})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 
@@ -191,23 +192,26 @@ def graph_flags(adj) -> tuple[bool, bool, bool]:
     return undirected, loopless, simply
 
 
-def _component_count(adj) -> int:
+def weak_components(adj) -> list[list[int]]:
+    """Vertex lists of the components of the undirected support, each sorted."""
     n = len(adj)
     seen = [False] * n
-    count = 0
-    for s in range(n):
-        if seen[s]:
+    comps = []
+    for start in range(n):
+        if seen[start]:
             continue
-        count += 1
-        stack = [s]
-        seen[s] = True
+        stack = [start]
+        seen[start] = True
+        comp = []
         while stack:
             v = stack.pop()
+            comp.append(v)
             for w in range(n):
                 if not seen[w] and (adj[v][w] or adj[w][v]):
                     seen[w] = True
                     stack.append(w)
-    return count
+        comps.append(sorted(comp))
+    return comps
 
 
 def is_forest(adj) -> bool:
@@ -216,7 +220,7 @@ def is_forest(adj) -> bool:
     if not (undirected and loopless and simply):
         return False
     edges = sum(adj[v][w] for v in range(n) for w in range(n)) // 2
-    comps = _component_count(adj)
+    comps = len(weak_components(adj))
     acyclic = _acyclic(adj)
     # Euler cross-check: a forest has |V| = |E| + #components
     assert acyclic == (n == edges + comps)
@@ -224,7 +228,7 @@ def is_forest(adj) -> bool:
 
 
 def is_tree(adj) -> bool:
-    return is_forest(adj) and _component_count(adj) == 1
+    return is_forest(adj) and len(weak_components(adj)) == 1
 
 
 def _acyclic(adj) -> bool:
@@ -319,18 +323,12 @@ def template_marking(adj) -> Optional[list[int]]:
         return None
     denom = 1
     for v in vec:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = [int(v * denom) for v in vec]
     g = 0
     for v in ints:
-        g = _gcd(g, v)
+        g = gcd(g, v)
     return [v // g for v in ints]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def pf_integer_vector_check(adj, dims, rho_dim: int, label: Optional[ShapeLabel] = None):

@@ -40,7 +40,6 @@ from .graphs import (
     graph_isomorphic,
     principal_component_isomorphism_check,
     strongly_connected,
-    weak_components,
 )
 from .groups import (
     BinaryDihedral,
@@ -76,6 +75,7 @@ from .shapes import (
     is_forest,
     is_tree,
     pf_integer_vector_check,
+    weak_components,
 )
 
 
@@ -331,9 +331,10 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     s2 = graph.edge_count_doubled()
     s3 = sum(_dim_end_centralizer(ctx, graph.rho.chi, k) for k in range(ctx.ct.r))
     vals = [s1, s2, s3]
-    expected = f"three routes agree{'' if not is_tree(graph.adjacency) else f', tree value {2 * (ctx.ct.r - 1)}'}"
+    tree = is_tree(graph.adjacency)
+    expected = f"three routes agree{f', tree value {2 * (ctx.ct.r - 1)}' if tree else ''}"
     ok = s1 == s2 == s3
-    if is_tree(graph.adjacency):
+    if tree:
         ok = ok and s1 == 2 * (ctx.ct.r - 1)
     return CheckRecord(
         check_id=f"edges[{spec_text(ctx.spec)}]",
@@ -869,14 +870,15 @@ def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
     if ctx.ct.r <= 12:
         records.append(verify_newton_spectrum(ctx, graph))
     t0 = time.perf_counter()
+    orthogonal = verify_orthogonality(ctx.ct)
     records.append(
         CheckRecord(
             check_id=f"orthogonality[{spec_text(spec)}]",
             claim="exact row and column orthogonality of the character table",
             inputs=spec_text(spec),
             expected="orthogonal",
-            observed="orthogonal" if verify_orthogonality(ctx.ct) else "violated",
-            passed=verify_orthogonality(ctx.ct),
+            observed="orthogonal" if orthogonal else "violated",
+            passed=orthogonal,
             seconds=time.perf_counter() - t0,
         )
     )

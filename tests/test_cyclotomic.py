@@ -144,6 +144,29 @@ def test_bulk_random_triples_axioms():
         assert a * (b + c) == a * b + a * c
 
 
+def remainder_mod_cyclotomic(e, coeffs):
+    """sum c_k x^k reduced by x^e = 1 and then by Phi_e, as a length-phi vector."""
+    num = [0] * e
+    for k, c in enumerate(coeffs):
+        num[k % e] += c
+    den = cyclotomic_polynomial(e)
+    dd = len(den) - 1
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        for j in range(dd + 1):
+            num[i - dd + j] -= c * den[j]
+    return tuple(num[:dd])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_orders, st.data())
+def test_coefficients_are_the_remainder(e, data):
+    # inputs shorter than phi(e) take the power-basis path, longer ones the
+    # row reduction; both must give the remainder mod Phi_e
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2 * e + 2))
+    assert CycInt(e, coeffs).coeffs == remainder_mod_cyclotomic(e, coeffs)
+
+
 def test_cyc_sum():
     zs = [CycInt.root(5, k) for k in range(5)]
     assert cyc_sum(zs).as_integer() == 0

@@ -16,7 +16,6 @@ from mckaygraphs.graphs import (
     dual_check,
     graph_isomorphic,
     principal_component_isomorphism_check,
-    weak_components,
 )
 from mckaygraphs.groups import (
     BinaryPoly,
@@ -28,6 +27,7 @@ from mckaygraphs.groups import (
     build_group,
     conjugacy,
 )
+from mckaygraphs.shapes import weak_components
 
 
 def graph_for(spec, sel=None):

@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +49,7 @@ def test_expanded_orders_and_build():
         (ElemAb(2, 3), 8),
         (Product(BinaryPoly("T"), Cyclic(3)), 72),
         (Semidirect(BinaryPoly("O"), Cyclic(3)), 144),
+        (BinaryDihedral(256), 1024),
     ]
     for spec, order in cases:
         assert expanded_order(spec) == order
@@ -216,6 +218,11 @@ def test_heisenberg_matches_plus_type():
         heis = build_group(Heisenberg(2, n))
         plus = build_group(Extraspecial2(n, "+"))
         assert tables_isomorphic(heis, plus)
+    # same order and element-order statistics (every element of order 3), so
+    # the search over generator images runs and must reject every choice
+    heis, elemab = build_group(Heisenberg(3, 1)), build_group(ElemAb(3, 3))
+    assert not tables_isomorphic(heis, elemab)
+    assert not tables_isomorphic(elemab, heis)
 
 
 def test_central_product_center_collapses():
@@ -285,11 +292,46 @@ def test_spec_text_round_trip():
         assert parse_group_spec(spec_text(spec)) == spec
 
 
+# sha256 of mul.astype("<i4").tobytes() and of "\n".join(element_names)
+GOLDEN_TABLES = {
+    BinaryPoly("T"): (
+        "4b516ab6e6d04473ac8b30534b013a3d3b1132dbb25fae135453f770f8530a53",
+        "3c645008c3dbf7f7b45f4b3c4ec144be657e32dbcb7593c3ba613d4b14d0b0ce",
+    ),
+    BinaryPoly("O"): (
+        "a00efadf0dfdca762f766e211f44c2db5a736ac11e1f597d8944307e5d35da70",
+        "498d2ca4f48c479000f7ddac7fc0d7c41990dca08942a67b9df3bbffff54e4ca",
+    ),
+    BinaryPoly("I"): (
+        "b7d1ff29948611f367b8e1bd7f0d4e60f92a8f6b0609be495af7f48055a409d7",
+        "032f819024d11847054b214d6928cd3087bc5bdc824bc63913d8d6e2e86cda47",
+    ),
+    BinaryDihedral(2): (
+        "4a2936a972d517bc87c576b57d6529045787864486ed770ca60fabe7af0d66a7",
+        "9a9980255715042de137d342b8c34e4b9b7572c7919e1f8345b440c23428cf6b",
+    ),
+    BinaryDihedral(3): (
+        "62fb16bcfbfd319440abba9d681ba1aa24cca4bf241de53e056616a885a94b49",
+        "d9bea6c7c5b2111d7e93ec26ba81c2c23585509f6c9915cc8206381fd501437b",
+    ),
+    BinaryDihedral(8): (
+        "6ea950f5cb6d1469dc3a753f370fad183baf8071e1b9bec0b851310bed901794",
+        "92e15a4b96ca898b8c85c265369f6e1da0c1443c62d3a0d199131498f36ccd16",
+    ),
+}
+
+
 def test_deterministic_element_order():
-    a = build_group(BinaryPoly("T"))
-    b = build_group(BinaryPoly("T"))
-    assert a.element_names == b.element_names
-    assert np.array_equal(a.mul, b.mul)
+    # digests of the tables as first built from 2x2 matrices over Q(zeta): the
+    # F_41 and index-pair carriers must reproduce them exactly
+    for spec, golden in GOLDEN_TABLES.items():
+        a = build_group(spec)
+        b = build_group(spec)
+        assert a.element_names == b.element_names
+        assert np.array_equal(a.mul, b.mul)
+        mul_digest = hashlib.sha256(a.mul.astype("<i4").tobytes()).hexdigest()
+        names_digest = hashlib.sha256("\n".join(a.element_names).encode()).hexdigest()
+        assert (mul_digest, names_digest) == golden, spec_text(spec)
 
 
 def test_order_cap_env_override(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 import mckaygraphs.modp as modp
 from mckaygraphs.groups import Dihedral, build_group, conjugacy
 from mckaygraphs.modp import (
-    FpElem,
     FpMatrix,
     SplitIncomplete,
     _hessenberg,
@@ -16,19 +15,6 @@ from mckaygraphs.modp import (
     _split_subspace,
     simultaneous_split,
 )
-
-
-def test_fp_elem_field_axioms():
-    p = 11
-    for a in range(p):
-        for b in range(p):
-            x, y = FpElem(p, a), FpElem(p, b)
-            assert (x + y).value == (a + b) % p
-            assert (x * y).value == a * b % p
-            assert (x - y).value == (a - b) % p
-    for a in range(1, p):
-        x = FpElem(p, a)
-        assert (x * x.inverse()).value == 1
 
 
 def det_mod(a, p):
@@ -73,14 +59,11 @@ def test_rref_and_kernel():
     ker = _right_kernel(a, p)
     assert ker.shape[0] == 1
     assert np.all((a @ ker[0]) % p == 0)
-    m = FpMatrix(p, a)
-    km = m.right_kernel()
-    assert np.all(m.apply(km.a[0]) == 0)
 
 
 def test_split_identity_matrices_incomplete():
     with pytest.raises(SplitIncomplete):
-        simultaneous_split([FpMatrix.identity(7, 3)])
+        simultaneous_split([FpMatrix(7, np.eye(3, dtype=np.int64))])
 
 
 def test_split_single_diagonal():
