@@ -7,8 +7,9 @@ Each command runs through `mckaygraphs.cli.main` with `--output` to a
 temporary file, and prints `<sha256>  mckay <args>`, with `exit <code>` in
 place of the digest when the command fails and writes nothing.  The set is
 the `export_fixture_graphs.py` fixtures as DOT with components, `chartab` of
-the identity fixtures and of the semidirect sweep specs, and
-`graph --out json --components` of the same semidirect specs.  Run it once
+the identity fixtures and of the semidirect sweep specs,
+`graph --out json --components` of the same semidirect specs, and of four
+groups whose restrictions to the kernel of rho have many classes.  Run it once
 with PYTHONPATH on each of two source trees (say a `git archive` export of
 the parent commit and the working tree) and diff the two outputs: a change
 that keeps the CLI bytes prints the same lines.
@@ -35,6 +36,15 @@ def commands() -> list[list[str]]:
     cmds += [["chartab", spec_text(s)] for s in IDENTITY_FIXTURES]
     cmds += [["chartab", s] for s in semidirect]
     cmds += [["graph", s, "--out", "json", "--components"] for s in semidirect]
+    cmds += [
+        ["graph", spec, "--rho", rho, "--out", "json", "--components"]
+        for spec, rho in [
+            ("elemab:2:6", "irrep:1"),
+            ("heis:3:2", "irrep:10"),
+            ("product(binary:I,cyclic:4)", "irrep:4"),
+            ("dihedral:64", "irrep:2"),
+        ]
+    ]
     return cmds
 
 

@@ -14,7 +14,9 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import isqrt
+from operator import add
 from typing import Optional, Union
 
 import numpy as np
@@ -70,9 +72,6 @@ class CharacterTable:
     @property
     def r(self) -> int:
         return len(self.degrees)
-
-    def value(self, i: int, k: int) -> CycInt:
-        return self.values[i][k]
 
 
 def _class_matrix(g: FiniteGroup, cd: ConjugacyData, i: int) -> np.ndarray:
@@ -245,23 +244,6 @@ class Rho:
         return sum(self.mults) == 1
 
 
-def char_inner(ct: CharacterTable, chi1, chi2) -> int:
-    """Exact inner product <chi1, chi2> = (1/|G|) sum_k h_k chi1(k) chi2(k^-1)."""
-    cd = ct.conj
-    total = CycInt.zero()
-    for k in range(ct.r):
-        total = total + chi1[k] * chi2[cd.inverse_class[k]] * cd.sizes[k]
-    total = total.exact_div(ct.group.order)
-    val = total.as_integer()
-    if val is None:
-        raise InternalNonInteger("inner product is not a rational integer")
-    return val
-
-
-def decompose_character(ct: CharacterTable, chi) -> tuple[int, ...]:
-    return tuple(char_inner(ct, chi, ct.values[i]) for i in range(ct.r))
-
-
 def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
     r = ct.r
     if isinstance(sel, Irrep):
@@ -296,47 +278,76 @@ def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
     raise TypeError(f"not a selector: {sel!r}")
 
 
-def rho_from_class_function(ct: CharacterTable, chi) -> Rho:
-    """Resolve an explicit character vector to its multiplicities."""
-    mults = decompose_character(ct, chi)
-    if any(m < 0 for m in mults):
-        raise InternalNonInteger("class function is not a genuine character")
-    return resolve_rho(ct, CharVector(mults))
+def residues(p: int, values) -> np.ndarray:
+    """Images mod p of cyclotomic values under zeta_o -> g^((p-1)/o), for
+    g = `_primitive_root(p)`: the map `_lift` reduces through.  A table whose
+    exponent divides p - 1 (a subgroup's, a quotient's) thereby reduces into
+    the field of the larger group.  `values` is a sequence of values or of
+    rows; each distinct value is converted once."""
+    arr = np.array(values, dtype=object)
+    g = _primitive_root(p)
+    powers: dict[int, list[int]] = {}
+    known: dict[tuple, int] = {}
+    out = []
+    for v in arr.ravel():
+        key = (v.order, v.coeffs)
+        res = known.get(key)
+        if res is None:
+            zs = powers.get(v.order)
+            if zs is None:
+                assert (p - 1) % v.order == 0, f"zeta_{v.order} is not in F_{p}"
+                z = pow(g, (p - 1) // v.order, p)
+                zs = powers[v.order] = [pow(z, j, p) for j in range(len(v.coeffs))]
+            res = known[key] = sum(c * w for c, w in zip(v.coeffs, zs)) % p
+        out.append(res)
+    return np.array(out, dtype=np.int64).reshape(arr.shape)
 
 
-def tensor_multiplicity(ct: CharacterTable, i: int, rho, j: int) -> int:
-    """dim Hom(chi_i (x) rho, chi_j), exactly."""
-    chi_rho = rho.chi if isinstance(rho, Rho) else rho
+def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.ndarray:
+    """Multiplicities over Irr(H), H = ct.group, of characters of H given as
+    residue rows mod p on H's classes; dims are their degrees.
+
+    m = rows diag(h) T[:, inv]^T / |H| mod p, for T the table of H mod p.
+    Lift bound: each row is a genuine character of degree D < p, so each
+    multiplicity lies in [0, D] and its residue is the integer.  Exact check:
+    sum_t m_t deg psi_t = D for every row, or InternalNonInteger.
+    """
     cd = ct.conj
-    total = CycInt.zero()
-    for k in range(ct.r):
-        total = (
-            total
-            + ct.values[i][k] * chi_rho[k] * ct.values[j][cd.inverse_class[k]] * cd.sizes[k]
+    table = ct.modular if p == ct.prime else residues(p, ct.values)
+    h = np.array(cd.sizes, dtype=np.int64)
+    num = mul_mod(rows * h % p, table[:, cd.inverse_class].T, p)
+    mults = num * pow(ct.group.order, p - 2, p) % p
+    dims = np.asarray(dims, dtype=np.int64)
+    bad = np.flatnonzero(mults @ np.array(ct.degrees, dtype=np.int64) != dims)
+    if bad.size:
+        raise InternalNonInteger(
+            f"row {bad[0]} of degree {dims[bad[0]]} is not a character of degree below {p}"
         )
-    total = total.exact_div(ct.group.order)
-    val = total.as_integer()
-    if val is None or val < 0:
-        raise InternalNonInteger(f"tensor multiplicity came out as {total!r}")
-    return val
+    return mults
+
+
+def rho_from_class_function(ct: CharacterTable, chi) -> Rho:
+    """Resolve a character given by its values, of degree below ct.prime."""
+    row = residues(ct.prime, [chi])
+    mults = multiplicities(ct, row, [chi[0].as_integer()], ct.prime)[0]
+    return resolve_rho(ct, CharVector(tuple(mults.tolist())))
 
 
 def adjacency_matrix(ct: CharacterTable, rho: Rho) -> list[list[int]]:
     """Full McKay multiplicity matrix N[i][j] = dim Hom(chi_i (x) rho, chi_j).
 
-    N = M diag(h rho_mod) M[:, inv]^T / |G| mod p for the modular table M.
-    Since 0 <= N_ij <= d_i dim rho, the residue is the integer whenever
-    max(d) dim rho < p; past that bound every entry is computed exactly.
+    N = sum_m mults_m N_m, where row i of N_m decomposes chi_i chi_m, the
+    product of the modular rows.  Its degree d_i d_m <= |G| < p is inside the
+    lift bound of `multiplicities` whatever dim rho is; the sum is exact.
     """
-    r, p = ct.r, ct.prime
-    if max(ct.degrees) * rho.dim >= p or r * p * p >= 2**63:
-        return [[tensor_multiplicity(ct, i, rho, j) for j in range(r)] for i in range(r)]
-    cd = ct.conj
-    m = ct.modular
-    rho_mod = np.array(rho.mults, dtype=np.int64) % p @ m % p
-    weight = np.array(cd.sizes, dtype=np.int64) * rho_mod % p
-    num = mul_mod(m * weight[None, :] % p, m[:, cd.inverse_class].T, p)
-    return (num * pow(ct.group.order, p - 2, p) % p).tolist()
+    p, table = ct.prime, ct.modular
+    deg = np.array(ct.degrees, dtype=np.int64)
+    parts = (
+        count * multiplicities(ct, table * table[m] % p, deg * deg[m], p).astype(object)
+        for m, count in enumerate(rho.mults)
+        if count
+    )
+    return reduce(add, parts).tolist()
 
 
 def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
@@ -358,21 +369,3 @@ def is_self_dual(ct: CharacterTable, chi) -> bool:
 def is_faithful(ct: CharacterTable, chi) -> bool:
     """No non-identity class attains the identity value, so the kernel is trivial."""
     return all(chi[k] != chi[0] for k in range(1, ct.r))
-
-
-def restrict_character(ct: CharacterTable, sub: Subgroup, sub_cd: ConjugacyData, chi):
-    """Class function on the subgroup obtained by restricting chi."""
-    parent_class = ct.conj.class_of
-    vals = []
-    for rep in sub_cd.reps:
-        parent_elem = sub.to_parent(rep)
-        vals.append(chi[int(parent_class[parent_elem])])
-    return tuple(vals)
-
-
-def restriction_multiplicities(
-    ct: CharacterTable, sub: Subgroup, sub_ct: CharacterTable, chi
-) -> tuple[int, ...]:
-    """Multiplicities of the restriction of chi over Irr(sub)."""
-    restricted = restrict_character(ct, sub, sub_ct.conj, chi)
-    return decompose_character(sub_ct, restricted)

@@ -121,31 +121,34 @@ def _reduce_coeffs(e: int, coeffs) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def _solve_rational(cols: list[tuple[int, ...]], target) -> list[Fraction] | None:
-    """Solve sum_j x_j * cols[j] == target over Q, or None if inconsistent."""
-    m = len(target)
-    n = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
+def rational_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, pivoting in the first ncols columns;
+    returns the reduced rows and their pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
+        r += 1
+    return rows, pivots
+
+
+def _solve_rational(cols: list[tuple[int, ...]], target) -> list[Fraction] | None:
+    """Solve sum_j x_j * cols[j] == target over Q, or None if inconsistent."""
+    n = len(cols)
+    aug, pivots = rational_rref([[c[i] for c in cols] + [t] for i, t in enumerate(target)], n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
     sol = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         sol[col] = aug[r][n]

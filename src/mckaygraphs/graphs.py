@@ -9,23 +9,23 @@ of G on the irreducibles of the kernel of rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .chartable import (
     CharacterTable,
+    CharVector,
     Rho,
     RhoSelector,
     adjacency_matrix,
     compute_character_table,
-    decompose_character,
-    is_self_dual,
     kernel_of_character,
+    multiplicities,
     resolve_rho,
-    restriction_multiplicities,
     rho_from_class_function,
 )
-from .cyclotomic import CycInt, cyc_sum
-from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, quotient_group
+from .cyclotomic import cyc_sum
+from .groups import ConjugacyData, FiniteGroup, Subgroup, quotient_group
 from .shapes import graph_flags, weak_components
 
 
@@ -61,14 +61,10 @@ class McKayGraph:
 def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     rho = sel if isinstance(sel, Rho) else resolve_rho(ct, sel)
     adj = adjacency_matrix(ct, rho)
-    r = ct.r
     undirected, loopless, simply = graph_flags(adj)
     dims = tuple(ct.degrees)
-    # row dimension count: sum_j N_ij d_j = d_i * dim rho
-    for i in range(r):
-        assert sum(adj[i][j] * dims[j] for j in range(r)) == dims[i] * rho.dim
     # k = 1 trace identity: tr A = sum over classes of chi_rho
-    tr = sum(adj[i][i] for i in range(r))
+    tr = sum(adj[i][i] for i in range(ct.r))
     total = cyc_sum(rho.chi).as_integer()
     assert total == tr, "trace differs from the character sum over classes"
     return McKayGraph(
@@ -153,39 +149,28 @@ def _induced(adj, vertices):
 
 
 def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Orbits of G on Irr(N) under conjugation, via class permutations."""
+    """Orbits of G on Irr(N) under conjugation, via class permutations.
+
+    Row x of the gather is the permutation of N's classes by conjugation with
+    x; the distinct ones form a group, so an orbit is one step of them.  Rows
+    of Irr(N) are keyed by their residues."""
     cd_n = ct_n.conj
-    parent_to_local = {pe: i for i, pe in enumerate(sub.elements)}
-    perms = set()
-    for x in range(g.order):
-        xi = int(g.inv[x])
-        perm = []
-        for rep in cd_n.reps:
-            conj = int(g.mul[g.mul[x, sub.to_parent(rep)], xi])
-            perm.append(int(cd_n.class_of[parent_to_local[conj]]))
-        perms.add(tuple(perm))
-    keys = [tuple(v.coeffs for v in row) for row in ct_n.values]
-    key_index = {key: i for i, key in enumerate(keys)}
-    seen = [False] * ct_n.r
-    orbits = []
-    for i in range(ct_n.r):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            row = ct_n.values[j]
-            for perm in perms:
-                moved = tuple(tuple(row[perm[k]].coeffs) for k in range(ct_n.r))
-                target = key_index[moved]
-                if target not in orbit:
-                    orbit.add(target)
-                    frontier.append(target)
-        for j in orbit:
-            seen[j] = True
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    local = np.full(g.order, -1, dtype=np.int64)
+    local[list(sub.elements)] = np.arange(sub.order)
+    reps = np.asarray(sub.elements)[cd_n.reps]
+    xs = np.arange(g.order)
+    conj = g.mul[g.mul[xs[:, None], reps[None, :]], g.inv[xs][:, None]]
+    perms = np.unique(cd_n.class_of[local[conj]], axis=0)
+    key_index = {row.tobytes(): i for i, row in enumerate(ct_n.modular)}
+    moves = [[key_index[row.tobytes()] for row in ct_n.modular[:, perm]] for perm in perms]
+    return sorted({tuple(sorted(set(images))) for images in zip(*moves)})
+
+
+def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np.ndarray:
+    """Multiplicities over Irr(N) of every irreducible of G restricted to N:
+    G's rows at N's classes, decomposed in G's field."""
+    at_sub = ct.conj.class_of[np.asarray(sub.elements)[ct_n.conj.reps]]
+    return multiplicities(ct_n, ct.modular[:, at_sub], ct.degrees, ct.prime)
 
 
 def decompose_components(
@@ -204,12 +189,12 @@ def decompose_components(
     for oi, orbit in enumerate(orbits):
         for t in orbit:
             orbit_of_irrN[t] = oi
+    restricted = _restrictions(ct, kernel, ct_n)
     components = []
     for comp in comps:
         orbit_indices = set()
         for v in comp:
-            mults = restriction_multiplicities(ct, kernel, ct_n, ct.values[v])
-            support = {t for t, m in enumerate(mults) if m}
+            support = set(np.flatnonzero(restricted[v]).tolist())
             touched = {orbit_of_irrN[t] for t in support}
             if len(touched) != 1:
                 raise OrbitMismatch(
@@ -247,25 +232,27 @@ def decompose_components(
     )
 
 
+def _push_down(ct: CharacterTable, kernel: Subgroup, rho: Rho) -> tuple[CharacterTable, Rho]:
+    """rho as a representation of G/N, N inside its kernel, decomposed in G's
+    field one constituent per row: each constituent has N in its kernel, so
+    its value on a coset class is its value on the coset's first element."""
+    quo, coset_of = quotient_group(ct.group, kernel)
+    ct_q = compute_character_table(quo)
+    _, first = np.unique(coset_of, return_index=True)
+    at_quotient = ct.conj.class_of[first[ct_q.conj.reps]]
+    support = [m for m, count in enumerate(rho.mults) if count]
+    rows = ct.modular[np.ix_(support, at_quotient)]
+    mults = multiplicities(ct_q, rows, [ct.degrees[m] for m in support], ct.prime)
+    counts = np.array([rho.mults[m] for m in support], dtype=object)
+    return ct_q, resolve_rho(ct_q, CharVector(tuple((counts @ mults).tolist())))
+
+
 def principal_component_isomorphism_check(
     decomp: ComponentDecomposition, ct: CharacterTable
 ) -> bool:
     """Principal component = graph of (G/N, rho); components with a degree-1
     vertex are isomorphic to the principal one."""
-    kernel = decomp.kernel
-    quo, coset_of = quotient_group(ct.group, kernel)
-    ct_q = compute_character_table(quo)
-    cd_q = ct_q.conj
-    # push rho down: its value on a coset class is the value on any parent element
-    parent_class = ct.conj.class_of
-    reps_parent = []
-    for rep in cd_q.reps:
-        parent = next(
-            x for x in range(ct.group.order) if int(coset_of[x]) == rep
-        )
-        reps_parent.append(parent)
-    chi_q = tuple(decomp.graph.rho.chi[int(parent_class[x])] for x in reps_parent)
-    rho_q = rho_from_class_function(ct_q, chi_q)
+    ct_q, rho_q = _push_down(ct, decomp.kernel, decomp.graph.rho)
     graph_q = build_mckay_graph(ct_q, rho_q)
     principal = decomp.principal
     if not graph_isomorphic(graph_q.adjacency, principal.adjacency):

@@ -637,9 +637,6 @@ class Subgroup:
     def to_parent(self, local_index: int) -> int:
         return self.elements[local_index]
 
-    def from_parent(self, parent_index: int) -> int:
-        return self.elements.index(parent_index)
-
 
 def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
     """The subgroup generated by elems: products of the member set with itself

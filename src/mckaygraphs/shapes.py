@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from .cyclotomic import rational_rref
+
 
 @dataclass(frozen=True)
 class ShapeLabel:
@@ -293,22 +295,9 @@ def template_marking(adj) -> Optional[list[int]]:
     """Positive integer vector with A*d = 2*d and gcd 1, when one exists."""
     n = len(adj)
     # exact kernel of (A - 2I) over Q
-    rows = [[Fraction(adj[i][j] - (2 if i == j else 0)) for j in range(n)] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    rows, pivots = rational_rref(
+        [[adj[i][j] - (2 if i == j else 0) for j in range(n)] for i in range(n)], n
+    )
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None

@@ -20,6 +20,7 @@ from .chartable import (
     CharacterTable,
     CharVector,
     FaithfulSelfDualMinDim,
+    InternalNonInteger,
     Irrep,
     Rho,
     compute_character_table,
@@ -27,7 +28,6 @@ from .chartable import (
     is_self_dual,
     kernel_of_character,
     resolve_rho,
-    restrict_character,
     rho_from_class_function,
 )
 from .cyclotomic import CycInt, cyc_sum
@@ -643,12 +643,30 @@ def pullback_rho(ct_big: CharacterTable, small_class_of, nk: int, rho_small: Rho
     return rho_from_class_function(ct_big, tuple(vals))
 
 
+def _exact_multiplicities(ct: CharacterTable, chi) -> tuple[int, ...]:
+    """<chi, psi> = (1/|G|) sum_k h_k chi(k) psi(k^-1) for every psi in Irr(G),
+    as exact cyclotomic sums: the oracle for the modular `multiplicities`."""
+    cd = ct.conj
+    out = []
+    for psi in ct.values:
+        total = CycInt.zero()
+        for k in range(ct.r):
+            total = total + chi[k] * psi[cd.inverse_class[k]] * cd.sizes[k]
+        val = total.exact_div(ct.group.order).as_integer()
+        if val is None:
+            raise InternalNonInteger("inner product is not a rational integer")
+        out.append(val)
+    return tuple(out)
+
+
 def restricted_graph(
     ct: CharacterTable, sub: Subgroup, rho: Rho
 ) -> tuple[McKayGraph, CharacterTable]:
+    """Graph of the restriction of rho, decomposed exactly, so that it stays
+    independent of the modular table."""
     sct = compute_character_table(sub.group)
-    chi = restrict_character(ct, sub, sct.conj, rho.chi)
-    return build_mckay_graph(sct, rho_from_class_function(sct, chi)), sct
+    chi = tuple(rho.chi[int(ct.conj.class_of[sub.to_parent(rep)])] for rep in sct.conj.reps)
+    return build_mckay_graph(sct, CharVector(_exact_multiplicities(sct, chi))), sct
 
 
 def dual_vector_stabilizer(

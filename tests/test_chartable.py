@@ -7,23 +7,21 @@ from hypothesis import example, given, settings, strategies as st
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
+    InternalNonInteger,
     Irrep,
     LiftOutOfRange,
     SelectorEmpty,
     _lift,
     adjacency_matrix,
-    char_inner,
     compute_character_table,
-    decompose_character,
     dixon_prime,
     is_faithful,
     is_self_dual,
     kernel_of_character,
+    multiplicities,
+    residues,
     resolve_rho,
-    restrict_character,
-    restriction_multiplicities,
     rho_from_class_function,
-    tensor_multiplicity,
 )
 from mckaygraphs.cyclotomic import CycInt
 from mckaygraphs.groups import (
@@ -40,6 +38,7 @@ from mckaygraphs.groups import (
     conjugacy,
     subgroup_from_elements,
 )
+from mckaygraphs.verify import _exact_multiplicities
 
 
 def table(spec):
@@ -101,8 +100,9 @@ def test_exact_orthogonality_small():
     for spec in (Dihedral(5), BinaryDihedral(3), BinaryPoly("T"), Cyclic(8)):
         _, _, ct = table(spec)
         for i in range(ct.r):
-            for j in range(ct.r):
-                assert char_inner(ct, ct.values[i], ct.values[j]) == int(i == j)
+            assert _exact_multiplicities(ct, ct.values[i]) == tuple(
+                int(i == j) for j in range(ct.r)
+            )
 
 
 def test_modular_round_trip():
@@ -145,22 +145,21 @@ def test_tensor_multiplicities_s3():
     _, _, ct = table(Dihedral(3))
     ref = next(i for i in range(3) if ct.degrees[i] == 2)
     rho = resolve_rho(ct, Irrep(ref))
-    assert tensor_multiplicity(ct, ct.trivial_index, rho, ref) == 1
+    n = tensor_oracle(ct, rho)
+    assert n[ct.trivial_index][ref] == 1
     others = [i for i in range(3) if i != ref]
     for j in others:
-        assert tensor_multiplicity(ct, ct.trivial_index, rho, j) == 0
-    assert tensor_multiplicity(ct, ref, rho, ref) == 1  # the loop
+        assert n[ct.trivial_index][j] == 0
+    assert n[ref][ref] == 1  # the loop
 
 
 def test_tensor_dimension_count():
     for spec in (BinaryPoly("T"), Dihedral(6), BinaryDihedral(3)):
         _, _, ct = table(spec)
         rho = resolve_rho(ct, FaithfulSelfDualMinDim())
+        n = tensor_oracle(ct, rho)
         for i in range(ct.r):
-            total = sum(
-                tensor_multiplicity(ct, i, rho, j) * ct.degrees[j]
-                for j in range(ct.r)
-            )
+            total = sum(n[i][j] * ct.degrees[j] for j in range(ct.r))
             assert total == ct.degrees[i] * rho.dim
 
 
@@ -180,6 +179,16 @@ def test_kernels():
     assert kern.elements == (0, 1, 2)  # the cyclic factor
 
 
+def restrict(ct, sub, sub_ct, chi):
+    return tuple(chi[int(ct.conj.class_of[sub.to_parent(rep)])] for rep in sub_ct.conj.reps)
+
+
+def modular_restriction(ct, sub_ct, restricted):
+    """The restriction decomposed in the field of the larger group."""
+    row = residues(ct.prime, [restricted])
+    return tuple(multiplicities(sub_ct, row, [restricted[0].as_integer()], ct.prime)[0].tolist())
+
+
 def test_restriction_q8():
     g, cd, ct = table(BinaryDihedral(2))
     rho = resolve_rho(ct, FaithfulSelfDualMinDim())
@@ -187,10 +196,11 @@ def test_restriction_q8():
     sub = subgroup_from_elements(g, cd.centralizer(k))
     assert sub.order == 4
     sub_ct = compute_character_table(sub.group)
-    mults = restriction_multiplicities(ct, sub, sub_ct, rho.chi)
+    restricted = restrict(ct, sub, sub_ct, rho.chi)
+    mults = _exact_multiplicities(sub_ct, restricted)
     assert sorted(mults) == [0, 0, 1, 1]
+    assert modular_restriction(ct, sub_ct, restricted) == mults
     # oracle: inner products computed by hand over the cyclic subgroup C_4
-    restricted = restrict_character(ct, sub, sub_ct.conj, rho.chi)
     for tau_index, m in enumerate(mults):
         acc = CycInt.zero()
         for c in range(sub_ct.r):
@@ -209,7 +219,9 @@ def test_restriction_bo_to_bt_is_tautological():
 
     bt_sub = normal_subgroups(bo, cdo, 24)[0]
     bt_ct = compute_character_table(bt_sub.group)
-    mults = restriction_multiplicities(cto, bt_sub, bt_ct, rho_o.chi)
+    restricted = restrict(cto, bt_sub, bt_ct, rho_o.chi)
+    mults = modular_restriction(cto, bt_ct, restricted)
+    assert mults == _exact_multiplicities(bt_ct, restricted)
     assert sum(mults) == 1
     idx = mults.index(1)
     assert bt_ct.degrees[idx] == 2
@@ -230,7 +242,8 @@ def test_decompose_character():
     _, _, ct = table(Dihedral(4))
     rho = resolve_rho(ct, FaithfulSelfDualMinDim())
     sq = tuple(v * w for v, w in zip(rho.chi, rho.chi))
-    mults = decompose_character(ct, sq)
+    mults = rho_from_class_function(ct, sq).mults
+    assert mults == _exact_multiplicities(ct, sq)
     assert sum(m * d for m, d in zip(mults, ct.degrees)) == 4
     assert min(mults) >= 0
 
@@ -262,8 +275,13 @@ def cached_table(spec):
     return table(spec)[2]
 
 
-def tensor_oracle(ct, rho):
-    return [[tensor_multiplicity(ct, i, rho, j) for j in range(ct.r)] for i in range(ct.r)]
+def tensor_oracle(ct, rho, rows=None):
+    """Exact dim Hom(chi_i (x) rho, chi_j) for the rows i (all by default)."""
+    rows = range(ct.r) if rows is None else rows
+    return [
+        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
+        for i in rows
+    ]
 
 
 @pytest.mark.parametrize("spec", ADJACENCY_SPECS)
@@ -280,7 +298,7 @@ def test_adjacency_matches_oracle_on_irreducibles(spec):
     spec=st.sampled_from(ADJACENCY_SPECS),
     mults=st.lists(st.integers(0, 4), min_size=12, max_size=12),
 )
-# cyclic:5 has p = 11, so dim rho = 11 is past the lift bound: the exact fallback
+# cyclic:5 has p = 11, so dim rho = 11 reaches p; each product chi_i chi_m stays below it
 @example(spec=Cyclic(5), mults=[3, 3, 3, 2, 0] + [0] * 7)
 def test_adjacency_matches_oracle_on_random_charvectors(spec, mults):
     ct = cached_table(spec)
@@ -291,22 +309,33 @@ def test_adjacency_matches_oracle_on_random_charvectors(spec, mults):
     assert adjacency_matrix(ct, rho) == tensor_oracle(ct, rho)
 
 
-def test_adjacency_fallback_past_the_lift_bound(monkeypatch):
+def test_adjacency_products_stay_inside_the_lift_bound(monkeypatch):
     import mckaygraphs.chartable as chartable
 
     ct = cached_table(Cyclic(5))
     assert ct.prime == 11
-    calls = []
+    degrees = []
 
-    def counted(*args):
-        calls.append(args)
-        return tensor_multiplicity(*args)
+    def recorded(ct_, rows, dims, p):
+        degrees.extend(int(d) for d in dims)
+        return multiplicities(ct_, rows, dims, p)
 
-    monkeypatch.setattr(chartable, "tensor_multiplicity", counted)
-    small = resolve_rho(ct, CharVector((2, 2, 2, 2, 2)))  # dim 10 < p: modular
-    assert adjacency_matrix(ct, small) == [[2] * 5 for _ in range(5)] and not calls
-    big = resolve_rho(ct, CharVector((3, 3, 3, 2, 0)))  # dim 11 = p: exact fallback
-    assert adjacency_matrix(ct, big) == tensor_oracle(ct, big) and len(calls) == 25
+    monkeypatch.setattr(chartable, "multiplicities", recorded)
+    big = resolve_rho(ct, CharVector((3, 3, 3, 2, 0)))  # dim 11 = p
+    assert adjacency_matrix(ct, big) == tensor_oracle(ct, big)
+    assert len(degrees) == 4 * 5 and max(degrees) < ct.prime
+
+
+# class 0 is the identity, where the given degree no longer matches the row
+@pytest.mark.parametrize("k", [0, 3])
+def test_multiplicities_reject_a_spoiled_row(k):
+    ct = cached_table(BinaryPoly("T"))
+    p = ct.prime
+    rows = ct.modular.copy()
+    assert np.array_equal(multiplicities(ct, rows, ct.degrees, p), np.eye(ct.r, dtype=np.int64))
+    rows[4, k] = (rows[4, k] + 1) % p
+    with pytest.raises(InternalNonInteger):
+        multiplicities(ct, rows, ct.degrees, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ from mckaygraphs.chartable import (
     FaithfulSelfDualMinDim,
     Irrep,
     compute_character_table,
+    kernel_of_character,
     resolve_rho,
     rho_from_class_function,
 )
+from mckaygraphs.cli import parse_group_spec
 from mckaygraphs.cyclotomic import CycInt
 from mckaygraphs.graphs import (
+    _push_down,
+    _restrictions,
     build_mckay_graph,
     decompose_components,
     disjoint_union,
@@ -26,8 +30,10 @@ from mckaygraphs.groups import (
     Semidirect,
     build_group,
     conjugacy,
+    quotient_group,
 )
 from mckaygraphs.shapes import weak_components
+from mckaygraphs.verify import _exact_multiplicities, pullback_rho
 
 
 def graph_for(spec, sel=None):
@@ -211,3 +217,72 @@ def test_undirected_iff_self_dual_and_connected_iff_faithful():
             assert graph.undirected == is_self_dual(ct, ct.values[i])
             connected = len(weak_components(graph.adjacency)) == 1
             assert connected == is_faithful(ct, ct.values[i])
+
+
+# ---------------------------------------------------------------------------
+# restriction, pushdown, pullback and adjacency against the exact oracle
+
+# In semidirect(dihedral:8,cyclic:3) the quotient by the kernel C_3 is
+# dihedral:8, whose own prime 41 has p - 1 = 40, not a multiple of G's
+# exponent 24: the pushdown is decomposed in G's field.
+DIFFERENTIAL = [
+    ("elemab:2:6", "irrep:1"),
+    ("heis:3:2", "irrep:10"),
+    ("dihedral:64", "irrep:2"),
+    ("product(binary:I,cyclic:4)", "irrep:4"),
+    ("semidirect(dihedral:8,cyclic:3)", "pullback"),
+]
+
+
+@pytest.mark.parametrize("spec_text, selector", DIFFERENTIAL)
+def test_multiplicities_match_exact_oracle(spec_text, selector):
+    spec = parse_group_spec(spec_text)
+    g = build_group(spec)
+    cd = conjugacy(g)
+    ct = compute_character_table(g, cd)
+    if selector == "pullback":
+        base = build_group(spec.group)
+        base_cd = conjugacy(base)
+        base_ct = compute_character_table(base, base_cd)
+        rho_base = resolve_rho(base_ct, FaithfulSelfDualMinDim())
+        nk = g.order // base.order
+        rho = pullback_rho(ct, base_cd.class_of, nk, rho_base)
+        vals = tuple(rho_base.chi[int(base_cd.class_of[int(rep) // nk])] for rep in cd.reps)
+        assert rho.mults == _exact_multiplicities(ct, vals)
+        assert rho.chi == vals
+    else:
+        rho = resolve_rho(ct, Irrep(int(selector.split(":")[1])))
+    # the exact oracle is slow on the larger groups: one vertex of each degree
+    sample = sorted({ct.degrees.index(d) for d in ct.degrees} | {ct.r - 1})
+
+    graph = build_mckay_graph(ct, rho)
+    for i in sample:
+        product = tuple(a * b for a, b in zip(ct.values[i], rho.chi))
+        assert graph.adjacency[i] == _exact_multiplicities(ct, product)
+
+    kernel = kernel_of_character(ct, rho.chi)
+    ct_n = compute_character_table(kernel.group)
+    restricted = _restrictions(ct, kernel, ct_n)
+    for v in sample:
+        chi = tuple(
+            ct.values[v][int(cd.class_of[kernel.to_parent(rep)])] for rep in ct_n.conj.reps
+        )
+        assert tuple(restricted[v].tolist()) == _exact_multiplicities(ct_n, chi)
+
+    ct_q, rho_q = _push_down(ct, kernel, rho)
+    _, coset_of = quotient_group(g, kernel)
+    firsts = [next(x for x in range(g.order) if coset_of[x] == rep) for rep in ct_q.conj.reps]
+    chi_q = tuple(rho.chi[int(cd.class_of[x])] for x in firsts)
+    assert rho_q.mults == _exact_multiplicities(ct_q, chi_q)
+    if selector == "pullback":
+        assert ct_q.group.order == base.order and (ct_q.prime - 1) % ct.exponent != 0
+
+    decomp = decompose_components(graph, ct, cd)
+    assert principal_component_isomorphism_check(decomp, ct)
+
+
+def test_dihedral_128_sign_components():
+    g, cd, ct, graph = graph_for(Dihedral(128), Irrep(2))
+    decomp = decompose_components(graph, ct, cd)
+    assert decomp.kernel.order == 128 and decomp.kernel.group.is_abelian()
+    assert len(decomp.components) == 128 // 2 + 1
