@@ -9,13 +9,17 @@ place of the digest when the command fails and writes nothing.  The set is
 the `export_fixture_graphs.py` fixtures as DOT with components, `chartab` of
 the identity fixtures and of the semidirect sweep specs,
 `graph --out json --components` of the same semidirect specs, and of four
-groups whose restrictions to the kernel of rho have many classes.  Run it once
-with PYTHONPATH on each of two source trees (say a `git archive` export of
-the parent commit and the working tree) and diff the two outputs: a change
-that keeps the CLI bytes prints the same lines.
+groups whose restrictions to the kernel of rho have many classes, and last
+`verify --suite all --out json`, hashed with every `seconds` set to 0 and the
+`observed` timing text of the `runtime[*]` records blanked, so that it hashes
+the records' ids, claims, inputs, expected and observed values and results
+in their order.  Run it once with PYTHONPATH on each of two source trees (say
+a `git archive` export of the parent commit and the working tree) and diff
+the two outputs: a change that keeps the CLI bytes prints the same lines.
 """
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -45,7 +49,20 @@ def commands() -> list[list[str]]:
             ("dihedral:64", "irrep:2"),
         ]
     ]
+    cmds.append(["verify", "--suite", "all", "--out", "json"])
     return cmds
+
+
+def untimed(args: list[str], blob: bytes) -> bytes:
+    """A verify report without its timings; any other output unchanged."""
+    if args[0] != "verify":
+        return blob
+    report = json.loads(blob)
+    for check in report["checks"]:
+        check["seconds"] = 0
+        if check["id"].startswith("runtime["):
+            check["observed"] = ""
+    return json.dumps(report).encode()
 
 
 def main() -> int:
@@ -54,7 +71,10 @@ def main() -> int:
         for args in commands():
             out.unlink(missing_ok=True)
             code = cli.main(args + ["--output", str(out)])
-            digest = hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+            if code == 0:
+                digest = hashlib.sha256(untimed(args, out.read_bytes())).hexdigest()
+            else:
+                digest = f"exit {code}"
             print(f"{digest}  mckay {' '.join(args)}", flush=True)
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 from .cyclotomic import CycInt
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
 from .groups import _is_prime, _primitive_root
-from .modp import FpMatrix, mul_mod, simultaneous_split
+from .modp import mul_mod, simultaneous_split
 
 
 class NoSuitablePrime(Exception):
@@ -93,11 +93,10 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     h = np.array(cd.sizes, dtype=np.int64)
     invmap = cd.inverse_class
 
-    def matrices():
-        for i in range(1, r):
-            yield FpMatrix(p, _class_matrix(g, cd, i) % p)
-
-    vectors = np.array(simultaneous_split(matrices(), p=p, dim=r))
+    # class matrix entries count class elements, so they are residues already:
+    # 0 <= entry <= |G| < p
+    matrices = (_class_matrix(g, cd, i) for i in range(1, r))
+    vectors = np.array(simultaneous_split(matrices, p, r))
     assert len(vectors) == r
     assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 
 def euler_phi(e: int) -> int:
@@ -268,32 +268,10 @@ class CycInt:
             k >>= 1
         return result
 
-    def galois(self, t: int) -> "CycInt":
-        """Apply zeta_e -> zeta_e^t; t must be invertible modulo the order."""
-        e = self.order
-        t %= e
-        if e <= 2:
-            return self
-        assert gcd(t, e) == 1, "galois exponent must be coprime to the order"
-        phi = euler_phi(e)
-        vec = [0] * e
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[(j * t) % e] += c
-        return CycInt(e, vec)
-
-    def conjugate(self) -> "CycInt":
-        """zeta_e -> zeta_e^-1, i.e. complex conjugation on character values."""
-        return self.galois(self.order - 1)
-
     def as_integer(self) -> int | None:
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def exact_div(self, n: int) -> "CycInt":
         assert n != 0

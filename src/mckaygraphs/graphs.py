@@ -178,7 +178,8 @@ def decompose_components(
 ) -> ComponentDecomposition:
     comps = weak_components(graph.adjacency)
     kernel = kernel_of_character(ct, graph.rho.chi)
-    ct_n = compute_character_table(kernel.group)
+    # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table
+    ct_n = ct if kernel.order == ct.group.order else compute_character_table(kernel.group)
     orbits = _kernel_orbits(ct_n, kernel, ct.group)
     if len(comps) != len(orbits):
         raise OrbitMismatch(

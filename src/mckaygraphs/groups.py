@@ -749,10 +749,6 @@ def normal_subgroups(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[i
     return sorted(uniq.values(), key=lambda s: (s.order, s.elements))
 
 
-def center_subgroup(g: FiniteGroup, cd: ConjugacyData) -> Subgroup:
-    return subgroup_from_elements(g, cd.center)
-
-
 # ---------------------------------------------------------------------------
 # central products and the extraspecial catalog
 

@@ -143,22 +143,6 @@ def _hessenberg_eigenvectors(h: np.ndarray, u: np.ndarray, roots: list[int], p: 
     return mul_mod(x, u.T, p)
 
 
-class FpMatrix:
-    """Matrix over F_p backed by a numpy int64 array."""
-
-    def __init__(self, p: int, rows):
-        self.p = p
-        self.a = np.array(rows, dtype=np.int64) % p
-        assert self.a.ndim == 2
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p},\n{self.a})"
-
-
 def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: int):
     """Split an invariant row-space by the eigenvalues of mat; None if no split."""
     m = basis.shape[0]
@@ -189,44 +173,33 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
     return pieces
 
 
-def simultaneous_split(mats, p: int | None = None, dim: int | None = None) -> list[np.ndarray]:
+def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
     """Common 1-dimensional eigenvectors of a commuting diagonalizable family.
 
-    `mats` may be any iterable of FpMatrix (consumed lazily, so callers can
-    stream matrices that are expensive to build).  Returns `dim` vectors
-    spanning F_p^dim, each normalized with leading coefficient 1.  Raises
-    SplitIncomplete when some joint subspace of dimension > 1 is not split by
-    any input matrix.
+    `mats` may be any iterable of dim x dim int64 residue arrays mod p
+    (consumed lazily, so callers can stream matrices that are expensive to
+    build).  Returns `dim` vectors spanning F_p^dim, each normalized with
+    leading coefficient 1.  Raises SplitIncomplete when some joint subspace of
+    dimension > 1 is not split by any input matrix.
     """
-    iterator = iter(mats)
-    first = next(iterator, None)
-    if first is None:
-        if dim == 1 and p is not None:
-            return [np.array([1], dtype=np.int64)]
-        raise SplitIncomplete("no matrices to split with")
-    p = first.p
-    r = first.shape[0]
-    assert dim is None or dim == r
     subspaces: list[tuple[np.ndarray, list[int]]] = [
-        (np.eye(r, dtype=np.int64), list(range(r)))
+        (np.eye(dim, dtype=np.int64), list(range(dim)))
     ]
-    mat: FpMatrix | None = first
-    while mat is not None:
-        assert mat.p == p and mat.shape == (r, r)
+    for mat in mats:
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
+        assert mat.shape == (dim, dim)
         nxt: list[tuple[np.ndarray, list[int]]] = []
         for basis, pivots in subspaces:
             if basis.shape[0] == 1:
                 nxt.append((basis, pivots))
                 continue
-            pieces = _split_subspace(basis, pivots, mat.a, p)
+            pieces = _split_subspace(basis, pivots, mat, p)
             if pieces is None:
                 nxt.append((basis, pivots))
             else:
                 nxt.extend(pieces)
         subspaces = nxt
-        mat = next(iterator, None)
     if any(b.shape[0] > 1 for b, _ in subspaces):
         raise SplitIncomplete(
             "a joint subspace of dimension > 1 remains; choose another prime"

@@ -9,9 +9,10 @@ deterministic.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,18 +88,6 @@ class ClassificationViolated(Exception):
     """A tree/forest McKay graph escaped the classification; highest severity."""
 
 
-class _Stopwatch:
-    """lap() gives the seconds since the previous lap (or the start), so each
-    record of a multi-record case is timed by its own work alone."""
-
-    def __init__(self) -> None:
-        self.t0 = time.perf_counter()
-
-    def lap(self) -> float:
-        t0, self.t0 = self.t0, time.perf_counter()
-        return self.t0 - t0
-
-
 @dataclass
 class CheckRecord:
     check_id: str
@@ -119,6 +108,30 @@ class CheckRecord:
             "passed": self.passed,
             "seconds": round(self.seconds, 4),
         }
+
+
+class _Recorder(list):
+    """CheckRecords with a running clock.  add() builds a record whose seconds
+    run from the previous record (or from the recorder's creation), so each
+    record of a multi-record case is timed by its own work alone; appending a
+    record that timed itself restarts the clock."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.t0 = time.perf_counter()
+
+    def append(self, record: CheckRecord) -> None:
+        super().append(record)
+        self.t0 = time.perf_counter()
+
+    def add(
+        self, check_id: str, claim: str, inputs: str, expected: str, observed: str, passed: bool
+    ) -> CheckRecord:
+        record = CheckRecord(
+            check_id, claim, inputs, expected, observed, passed, time.perf_counter() - self.t0
+        )
+        self.append(record)
+        return record
 
 
 @dataclass
@@ -300,7 +313,7 @@ def _trace_power(adj, k: int) -> int:
 
 
 def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     if not 1 <= kmax <= ctx.ct.r:
         raise PreconditionViolated("kmax must lie in [1, class count]")
     expected, observed, ok = [], [], True
@@ -312,19 +325,18 @@ def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> 
         expected.append(s)
         observed.append((t, c))
         ok = ok and (s == t == c)
-    return CheckRecord(
+    return records.add(
         check_id=f"trace[{spec_text(ctx.spec)}]",
         claim=f"class power sums of rho equal circuit counts, k=1..{kmax}",
         inputs=spec_text(ctx.spec),
         expected=str(expected),
         observed=str(observed),
         passed=ok,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     if not (graph.undirected and graph.loopless):
         raise PreconditionViolated("edge-count identity needs an undirected loopless graph")
     s1 = _char_power_sum(graph.rho.chi, 2)
@@ -336,19 +348,18 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     ok = s1 == s2 == s3
     if tree:
         ok = ok and s1 == 2 * (ctx.ct.r - 1)
-    return CheckRecord(
+    return records.add(
         check_id=f"edges[{spec_text(ctx.spec)}]",
         claim="sum chi^2 = doubled edge count = centralizer endomorphism sum",
         inputs=spec_text(ctx.spec),
         expected=expected,
         observed=str(vals),
         passed=ok,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     if not is_tree(graph.adjacency):
         raise PreconditionViolated("centralizer endomorphism check needs a tree graph")
     cd = ctx.cd
@@ -359,19 +370,18 @@ def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckReco
         want = 1 if k in central_classes else 2
         if dim_end != want:
             bad.append((k, dim_end, want))
-    return CheckRecord(
+    return records.add(
         check_id=f"endo[{spec_text(ctx.spec)}]",
         claim="restriction to a centralizer has endomorphism dimension 2 off-center, 1 on it",
         inputs=spec_text(ctx.spec),
         expected="2 per non-central class, 1 per central class",
         observed="all match" if not bad else f"mismatches {bad}",
         passed=not bad,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_newton_spectrum(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     r = ctx.ct.r
     bad = []
     for k in range(1, r + 1):
@@ -379,38 +389,36 @@ def verify_newton_spectrum(ctx: FixtureContext, graph: McKayGraph) -> CheckRecor
         t = _trace_power(graph.adjacency, k)
         if s != t:
             bad.append((k, s, t))
-    return CheckRecord(
+    return records.add(
         check_id=f"newton[{spec_text(ctx.spec)}]",
         claim=f"power traces match character sums for k=1..{r} (eigenvalue multiset)",
         inputs=spec_text(ctx.spec),
         expected="equality for all k",
         observed="all match" if not bad else f"mismatches {bad}",
         passed=not bad,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_bipartite_criterion(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     rho = graph.rho
     if not (rho.irreducible and is_faithful(ctx.ct, rho.chi) and is_self_dual(ctx.ct, rho.chi)):
         raise PreconditionViolated("bipartite criterion needs irreducible faithful self-dual rho")
     z = len(ctx.cd.center)
     bip = bipartition(graph.adjacency) is not None
     ok = z <= 2 and (bip == (z == 2))
-    return CheckRecord(
+    return records.add(
         check_id=f"bipartite[{spec_text(ctx.spec)}]",
         claim="graph bipartite iff the center has order 2 (center order is at most 2)",
         inputs=spec_text(ctx.spec),
         expected="|Z| <= 2 and bipartite <=> |Z| = 2",
         observed=f"|Z|={z}, bipartite={bip}",
         passed=ok,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_sum_of_squares(decomp: ComponentDecomposition, label: str) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     g_order = decomp.graph.ct.group.order
     n_order = decomp.kernel.order
     bad = []
@@ -419,14 +427,13 @@ def verify_sum_of_squares(decomp: ComponentDecomposition, label: str) -> CheckRe
         rhs = (g_order // n_order) * c.orbit_rep_degree**2 * c.orbit_size
         if lhs != rhs:
             bad.append((c.vertices, lhs, rhs))
-    return CheckRecord(
+    return records.add(
         check_id=f"sumsq[{label}]",
         claim="per component: sum of squared dimensions = |G/N| * s^2 * |T|",
         inputs=label,
         expected="equality per component",
         observed="all match" if not bad else f"mismatches {bad}",
         passed=not bad,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -450,7 +457,7 @@ def _star_exponent(label: ShapeLabel) -> Optional[int]:
 
 
 def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     if not is_tree(graph.adjacency):
         raise PreconditionViolated("tree theorem applies to tree graphs")
     ct, cd, g = ctx.ct, ctx.cd, ctx.group
@@ -477,19 +484,18 @@ def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
             f"{spec_text(ctx.spec)}: tree {label.short()} with dim(rho)={rho.dim} "
             f"escapes the classification"
         )
-    return CheckRecord(
+    return records.add(
         check_id=f"tree[{spec_text(ctx.spec)}|dim{rho.dim}]",
         claim="tree graphs come from the two-dimensional affine list or extraspecial stars",
         inputs=f"{spec_text(ctx.spec)}, |G|={g.order}",
         expected="affine D/E with a=1 matching |G|, or a 4^n star over an extraspecial group",
         observed=case,
         passed=True,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
-    t0 = time.perf_counter()
+    records = _Recorder()
     if not is_forest(graph.adjacency):
         raise PreconditionViolated("forest theorem applies to forest graphs")
     ct = ctx.ct
@@ -531,7 +537,7 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
                     f"{spec_text(ctx.spec)}: |G/N|={quotient_order} not divisible by "
                     f"{label.dynkin_group_order} for component {label.short()}"
                 )
-    return CheckRecord(
+    return records.add(
         check_id=f"forest[{spec_text(ctx.spec)}|dim{rho.dim}]",
         claim="forest components are affine D/E or 4^n stars; star forests are uniform; "
         "|G/N| divisible by each matched group order",
@@ -539,7 +545,6 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         expected="no classification escape",
         observed=",".join(label.short() for _, _, label in labels),
         passed=True,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -708,21 +713,17 @@ def build_construction(fx: ConstructionFixture):
 
 
 def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
-    watch = _Stopwatch()
+    records = _Recorder()
     ctx, rho, H, K, action, gp, cdp, ctp, graph, decomp = build_construction(fx)
-    records: list[CheckRecord] = []
 
     count_ok = len(decomp.components) == len(decomp.orbits) == 2
-    records.append(
-        CheckRecord(
-            check_id=f"construction[{fx.name}]:components",
-            claim="component count equals the number of kernel-character orbits",
-            inputs=f"{fx.name}, |G'|={gp.order}",
-            expected="2 components, 2 orbits",
-            observed=f"{len(decomp.components)} components, {len(decomp.orbits)} orbits",
-            passed=count_ok,
-            seconds=watch.lap(),
-        )
+    records.add(
+        check_id=f"construction[{fx.name}]:components",
+        claim="component count equals the number of kernel-character orbits",
+        inputs=f"{fx.name}, |G'|={gp.order}",
+        expected="2 components, 2 orbits",
+        observed=f"{len(decomp.components)} components, {len(decomp.orbits)} orbits",
+        passed=count_ok,
     )
 
     stab = dual_vector_stabilizer(ctx.group, K, action)
@@ -730,50 +731,40 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
     s_graph, _ = restricted_graph(ctx.ct, stab, rho)
     target = disjoint_union([g_graph.adjacency, s_graph.adjacency])
     iso = graph_isomorphic(graph.adjacency, target)
-    records.append(
-        CheckRecord(
-            check_id=f"construction[{fx.name}]:union",
-            claim="twisted-product graph equals the disjoint union over G and the "
-            "stabilizer of a nontrivial kernel character",
-            inputs=f"{fx.name}, stabilizer order {stab.order}",
-            expected="isomorphic",
-            observed="isomorphic" if iso else "NOT isomorphic",
-            passed=iso,
-            seconds=watch.lap(),
-        )
+    records.add(
+        check_id=f"construction[{fx.name}]:union",
+        claim="twisted-product graph equals the disjoint union over G and the "
+        "stabilizer of a nontrivial kernel character",
+        inputs=f"{fx.name}, stabilizer order {stab.order}",
+        expected="isomorphic",
+        observed="isomorphic" if iso else "NOT isomorphic",
+        passed=iso,
     )
 
     same = "equal to" if stab.elements == H.elements else "not equal to"
-    records.append(
-        CheckRecord(
-            check_id=f"construction[{fx.name}]:stabilizer",
-            claim="the stabilizer of a nontrivial kernel character has the stated order",
-            inputs=f"{fx.name}, H order {H.order}",
-            expected=f"order {fx.stabilizer_order}",
-            observed=f"order {stab.order}, {same} H",
-            passed=stab.order == fx.stabilizer_order,
-            seconds=watch.lap(),
-        )
+    records.add(
+        check_id=f"construction[{fx.name}]:stabilizer",
+        claim="the stabilizer of a nontrivial kernel character has the stated order",
+        inputs=f"{fx.name}, H order {H.order}",
+        expected=f"order {fx.stabilizer_order}",
+        observed=f"order {stab.order}, {same} H",
+        passed=stab.order == fx.stabilizer_order,
     )
 
     shapes = tuple(
         sorted(classify_component(c.adjacency).short() for c in decomp.components)
     )
     counts = tuple(sorted(len(c.vertices) for c in decomp.components))
-    records.append(
-        CheckRecord(
-            check_id=f"construction[{fx.name}]:shapes",
-            claim="component shapes and vertex counts match the stated pair",
-            inputs=fx.name,
-            expected=f"{fx.expected_shapes} with {fx.expected_vertex_counts} vertices",
-            observed=f"{shapes} with {counts} vertices",
-            passed=shapes == fx.expected_shapes and counts == fx.expected_vertex_counts,
-            seconds=watch.lap(),
-        )
+    records.add(
+        check_id=f"construction[{fx.name}]:shapes",
+        claim="component shapes and vertex counts match the stated pair",
+        inputs=fx.name,
+        expected=f"{fx.expected_shapes} with {fx.expected_vertex_counts} vertices",
+        observed=f"{shapes} with {counts} vertices",
+        passed=shapes == fx.expected_shapes and counts == fx.expected_vertex_counts,
     )
 
     records.append(verify_sum_of_squares(decomp, fx.name))
-    watch.lap()  # that record timed itself
 
     quotient_order = gp.order // decomp.kernel.order
     bad_div = []
@@ -782,16 +773,13 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
         if label.kind in ("affine_d", "affine_e"):
             if quotient_order % label.dynkin_group_order:
                 bad_div.append((label.short(), label.dynkin_group_order))
-    records.append(
-        CheckRecord(
-            check_id=f"construction[{fx.name}]:divisibility",
-            claim="|G/N| is divisible by the group order matched to each affine component",
-            inputs=f"{fx.name}, |G/N|={quotient_order}",
-            expected="all divisible",
-            observed="all divisible" if not bad_div else f"failures {bad_div}",
-            passed=not bad_div,
-            seconds=watch.lap(),
-        )
+    records.add(
+        check_id=f"construction[{fx.name}]:divisibility",
+        claim="|G/N| is divisible by the group order matched to each affine component",
+        inputs=f"{fx.name}, |G/N|={quotient_order}",
+        expected="all divisible",
+        observed="all divisible" if not bad_div else f"failures {bad_div}",
+        passed=not bad_div,
     )
 
     big_ctx = FixtureContext(
@@ -800,75 +788,65 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
     try:
         records.append(verify_forest_theorem(big_ctx, graph))
     except ClassificationViolated as exc:  # pragma: no cover - must not happen
-        records.append(
-            CheckRecord(
-                check_id=f"forest[{fx.name}]",
-                claim="forest classification",
-                inputs=fx.name,
-                expected="no classification escape",
-                observed=str(exc),
-                passed=False,
-            )
+        records.add(
+            check_id=f"forest[{fx.name}]",
+            claim="forest classification",
+            inputs=fx.name,
+            expected="no classification escape",
+            observed=str(exc),
+            passed=False,
         )
     records[-1].check_id = f"construction[{fx.name}]:forest-theorem"
     return records
 
 
 def verify_normal_tower() -> list[CheckRecord]:
-    watch = _Stopwatch()
+    records = _Recorder()
     ctx = fixture(BinaryPoly("O"))
     bo, cd = ctx.group, ctx.cd
     q8 = build_group(BinaryDihedral(2))
     bt = build_group(BinaryPoly("T"))
-    records = []
     sub8 = designated_normal_subgroup(bo, cd, 8)
     sub24 = designated_normal_subgroup(bo, cd, 24)
-    rec = lambda cid, claim, expected, observed, ok: records.append(
-        CheckRecord(
-            check_id=cid,
-            claim=claim,
-            inputs="binary:O",
-            expected=expected,
-            observed=observed,
-            passed=ok,
-            seconds=watch.lap(),
-        )
-    )
-    rec(
-        "tower:subgroups",
-        "the octahedral double cover contains normal copies of the quaternion and "
+    records.add(
+        check_id="tower:subgroups",
+        claim="the octahedral double cover contains normal copies of the quaternion and "
         "tetrahedral double-cover subgroups",
-        "orders 8 and 24, isomorphic to the expected groups",
-        f"orders {sub8.order},{sub24.order}; iso {tables_isomorphic(sub8.group, q8)},"
+        inputs="binary:O",
+        expected="orders 8 and 24, isomorphic to the expected groups",
+        observed=f"orders {sub8.order},{sub24.order}; iso {tables_isomorphic(sub8.group, q8)},"
         f"{tables_isomorphic(sub24.group, bt)}",
-        tables_isomorphic(sub8.group, q8) and tables_isomorphic(sub24.group, bt),
+        passed=tables_isomorphic(sub8.group, q8) and tables_isomorphic(sub24.group, bt),
     )
     q1, _ = quotient_group(bo, sub24)
-    rec(
-        "tower:BO/BT",
-        "quotient by the tetrahedral subgroup has order 2",
-        "order 2",
-        f"order {q1.order}",
-        q1.order == 2,
+    records.add(
+        check_id="tower:BO/BT",
+        claim="quotient by the tetrahedral subgroup has order 2",
+        inputs="binary:O",
+        expected="order 2",
+        observed=f"order {q1.order}",
+        passed=q1.order == 2,
     )
     q2, _ = quotient_group(bo, sub8)
-    rec(
-        "tower:BO/Q8",
-        "quotient by the quaternion subgroup is nonabelian of order 6",
-        "order 6, nonabelian",
-        f"order {q2.order}, abelian={q2.is_abelian()}",
-        q2.order == 6 and not q2.is_abelian(),
+    records.add(
+        check_id="tower:BO/Q8",
+        claim="quotient by the quaternion subgroup is nonabelian of order 6",
+        inputs="binary:O",
+        expected="order 6, nonabelian",
+        observed=f"order {q2.order}, abelian={q2.is_abelian()}",
+        passed=q2.order == 6 and not q2.is_abelian(),
     )
     cd24 = conjugacy(sub24.group)
     inner8 = designated_normal_subgroup(sub24.group, cd24, 8)
     q3, _ = quotient_group(sub24.group, inner8)
-    rec(
-        "tower:BT/Q8",
-        "the quaternion subgroup sits inside the tetrahedral one with cyclic quotient "
+    records.add(
+        check_id="tower:BT/Q8",
+        claim="the quaternion subgroup sits inside the tetrahedral one with cyclic quotient "
         "of order 3",
-        "order 3",
-        f"order {q3.order}, abelian={q3.is_abelian()}",
-        q3.order == 3 and q3.is_abelian(),
+        inputs="binary:O",
+        expected="order 3",
+        observed=f"order {q3.order}, abelian={q3.is_abelian()}",
+        passed=q3.order == 3 and q3.is_abelian(),
     )
     return records
 
@@ -880,59 +858,48 @@ def verify_normal_tower() -> list[CheckRecord]:
 def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
     ctx = fixture(spec)
     graph = tautological_graph(ctx)
-    records = [verify_trace_identity(ctx, graph, min(ctx.ct.r, 6))]
+    records = _Recorder()
+    records.append(verify_trace_identity(ctx, graph, min(ctx.ct.r, 6)))
     if graph.undirected and graph.loopless:
         records.append(verify_edge_count_identity(ctx, graph))
     if is_tree(graph.adjacency):
         records.append(verify_centralizer_endo(ctx, graph))
     if ctx.ct.r <= 12:
         records.append(verify_newton_spectrum(ctx, graph))
-    t0 = time.perf_counter()
     orthogonal = verify_orthogonality(ctx.ct)
-    records.append(
-        CheckRecord(
-            check_id=f"orthogonality[{spec_text(spec)}]",
-            claim="exact row and column orthogonality of the character table",
-            inputs=spec_text(spec),
-            expected="orthogonal",
-            observed="orthogonal" if orthogonal else "violated",
-            passed=orthogonal,
-            seconds=time.perf_counter() - t0,
-        )
+    records.add(
+        check_id=f"orthogonality[{spec_text(spec)}]",
+        claim="exact row and column orthogonality of the character table",
+        inputs=spec_text(spec),
+        expected="orthogonal",
+        observed="orthogonal" if orthogonal else "violated",
+        passed=orthogonal,
     )
-    t0 = time.perf_counter()
     ok_center = center_criterion_holds(ctx)
-    records.append(
-        CheckRecord(
-            check_id=f"center[{spec_text(spec)}]",
-            claim="center = classes where every character attains its degree in absolute value",
-            inputs=spec_text(spec),
-            expected="criterion matches the conjugacy center",
-            observed="matches" if ok_center else "differs",
-            passed=ok_center,
-            seconds=time.perf_counter() - t0,
-        )
+    records.add(
+        check_id=f"center[{spec_text(spec)}]",
+        claim="center = classes where every character attains its degree in absolute value",
+        inputs=spec_text(spec),
+        expected="criterion matches the conjugacy center",
+        observed="matches" if ok_center else "differs",
+        passed=ok_center,
     )
-    t0 = time.perf_counter()
     comps = weak_components(graph.adjacency)
     strong = all(strongly_connected(graph.adjacency, comp) for comp in comps)
-    records.append(
-        CheckRecord(
-            check_id=f"strongcomp[{spec_text(spec)}]",
-            claim="weak components of the multiplicity graph are strongly connected",
-            inputs=spec_text(spec),
-            expected="coincide",
-            observed="coincide" if strong else "differ",
-            passed=strong,
-            seconds=time.perf_counter() - t0,
-        )
+    records.add(
+        check_id=f"strongcomp[{spec_text(spec)}]",
+        claim="weak components of the multiplicity graph are strongly connected",
+        inputs=spec_text(spec),
+        expected="coincide",
+        observed="coincide" if strong else "differ",
+        passed=strong,
     )
     return records
 
 
 def _case_ade(spec: GroupSpec, expected_index: int, expected_order: int) -> list[CheckRecord]:
     ctx = fixture(spec)
-    t0 = time.perf_counter()
+    records = _Recorder()
     graph = tautological_graph(ctx)
     label = classify_component(graph.adjacency)
     kind = "affine_d" if isinstance(spec, BinaryDihedral) else "affine_e"
@@ -945,27 +912,22 @@ def _case_ade(spec: GroupSpec, expected_index: int, expected_order: int) -> list
     )
     okpf, a = pf_integer_vector_check(graph.adjacency, graph.dims, graph.rho.dim, label)
     ok = ok and okpf and a == 1
-    records = [
-        CheckRecord(
-            check_id=f"ade[{spec_text(spec)}]",
-            claim="tautological graph is the expected affine diagram with matching group order",
-            inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
-            expected=f"{kind[-1].upper()}~{expected_index}, order {expected_order}, marking a=1",
-            observed=f"{label.short()}, order {ctx.group.order}, a={a}",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    records.add(
+        check_id=f"ade[{spec_text(spec)}]",
+        claim="tautological graph is the expected affine diagram with matching group order",
+        inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
+        expected=f"{kind[-1].upper()}~{expected_index}, order {expected_order}, marking a=1",
+        observed=f"{label.short()}, order {ctx.group.order}, a={a}",
+        passed=ok,
+    )
     if isinstance(spec, BinaryPoly) and spec.kind == "I":
-        records.append(
-            CheckRecord(
-                check_id="runtime[binary:I]",
-                claim="icosahedral double-cover table computes within budget",
-                inputs="binary:I",
-                expected="< 30 s",
-                observed=f"{ctx.table_seconds:.2f} s",
-                passed=ctx.table_seconds < 30.0,
-            )
+        records.add(
+            check_id="runtime[binary:I]",
+            claim="icosahedral double-cover table computes within budget",
+            inputs="binary:I",
+            expected="< 30 s",
+            observed=f"{ctx.table_seconds:.2f} s",
+            passed=ctx.table_seconds < 30.0,
         )
     return records
 
@@ -978,25 +940,24 @@ _E_LABELS = {
 
 
 def _case_exceptional_labels(kind: str) -> list[CheckRecord]:
+    records = _Recorder()
     idx, order, dims = _E_LABELS[kind]
     ctx = fixture(BinaryPoly(kind))
     graph = tautological_graph(ctx)
-    ok = sorted(graph.dims) == sorted(dims)
-    return [
-        CheckRecord(
-            check_id=f"labels[binary:{kind}]",
-            claim="vertex dimensions match the affine diagram markings",
-            inputs=f"binary:{kind}",
-            expected=str(sorted(dims)),
-            observed=str(sorted(graph.dims)),
-            passed=ok,
-        )
-    ]
+    records.add(
+        check_id=f"labels[binary:{kind}]",
+        claim="vertex dimensions match the affine diagram markings",
+        inputs=f"binary:{kind}",
+        expected=str(sorted(dims)),
+        observed=str(sorted(graph.dims)),
+        passed=sorted(graph.dims) == sorted(dims),
+    )
+    return records
 
 
 def _case_dihedral(spec: Dihedral) -> list[CheckRecord]:
     ctx = fixture(spec)
-    t0 = time.perf_counter()
+    records = _Recorder()
     graph = tautological_graph(ctx)
     n = spec.n
     if n % 2 == 0:
@@ -1008,50 +969,41 @@ def _case_dihedral(spec: Dihedral) -> list[CheckRecord]:
         label_ok = classify_component(graph.adjacency).kind == "dihedral_odd_tail"
         loops = 1
     have_loops = sum(graph.adjacency[i][i] for i in range(graph.n_vertices))
-    ok = graph.n_vertices == want_vertices and label_ok and have_loops == loops
-    return [
-        CheckRecord(
-            check_id=f"dihedral[{spec_text(spec)}]",
-            claim="tautological graph has the parity-dependent vertex count and loop",
-            inputs=spec_text(spec),
-            expected=f"{want_vertices} vertices, {loops} loop(s)",
-            observed=f"{graph.n_vertices} vertices, {have_loops} loop(s)",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    records.add(
+        check_id=f"dihedral[{spec_text(spec)}]",
+        claim="tautological graph has the parity-dependent vertex count and loop",
+        inputs=spec_text(spec),
+        expected=f"{want_vertices} vertices, {loops} loop(s)",
+        observed=f"{graph.n_vertices} vertices, {have_loops} loop(s)",
+        passed=graph.n_vertices == want_vertices and label_ok and have_loops == loops,
+    )
+    return records
 
 
 def _case_hedgehog(spec: Extraspecial2) -> list[CheckRecord]:
     ctx = fixture(spec)
-    t0 = time.perf_counter()
+    records = _Recorder()
     graph = tautological_graph(ctx)
     n = spec.n
     label = classify_component(graph.adjacency)
     star = _star_exponent(label)
     center_dim = max(graph.dims)
-    ok = star == n and center_dim == 2**n and is_tree(graph.adjacency)
-    records = [
-        CheckRecord(
-            check_id=f"hedgehog[{spec_text(spec)}]",
-            claim="extraspecial graph is the 4^n-spine star with a 2^n-dimensional center",
-            inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
-            expected=f"4^{n} spines, center dim {2**n}",
-            observed=f"{label.short()}, center dim {center_dim}",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    records.add(
+        check_id=f"hedgehog[{spec_text(spec)}]",
+        claim="extraspecial graph is the 4^n-spine star with a 2^n-dimensional center",
+        inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
+        expected=f"4^{n} spines, center dim {2**n}",
+        observed=f"{label.short()}, center dim {center_dim}",
+        passed=star == n and center_dim == 2**n and is_tree(graph.adjacency),
+    )
     if n == 4:
-        records.append(
-            CheckRecord(
-                check_id=f"runtime[{spec_text(spec)}]",
-                claim="order-512 table computes within budget",
-                inputs=spec_text(spec),
-                expected="< 60 s",
-                observed=f"{ctx.table_seconds:.2f} s",
-                passed=ctx.table_seconds < 60.0,
-            )
+        records.add(
+            check_id=f"runtime[{spec_text(spec)}]",
+            claim="order-512 table computes within budget",
+            inputs=spec_text(spec),
+            expected="< 60 s",
+            observed=f"{ctx.table_seconds:.2f} s",
+            passed=ctx.table_seconds < 60.0,
         )
     return records
 
@@ -1073,7 +1025,7 @@ def _self_dual_irreps(ct: CharacterTable) -> list[int]:
 
 
 def _case_sweep(spec: GroupSpec) -> list[CheckRecord]:
-    t0 = time.perf_counter()
+    records = _Recorder()
     ctx = fixture(spec)
     trees = forests = 0
     for i in _self_dual_irreps(ctx.ct):
@@ -1085,30 +1037,19 @@ def _case_sweep(spec: GroupSpec) -> list[CheckRecord]:
         if is_tree(graph.adjacency):
             trees += 1
             verify_tree_theorem(ctx, graph)
-    return [
-        CheckRecord(
-            check_id=f"sweep[{spec_text(spec)}]",
-            claim="no self-dual irreducible yields a tree/forest escaping the classification",
-            inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
-            expected="no classification escape",
-            observed=f"{forests} forests ({trees} trees) verified",
-            passed=True,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
-
-
-def _case_construction(name: str) -> list[CheckRecord]:
-    fx = next(f for f in CONSTRUCTIONS if f.name == name)
-    return verify_construction_531(fx)
-
-
-def _case_normal_tower() -> list[CheckRecord]:
-    return verify_normal_tower()
+    records.add(
+        check_id=f"sweep[{spec_text(spec)}]",
+        claim="no self-dual irreducible yields a tree/forest escaping the classification",
+        inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
+        expected="no classification escape",
+        observed=f"{forests} forests ({trees} trees) verified",
+        passed=True,
+    )
+    return records
 
 
 def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
-    t0 = time.perf_counter()
+    records = _Recorder()
     spec = Product(base, Cyclic(n_copies))
     ctx = fixture(spec)
     base_ctx = fixture(base)
@@ -1121,30 +1062,23 @@ def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
         for c in decomp.components
     )
     principal_ok = principal_component_isomorphism_check(decomp, ctx.ct)
-    ok = len(decomp.components) == n_copies and iso_all and principal_ok
-    records = [
-        CheckRecord(
-            check_id=f"copies[{spec_text(spec)}]",
-            claim="inflating along a cyclic factor yields that many copies of the base graph",
-            inputs=spec_text(spec),
-            expected=f"{n_copies} isomorphic components, principal = base graph",
-            observed=f"{len(decomp.components)} components, all isomorphic: {iso_all}, "
-            f"principal check: {principal_ok}",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        ),
-        verify_sum_of_squares(decomp, spec_text(spec)),
-    ]
+    records.add(
+        check_id=f"copies[{spec_text(spec)}]",
+        claim="inflating along a cyclic factor yields that many copies of the base graph",
+        inputs=spec_text(spec),
+        expected=f"{n_copies} isomorphic components, principal = base graph",
+        observed=f"{len(decomp.components)} components, all isomorphic: {iso_all}, "
+        f"principal check: {principal_ok}",
+        passed=len(decomp.components) == n_copies and iso_all and principal_ok,
+    )
+    records.append(verify_sum_of_squares(decomp, spec_text(spec)))
     if is_forest(graph.adjacency):
-        big_ctx = FixtureContext(
-            spec=spec, group=ctx.group, cd=ctx.cd, ct=ctx.ct, table_seconds=0.0
-        )
-        records.append(verify_forest_theorem(big_ctx, graph))
+        records.append(verify_forest_theorem(ctx, graph))
     return records
 
 
 def _case_principal_semidirect() -> list[CheckRecord]:
-    t0 = time.perf_counter()
+    records = _Recorder()
     spec = Semidirect(Dihedral(8), Cyclic(3))
     ctx = fixture(spec)
     base = fixture(Dihedral(8))
@@ -1155,36 +1089,32 @@ def _case_principal_semidirect() -> list[CheckRecord]:
     ok = principal_component_isomorphism_check(decomp, ctx.ct)
     base_graph = build_mckay_graph(base.ct, rho_base)
     ok = ok and graph_isomorphic(decomp.principal.adjacency, base_graph.adjacency)
-    return [
-        CheckRecord(
-            check_id="principal[semidirect(dihedral:8,cyclic:3)]",
-            claim="principal component is the graph of the untwisted quotient pair",
-            inputs="semidirect(dihedral:8,cyclic:3)",
-            expected="principal component isomorphic to the dihedral graph",
-            observed="isomorphic" if ok else "NOT isomorphic",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    records.add(
+        check_id="principal[semidirect(dihedral:8,cyclic:3)]",
+        claim="principal component is the graph of the untwisted quotient pair",
+        inputs="semidirect(dihedral:8,cyclic:3)",
+        expected="principal component isomorphic to the dihedral graph",
+        observed="isomorphic" if ok else "NOT isomorphic",
+        passed=ok,
+    )
+    return records
 
 
 def _case_dual_and_duality(spec: GroupSpec, irrep_index: int) -> list[CheckRecord]:
     from .graphs import dual_check
 
-    t0 = time.perf_counter()
+    records = _Recorder()
     ctx = fixture(spec)
     ok = dual_check(ctx.ct, Irrep(irrep_index))
-    return [
-        CheckRecord(
-            check_id=f"dual[{spec_text(spec)}:{irrep_index}]",
-            claim="the dual selector transposes the multiplicity matrix",
-            inputs=f"{spec_text(spec)}, irreducible {irrep_index}",
-            expected="transpose relation holds",
-            observed="holds" if ok else "violated",
-            passed=ok,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    records.add(
+        check_id=f"dual[{spec_text(spec)}:{irrep_index}]",
+        claim="the dual selector transposes the multiplicity matrix",
+        inputs=f"{spec_text(spec)}, irreducible {irrep_index}",
+        expected="transpose relation holds",
+        observed="holds" if ok else "violated",
+        passed=ok,
+    )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -1221,11 +1151,9 @@ def _tree_cases() -> list[tuple[str, Callable[[], list[CheckRecord]]]]:
 
 
 def _forest_cases() -> list[tuple[str, Callable[[], list[CheckRecord]]]]:
-    cases: list[tuple[str, Callable[[], list[CheckRecord]]]] = [
-        ("tower", _case_normal_tower)
-    ]
+    cases: list[tuple[str, Callable[[], list[CheckRecord]]]] = [("tower", verify_normal_tower)]
     for fx in CONSTRUCTIONS:
-        cases.append((f"construction:{fx.name}", lambda n=fx.name: _case_construction(n)))
+        cases.append((f"construction:{fx.name}", lambda f=fx: verify_construction_531(f)))
     cases.append(
         ("copies:extraspecial", lambda: _case_product_copies(Extraspecial2(2, "+"), 2))
     )
@@ -1260,21 +1188,19 @@ def _cases_for(suite: str) -> list[tuple[str, Callable[[], list[CheckRecord]]]]:
 
 def _run_case(case) -> list[CheckRecord]:
     case_id, fn = case
-    t0 = time.perf_counter()
+    records = _Recorder()
     try:
         return fn()
     except Exception as exc:  # surfacing failures as records, never hiding them
-        return [
-            CheckRecord(
-                check_id=case_id,
-                claim="case execution",
-                inputs=case_id,
-                expected="no exception",
-                observed=f"{type(exc).__name__}: {exc}",
-                passed=False,
-                seconds=time.perf_counter() - t0,
-            )
-        ]
+        records.add(
+            check_id=case_id,
+            claim="case execution",
+            inputs=case_id,
+            expected="no exception",
+            observed=f"{type(exc).__name__}: {exc}",
+            passed=False,
+        )
+        return records
 
 
 def _run_case_by_name(args) -> list[CheckRecord]:
@@ -1284,15 +1210,15 @@ def _run_case_by_name(args) -> list[CheckRecord]:
 
 
 def run_suite(suite: str, jobs: int = 1) -> VerificationReport:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
     cases = _cases_for(suite)
     records: list[CheckRecord] = []
-    if jobs <= 1:
+    # the pool forks all its workers at once, so never ask for more than can work
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers <= 1:
         for case in cases:
             records.extend(_run_case(case))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             args = [(suite, i) for i in range(len(cases))]
             for result in pool.map(_run_case_by_name, args):
                 records.extend(result)

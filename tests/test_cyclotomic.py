@@ -58,7 +58,7 @@ def test_root_arithmetic_examples():
     z3 = CycInt.root(3)
     assert z3 + z3 * z3 == -1
     z8 = CycInt.root(8)
-    assert (z8 + z8.conjugate()) ** 2 == 2
+    assert (z8 + z8**7) ** 2 == 2
 
 
 def test_as_integer():
@@ -66,15 +66,6 @@ def test_as_integer():
     assert CycInt.root(3).as_integer() is None
     z3 = CycInt.root(3)
     assert (z3 + z3**2 + 5).as_integer() == 4
-
-
-def test_galois_inverse_examples():
-    z4 = CycInt.root(4)
-    assert z4.conjugate() == -z4
-    assert CycInt.integer(11).conjugate() == 11
-    z5 = CycInt.root(5)
-    real = z5 + z5**4
-    assert real.conjugate() == real
 
 
 def test_cross_order_equality_and_hash():
@@ -114,12 +105,6 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@settings(max_examples=200, deadline=None)
-@given(cyc_values())
-def test_galois_involution(a):
-    assert a.conjugate().conjugate() == a
 
 
 @settings(max_examples=100, deadline=None)

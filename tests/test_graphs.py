@@ -286,3 +286,29 @@ def test_dihedral_128_sign_components():
     decomp = decompose_components(graph, ct, cd)
     assert decomp.kernel.order == 128 and decomp.kernel.group.is_abelian()
     assert len(decomp.components) == 128 // 2 + 1
+
+
+@pytest.mark.parametrize("spec_text", ["elemab:2:4", "binary:T", "dihedral:6"])
+def test_trivial_rho_reuses_the_group_table(monkeypatch, spec_text):
+    import mckaygraphs.graphs as graphs
+
+    g = build_group(parse_group_spec(spec_text))
+    cd = conjugacy(g)
+    ct = compute_character_table(g, cd)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compute_character_table(*args)
+
+    monkeypatch.setattr(graphs, "compute_character_table", counted)
+    decomp = decompose_components(build_mckay_graph(ct, Irrep(ct.trivial_index)), ct, cd)
+    assert not calls
+    assert decomp.kernel.order == g.order and decomp.kernel_table is ct
+    # rho = 1 fixes every vertex: one single-vertex component per irreducible
+    assert decomp.orbits == [(i,) for i in range(ct.r)]
+    assert sorted(c.vertices for c in decomp.components) == [(i,) for i in range(ct.r)]
+    # a proper kernel still gets its own table
+    sign = next(i for i in range(ct.r) if ct.degrees[i] == 1 and i != ct.trivial_index)
+    decompose_components(build_mckay_graph(ct, Irrep(sign)), ct, cd)
+    assert len(calls) == 1

@@ -27,6 +27,8 @@ from mckaygraphs.verify import (
     CONSTRUCTIONS,
     ClassificationViolated,
     PreconditionViolated,
+    _case_identities,
+    _case_product_copies,
     fixture,
     tautological_graph,
     verify_bipartite_criterion,
@@ -212,10 +214,14 @@ def test_normal_tower_records():
     assert ids == ["tower:subgroups", "tower:BO/BT", "tower:BO/Q8", "tower:BT/Q8"]
 
 
-@pytest.mark.parametrize("case", ["tower", "btxF4"])
+@pytest.mark.parametrize("case", ["tower", "btxF4", "identities", "copies"])
 def test_record_seconds_time_each_record_alone(case):
     if case == "tower":
         run = verify_normal_tower
+    elif case == "identities":
+        run = lambda: _case_identities(Dihedral(4))
+    elif case == "copies":
+        run = lambda: _case_product_copies(Extraspecial2(2, "+"), 2)
     else:
         fx = next(f for f in CONSTRUCTIONS if f.name == case)
         run = lambda: verify_construction_531(fx)
@@ -254,6 +260,35 @@ def test_run_suite_parallel_matches_serial():
     assert len(back["checks"]) == len(serial.records)
     assert serial.passed
     assert back["passed"] is True
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(64, 3, 3), (64, 64, 9), (2, 64, 2)])
+def test_run_suite_pool_is_bounded(monkeypatch, jobs, cpus, workers):
+    import mckaygraphs.verify as verify
+
+    seen = []
+
+    class SerialPool:
+        """Records the worker count and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    assert len(verify._cases_for("forests")) == 9
+    report = verify.run_suite("forests", jobs=jobs)
+    assert seen == [workers]
+    assert report.passed
 
 
 def test_run_suite_unknown_name():
