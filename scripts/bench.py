@@ -11,7 +11,7 @@ i (1 to PAIRS) runs
 tree, S being BENCHMARK.json's run_seconds: odd pairs run the parent first,
 even pairs the working tree first.  One traced run per side
 (--seed 7 --seconds 1 --trace 1) gives the per-layer figures.  Table-only
-runs time the split and the lift of large cyclic groups on their own, through
+runs time the split and the lift of TABLE_SPECS's groups on their own, through
 perfbench's tracer, with a limit of TABLE_LIMIT_S per table; a side that
 exceeds it is recorded as "timeout".  The result goes to BENCH_<LABEL>.json at the repository root.
 Run it with nothing else busy on the machine.
@@ -36,7 +36,7 @@ PARENT = "HEAD"
 PAIRS = 10
 SEED_BASE = 200
 TRACE_SEED = 7
-TABLE_SPECS = ["cyclic:128", "cyclic:256"]
+TABLE_SPECS = ["cyclic:128", "cyclic:256", "elemab:2:10", "cyclic:1024"]
 TABLE_RUNS = 3
 TABLE_LIMIT_S = 120.0
 

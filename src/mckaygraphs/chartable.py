@@ -23,7 +23,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
-from .groups import _is_prime, _primitive_root
+from .groups import _greedy_generators, _is_prime, _primitive_root
 from .modp import mul_mod, simultaneous_split
 
 
@@ -94,8 +94,11 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     invmap = cd.inverse_class
 
     # class matrix entries count class elements, so they are residues already:
-    # 0 <= entry <= |G| < p
-    matrices = (_class_matrix(g, cd, i) for i in range(1, r))
+    # 0 <= entry <= |G| < p.  The classes of a generating set go first: their
+    # eigenvalues determine every linear character, and often the whole split.
+    first = dict.fromkeys(cd.class_of[_greedy_generators(g)].tolist())
+    classes = [*first, *(i for i in range(1, r) if i not in first)]
+    matrices = (_class_matrix(g, cd, i) for i in classes)
     vectors = np.array(simultaneous_split(matrices, p, r))
     assert len(vectors) == r
     assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"

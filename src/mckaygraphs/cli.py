@@ -184,7 +184,7 @@ def graph_document(spec: GroupSpec, selector_text: str, with_components: bool) -
         },
     }
     if with_components:
-        decomp = decompose_components(graph, ct, cd)
+        decomp = decompose_components(graph, ct)
         doc["components"] = [
             {
                 "vertices": list(c.vertices),

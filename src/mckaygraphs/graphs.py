@@ -25,7 +25,7 @@ from .chartable import (
     rho_from_class_function,
 )
 from .cyclotomic import cyc_sum
-from .groups import ConjugacyData, FiniteGroup, Subgroup, quotient_group
+from .groups import FiniteGroup, Subgroup, quotient_group
 from .shapes import graph_flags, weak_components
 
 
@@ -173,9 +173,7 @@ def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np
     return multiplicities(ct_n, ct.modular[:, at_sub], ct.degrees, ct.prime)
 
 
-def decompose_components(
-    graph: McKayGraph, ct: CharacterTable, cd: ConjugacyData
-) -> ComponentDecomposition:
+def decompose_components(graph: McKayGraph, ct: CharacterTable) -> ComponentDecomposition:
     comps = weak_components(graph.adjacency)
     kernel = kernel_of_character(ct, graph.rho.chi)
     # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table

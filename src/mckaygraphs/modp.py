@@ -58,15 +58,22 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _right_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows form a basis of {v : a @ v == 0 mod p}."""
+def _right_kernel(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows forming a basis of {v : a @ v == 0 mod p}, and the free columns of
+    a, on which the rows are the identity."""
     cols = a.shape[1]
     red, pivots = _rref(a, p)
     free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red[:, free].T % p
-    return basis
+    return basis, free
+
+
+def _leading_one(rows: np.ndarray, p: int) -> np.ndarray:
+    """Each nonzero row scaled so that its first nonzero entry is 1."""
+    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
+    return rows * np.array([_inv_mod(x, p) for x in lead], dtype=np.int64)[:, None] % p
 
 
 def _hessenberg(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +151,13 @@ def _hessenberg_eigenvectors(h: np.ndarray, u: np.ndarray, roots: list[int], p: 
 
 
 def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: int):
-    """Split an invariant row-space by the eigenvalues of mat; None if no split."""
+    """Split an invariant row-space by the eigenvalues of mat; None if no split.
+
+    basis is the identity on the columns `pivots`, and so is every piece."""
     m = basis.shape[0]
+    whole = m == mat.shape[0]  # the first subspace, whose basis is I
     # a[:, i] = coordinates of basis[i] @ mat.T, read on the pivot columns
-    a = mul_mod(mat[pivots], basis.T, p)
+    a = mat % p if whole else mul_mod(mat[pivots], basis.T, p)
     lam = int(a[0, 0])
     if np.array_equal(a, lam * np.eye(m, dtype=np.int64)):
         return None  # scalar action cannot split
@@ -156,17 +166,19 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
     if len(roots) == m and np.all(h.diagonal(-1)):
         vecs = _hessenberg_eigenvectors(h, u, roots, p)
         assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[:, None] * vecs % p)
-        return [_rref(v[None], p) for v in mul_mod(vecs, basis, p)]
+        vecs = _leading_one(vecs if whole else mul_mod(vecs, basis, p), p)
+        return [(v[None], [int(c)]) for v, c in zip(vecs, np.argmax(vecs != 0, axis=1))]
     pieces = []
     total = 0
     for lam in roots:
-        ker = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
+        ker, free = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
         if ker.shape[0] == 0:
             continue
-        sub = mul_mod(ker, basis, p)
-        red, piv = _rref(sub, p)
-        pieces.append((red, piv))
-        total += red.shape[0]
+        # ker is the identity on its free columns and basis on pivots, so
+        # their product is the identity on pivots[free]
+        sub = ker if whole else mul_mod(ker, basis, p)
+        pieces.append((sub, [pivots[c] for c in free]))
+        total += sub.shape[0]
     if total != m:
         # restriction not diagonalizable: the prime was unsuitable
         raise SplitIncomplete(f"subspace of dimension {m} split into only {total}")
@@ -204,5 +216,5 @@ def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
         raise SplitIncomplete(
             "a joint subspace of dimension > 1 remains; choose another prime"
         )
-    vectors = sorted([b[0] % p for b, _ in subspaces], key=lambda v: tuple(v))
-    return vectors
+    vectors = _leading_one(np.array([b[0] for b, _ in subspaces]), p)
+    return sorted(vectors, key=lambda v: tuple(v))

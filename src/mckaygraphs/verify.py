@@ -708,7 +708,7 @@ def build_construction(fx: ConstructionFixture):
     ctp = compute_character_table(gp, cdp)
     rho_p = pullback_rho(ctp, ctx.cd.class_of, K.order, rho)
     graph = build_mckay_graph(ctp, rho_p)
-    decomp = decompose_components(graph, ctp, cdp)
+    decomp = decompose_components(graph, ctp)
     return ctx, rho, H, K, action, gp, cdp, ctp, graph, decomp
 
 
@@ -1056,7 +1056,7 @@ def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
     rho_base = resolve_rho(base_ctx.ct, FaithfulSelfDualMinDim())
     rho = pullback_rho(ctx.ct, base_ctx.cd.class_of, n_copies, rho_base)
     graph = build_mckay_graph(ctx.ct, rho)
-    decomp = decompose_components(graph, ctx.ct, ctx.cd)
+    decomp = decompose_components(graph, ctx.ct)
     iso_all = all(
         graph_isomorphic(c.adjacency, decomp.principal.adjacency)
         for c in decomp.components
@@ -1085,7 +1085,7 @@ def _case_principal_semidirect() -> list[CheckRecord]:
     rho_base = resolve_rho(base.ct, FaithfulSelfDualMinDim())
     rho = pullback_rho(ctx.ct, base.cd.class_of, 3, rho_base)
     graph = build_mckay_graph(ctx.ct, rho)
-    decomp = decompose_components(graph, ctx.ct, ctx.cd)
+    decomp = decompose_components(graph, ctx.ct)
     ok = principal_component_isomorphism_check(decomp, ctx.ct)
     base_graph = build_mckay_graph(base.ct, rho_base)
     ok = ok and graph_isomorphic(decomp.principal.adjacency, base_graph.adjacency)

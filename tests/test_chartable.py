@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mckaygraphs.chartable as chartable
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -11,6 +12,7 @@ from mckaygraphs.chartable import (
     Irrep,
     LiftOutOfRange,
     SelectorEmpty,
+    _class_matrix,
     _lift,
     adjacency_matrix,
     compute_character_table,
@@ -33,11 +35,14 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
+    _greedy_generators,
     _primitive_root,
     build_group,
     conjugacy,
+    spec_text,
     subgroup_from_elements,
 )
+from mckaygraphs.modp import simultaneous_split
 from mckaygraphs.verify import _exact_multiplicities
 
 
@@ -53,6 +58,28 @@ def test_dixon_prime_choice():
     assert dixon_prime(8, 4) == 17
     p = dixon_prime(120, 60)
     assert p > 240 and p % 60 == 1 and p == 241
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Dihedral(9), BinaryPoly("O"), Heisenberg(3, 1), Extraspecial2(2, "+"), ElemAb(2, 5)],
+    ids=spec_text,
+)
+def test_split_does_not_depend_on_class_order(monkeypatch, spec):
+    g = build_group(spec)
+    cd = conjugacy(g)
+    p = dixon_prime(g.order, cd.exponent)
+    mats = [_class_matrix(g, cd, i) for i in range(cd.r)]
+    first = list(dict.fromkeys(cd.class_of[_greedy_generators(g)].tolist()))
+    led = first + [i for i in range(1, cd.r) if i not in first]
+    by_index = simultaneous_split(mats[1:], p, cd.r)
+    by_generators = simultaneous_split([mats[i] for i in led], p, cd.r)
+    assert np.array_equal(np.array(by_index), np.array(by_generators))
+    # the table streams the generating classes first
+    streamed = []
+    monkeypatch.setattr(chartable, "_class_matrix", lambda g, cd, i: streamed.append(i) or mats[i])
+    compute_character_table(g, cd)
+    assert streamed == led[: len(streamed)] and len(streamed) >= len(first)
 
 
 def test_trivial_group():

@@ -1,5 +1,6 @@
 import hashlib
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mckaygraphs.groups import (
     ElemAb,
     ExplicitAction,
     Extraspecial2,
+    FiniteGroup,
     GroupBuildError,
     Heisenberg,
     InvalidAction,
@@ -22,6 +24,7 @@ from mckaygraphs.groups import (
     Product,
     Semidirect,
     build_group,
+    build_product,
     central_product,
     commutator_subgroup,
     conjugacy,
@@ -74,6 +77,94 @@ def test_table_is_group():
         rng = np.random.default_rng(1)
         a, b, c = (rng.integers(0, n, 500) for _ in range(3))
         assert np.array_equal(g.mul[g.mul[a, b], c], g.mul[a, g.mul[b, c]])
+
+
+def loop_tables(n):
+    """Cayley tables of every loop on 0..n-1 with identity 0: the Latin
+    squares whose first row and column are 0..n-1."""
+
+    def extend(rows):
+        if len(rows) == n:
+            yield np.array(rows, dtype=np.int32)
+            return
+        i = len(rows)
+        for rest in permutations([x for x in range(n) if x != i]):
+            row = (i, *rest)
+            if all(row[c] != r[c] for r in rows for c in range(1, n)):
+                yield from extend(rows + [row])
+
+    yield from extend([tuple(range(n))])
+
+
+def as_table(mul, carrier="loop"):
+    n = len(mul)
+    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
+    names = [str(x) for x in range(n)]
+    return FiniteGroup(order=n, mul=mul, inv=inv, carrier=carrier, element_names=names)
+
+
+def validates(g):
+    try:
+        g.validate()
+    except AssertionError:
+        return False
+    return True
+
+
+def test_validate_is_exact_on_loops_of_order_5():
+    # the full n^3 associativity check is the oracle for the generator test
+    loops = list(loop_tables(5))
+    assert len(loops) == 56
+    verdicts = []
+    for mul in loops:
+        g = as_table(mul)
+        if not np.all(mul[g.inv, np.arange(5)] == 0):
+            continue  # no two-sided inverses: rejected before associativity
+        assert validates(g) == np.array_equal(mul[mul], mul[:, mul])
+        verdicts.append(validates(g))
+    assert True in verdicts and False in verdicts
+
+
+def test_validate_rejects_a_loop_above_order_256():
+    # a non-associative loop of order 5 whose elements have two-sided inverses
+    loop = next(
+        g
+        for g in map(as_table, loop_tables(5))
+        if np.all(g.mul[g.inv, np.arange(5)] == 0)
+        and not np.array_equal(g.mul[g.mul], g.mul[:, g.mul])
+    )
+    with pytest.raises(AssertionError, match="associativity"):
+        loop.validate()
+    big = build_product(loop, build_group(Cyclic(64)), carrier="product(loop,cyclic:64)")
+    assert big.order == 320
+    with pytest.raises(AssertionError, match="associativity"):
+        big.validate()
+
+
+def tuple_heisenberg_product(p):
+    """The Heisenberg product on (a, b, c) tuples, digit by digit."""
+
+    def mulfun(x, y):
+        (a1, b1, c1), (a2, b2, c2) = x, y
+        dot = sum(u * v for u, v in zip(b2, a1)) % p
+        return (
+            tuple((u + v) % p for u, v in zip(a1, a2)),
+            tuple((u + v) % p for u, v in zip(b1, b2)),
+            (c1 + c2 + dot) % p,
+        )
+
+    return mulfun
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_heisenberg_table_matches_tuple_product(p, n):
+    g = build_group(Heisenberg(p, n))
+    elems = g.payload
+    index = {x: i for i, x in enumerate(elems)}
+    mulfun = tuple_heisenberg_product(p)
+    want = [[index[mulfun(x, y)] for y in elems] for x in elems]
+    assert np.array_equal(g.mul, np.array(want))
+    assert all(index[mulfun(x, elems[int(g.inv[i])])] == 0 for i, x in enumerate(elems))
 
 
 def test_conjugacy_s3_and_q8():

@@ -55,8 +55,8 @@ def test_rref_and_kernel():
     a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=np.int64)
     red, pivots = _rref(a, p)
     assert pivots == [0, 1]
-    ker = _right_kernel(a, p)
-    assert ker.shape[0] == 1
+    ker, free = _right_kernel(a, p)
+    assert ker.shape[0] == 1 and free.tolist() == [2] and ker[0, 2] == 1
     assert np.all((a @ ker[0]) % p == 0)
 
 
@@ -118,7 +118,7 @@ def random_similarity(rng, n, p):
 def kernel_eigenvectors(a, roots, p):
     """The oracle: one RREF kernel of a - lam per root."""
     n = a.shape[0]
-    return [_right_kernel((a - lam * np.eye(n, dtype=np.int64)) % p, p) for lam in roots]
+    return [_right_kernel((a - lam * np.eye(n, dtype=np.int64)) % p, p)[0] for lam in roots]
 
 
 def normalized(v, p):
@@ -204,5 +204,12 @@ def test_split_falls_back_to_kernels(monkeypatch, case):
     assert not calls
     assert [b.shape[0] for b, _ in pieces] == dims
     roots = _poly_roots(_hessenberg_charpoly(h, p), p)
-    for (b, _), ker in zip(pieces, kernel_eigenvectors(a, roots, p)):
-        assert np.array_equal(b, _rref(ker, p)[0])
+    # each piece spans its eigenspace and is the identity on its pivots,
+    # which is all the split reads of it
+    for (b, piv), ker in zip(pieces, kernel_eigenvectors(a, roots, p)):
+        assert np.array_equal(b[:, piv], np.eye(len(piv), dtype=np.int64))
+        assert np.array_equal(_rref(b, p)[0], _rref(ker, p)[0])
+    if case == "block-diagonal":
+        # the split's own output is normalized: leading coefficient 1
+        want = sorted(tuple(normalized(k[0], p)) for k in kernel_eigenvectors(a, roots, p))
+        assert [tuple(v) for v in simultaneous_split([a], p, 5)] == want
