@@ -8,14 +8,16 @@ temporary file, and prints `<sha256>  mckay <args>`, with `exit <code>` in
 place of the digest when the command fails and writes nothing.  The set is
 the `export_fixture_graphs.py` fixtures as DOT with components, `chartab` of
 the identity fixtures and of the semidirect sweep specs,
-`graph --out json --components` of the same semidirect specs, and of four
-groups whose restrictions to the kernel of rho have many classes, and last
-`verify --suite all --out json`, hashed with every `seconds` set to 0 and the
-`observed` timing text of the `runtime[*]` records blanked, so that it hashes
-the records' ids, claims, inputs, expected and observed values and results
-in their order.  Run it once with PYTHONPATH on each of two source trees (say
-a `git archive` export of the parent commit and the working tree) and diff
-the two outputs: a change that keeps the CLI bytes prints the same lines.
+`graph --out json --components` of the same semidirect specs, of four
+groups whose restrictions to the kernel of rho have many classes, and of
+`dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
+and last `verify --suite all --out json`, hashed with every `seconds` set to
+0 and the `observed` timing text of the `runtime[*]` records blanked, so that
+it hashes the records' ids, claims, inputs, expected and observed values and
+results in their order.  Run it once with PYTHONPATH on each of two source
+trees (say a `git archive` export of the parent commit and the working tree)
+and diff the two outputs: a change that keeps the CLI bytes prints the same
+lines.
 """
 
 import hashlib
@@ -47,6 +49,7 @@ def commands() -> list[list[str]]:
             ("heis:3:2", "irrep:10"),
             ("product(binary:I,cyclic:4)", "irrep:4"),
             ("dihedral:64", "irrep:2"),
+            ("dihedral:5", "charvec:100000000000000000000,0,1,0"),
         ]
     ]
     cmds.append(["verify", "--suite", "all", "--out", "json"])

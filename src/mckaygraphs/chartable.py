@@ -14,9 +14,7 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import isqrt
-from operator import add
 from typing import Optional, Union
 
 import numpy as np
@@ -335,21 +333,24 @@ def rho_from_class_function(ct: CharacterTable, chi) -> Rho:
     return resolve_rho(ct, CharVector(tuple(mults.tolist())))
 
 
-def adjacency_matrix(ct: CharacterTable, rho: Rho) -> list[list[int]]:
+def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     """Full McKay multiplicity matrix N[i][j] = dim Hom(chi_i (x) rho, chi_j).
 
     N = sum_m mults_m N_m, where row i of N_m decomposes chi_i chi_m, the
     product of the modular rows.  Its degree d_i d_m <= |G| < p is inside the
     lift bound of `multiplicities` whatever dim rho is; the sum is exact.
+    Every entry and partial sum is at most d_i dim rho, so the sum is int64
+    unless max(d) dim rho reaches 2^63, and then Python integers.
     """
     p, table = ct.prime, ct.modular
     deg = np.array(ct.degrees, dtype=np.int64)
-    parts = (
-        count * multiplicities(ct, table * table[m] % p, deg * deg[m], p).astype(object)
-        for m, count in enumerate(rho.mults)
-        if count
-    )
-    return reduce(add, parts).tolist()
+    dtype = np.int64 if max(ct.degrees) * rho.dim < 2**63 else object
+    total = np.zeros((ct.r, ct.r), dtype=dtype)
+    for m, count in enumerate(rho.mults):
+        if count:
+            part = multiplicities(ct, table * table[m] % p, deg * deg[m], p)
+            total += count * part.astype(dtype)
+    return total
 
 
 def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:

@@ -341,7 +341,13 @@ class CycInt:
 
 
 def cyc_sum(values) -> CycInt:
-    total = CycInt.zero()
+    """Sum of cyclotomic integers in one reduction: each value's coefficients
+    are added, at stride e / order, into x-powers below e = lcm of the orders."""
+    values = list(values)
+    e = lcm(1, *(v.order for v in values))
+    acc = [0] * e
     for v in values:
-        total = total + v
-    return total
+        t = e // v.order
+        for j, c in enumerate(v.coeffs):
+            acc[j * t] += c
+    return CycInt(e, acc)

@@ -8,7 +8,7 @@ of G on the irreducibles of the kernel of rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .chartable import (
 )
 from .cyclotomic import cyc_sum
 from .groups import FiniteGroup, Subgroup, quotient_group
-from .shapes import graph_flags, weak_components
+from .shapes import forest_bit, graph_flags, weak_components
 
 
 class OrbitMismatch(Exception):
@@ -43,39 +43,48 @@ class McKayGraph:
     undirected: bool
     loopless: bool
     simply_laced: bool
+    components: list[list[int]]  # `weak_components` of the adjacency
+    forest: bool
+    matrix: np.ndarray = field(repr=False, compare=False)  # the adjacency as an array
 
     @property
     def n_vertices(self) -> int:
         return len(self.dims)
 
+    @property
+    def tree(self) -> bool:
+        return self.forest and len(self.components) == 1
+
     def edge_count_doubled(self) -> int:
         """Sum of all off-diagonal entries: 2 * #edges for undirected graphs."""
-        return sum(
-            self.adjacency[i][j]
-            for i in range(self.n_vertices)
-            for j in range(self.n_vertices)
-            if i != j
-        )
+        return int(self.matrix.sum() - np.trace(self.matrix))
+
+    def induced(self, vertices) -> tuple[tuple[int, ...], ...]:
+        """Adjacency of the subgraph on the given vertices, in their order."""
+        return tuple(map(tuple, self.matrix[np.ix_(vertices, vertices)].tolist()))
 
 
 def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     rho = sel if isinstance(sel, Rho) else resolve_rho(ct, sel)
     adj = adjacency_matrix(ct, rho)
-    undirected, loopless, simply = graph_flags(adj)
-    dims = tuple(ct.degrees)
+    flags = graph_flags(adj)
+    components = weak_components(adj)
     # k = 1 trace identity: tr A = sum over classes of chi_rho
-    tr = sum(adj[i][i] for i in range(ct.r))
-    total = cyc_sum(rho.chi).as_integer()
-    assert total == tr, "trace differs from the character sum over classes"
+    assert cyc_sum(rho.chi).as_integer() == np.trace(adj), (
+        "trace differs from the character sum over classes"
+    )
     return McKayGraph(
         ct=ct,
         rho=rho,
-        adjacency=tuple(tuple(row) for row in adj),
-        dims=dims,
+        adjacency=tuple(map(tuple, adj.tolist())),
+        dims=tuple(ct.degrees),
         trivial_vertex=ct.trivial_index,
-        undirected=undirected,
-        loopless=loopless,
-        simply_laced=simply,
+        undirected=flags[0],
+        loopless=flags[1],
+        simply_laced=flags[2],
+        components=components,
+        forest=forest_bit(adj, flags, components),
+        matrix=adj,
     )
 
 
@@ -85,10 +94,9 @@ def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
     inv = ct.conj.inverse_class
     dual_chi = tuple(rho.chi[inv[k]] for k in range(ct.r))
     dual = rho_from_class_function(ct, dual_chi)
-    a = build_mckay_graph(ct, rho).adjacency
-    b = build_mckay_graph(ct, dual).adjacency
-    r = ct.r
-    return all(a[i][j] == b[j][i] for i in range(r) for j in range(r))
+    a = build_mckay_graph(ct, rho).matrix
+    b = build_mckay_graph(ct, dual).matrix
+    return np.array_equal(a, b.T)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +152,6 @@ class ComponentDecomposition:
         return next(c for c in self.components if c.principal)
 
 
-def _induced(adj, vertices):
-    return tuple(tuple(adj[v][w] for w in vertices) for v in vertices)
-
-
 def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> list[tuple[int, ...]]:
     """Orbits of G on Irr(N) under conjugation, via class permutations.
 
@@ -174,7 +178,7 @@ def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np
 
 
 def decompose_components(graph: McKayGraph, ct: CharacterTable) -> ComponentDecomposition:
-    comps = weak_components(graph.adjacency)
+    comps = graph.components
     kernel = kernel_of_character(ct, graph.rho.chi)
     # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table
     ct_n = ct if kernel.order == ct.group.order else compute_character_table(kernel.group)
@@ -211,7 +215,7 @@ def decompose_components(graph: McKayGraph, ct: CharacterTable) -> ComponentDeco
         components.append(
             Component(
                 vertices=tuple(comp),
-                adjacency=_induced(graph.adjacency, comp),
+                adjacency=graph.induced(comp),
                 dims=tuple(graph.dims[v] for v in comp),
                 principal=graph.trivial_vertex in comp,
                 orbit_index=oi,

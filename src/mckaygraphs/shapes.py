@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+import numpy as np
+
 from .cyclotomic import rational_rref
 
 
@@ -40,11 +42,6 @@ class ShapeLabel:
 OTHER = ShapeLabel(kind="other")
 
 
-def _is_symmetric(adj) -> bool:
-    n = len(adj)
-    return all(adj[i][j] == adj[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def _degrees(adj) -> list[int]:
     """Undirected degree with loops counted twice."""
     n = len(adj)
@@ -60,7 +57,7 @@ def classify_component(adj) -> ShapeLabel:
     n = len(adj)
     if n == 0:
         return OTHER
-    if not _is_symmetric(adj):
+    if not graph_flags(adj)[0]:
         return OTHER
     loops = [v for v in range(n) if adj[v][v]]
     degs = _degrees(adj)
@@ -185,73 +182,85 @@ def _classify_odd_tail(adj, loop_vertex) -> ShapeLabel:
 # forests, bipartitions, circuits
 
 
+def _square(adj) -> np.ndarray:
+    """The adjacency as an n x n array, n = 0 included."""
+    a = np.asarray(adj)
+    return a.reshape(len(a), len(a))
+
+
 def graph_flags(adj) -> tuple[bool, bool, bool]:
     """(undirected, loopless, simply_laced)."""
-    n = len(adj)
-    undirected = _is_symmetric(adj)
-    loopless = all(adj[v][v] == 0 for v in range(n))
-    simply = all(adj[v][w] <= 1 for v in range(n) for w in range(n) if v != w)
-    return undirected, loopless, simply
+    a = _square(adj)
+    simple = (a <= 1) | np.eye(len(a), dtype=bool)
+    return bool((a == a.T).all()), not a.diagonal().any(), bool(simple.all())
 
 
 def weak_components(adj) -> list[list[int]]:
-    """Vertex lists of the components of the undirected support, each sorted."""
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if not seen[w] and (adj[v][w] or adj[w][v]):
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex lists of the components of the undirected support, each sorted,
+    in the order of their smallest vertices.
+
+    Min-label propagation: every vertex takes the least label among itself and
+    its neighbours, then the label of its label.  Labels only fall and stay
+    inside a component, so they settle on each component's least vertex."""
+    a = _square(adj)
+    n = len(a)
+    src, dst = np.nonzero((a != 0) | (a.T != 0))
+    label = np.arange(n)
+    while True:
+        step = label.copy()
+        np.minimum.at(step, src, label[dst])
+        step = step[step]
+        if np.array_equal(step, label):
+            break
+        label = step
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, starts)] if n else []
 
 
-def is_forest(adj) -> bool:
-    n = len(adj)
-    undirected, loopless, simply = graph_flags(adj)
-    if not (undirected and loopless and simply):
+def _union_find_acyclic(n: int, us: list[int], ws: list[int]) -> bool:
+    """An edge u-w whose ends already share a root closes a circuit."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, w in zip(us, ws):
+        ru, rw = root(u), root(w)
+        if ru == rw:
+            return False
+        parent[ru] = rw
+    return True
+
+
+def forest_bit(a: np.ndarray, flags, components) -> bool:
+    """Is the graph of the n x n array `a` a forest, given its `graph_flags`
+    and `weak_components`?
+
+    A forest has at most n - 1 edges, so union-find runs only when E <= n - 1;
+    the Euler count |V| = |E| + #components cross-checks its answer."""
+    if not all(flags):
         return False
-    edges = sum(adj[v][w] for v in range(n) for w in range(n)) // 2
-    comps = len(weak_components(adj))
-    acyclic = _acyclic(adj)
-    # Euler cross-check: a forest has |V| = |E| + #components
-    assert acyclic == (n == edges + comps)
+    n = len(a)
+    u, w = np.nonzero(np.triu(a, 1))
+    edges = len(u)
+    acyclic = edges == 0 or (edges < n and _union_find_acyclic(n, u.tolist(), w.tolist()))
+    assert acyclic == (n == edges + len(components))
     return acyclic
 
 
+def is_forest(adj) -> bool:
+    a = _square(adj)
+    return forest_bit(a, graph_flags(a), weak_components(a))
+
+
 def is_tree(adj) -> bool:
-    return is_forest(adj) and len(weak_components(adj)) == 1
-
-
-def _acyclic(adj) -> bool:
-    n = len(adj)
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, -1)]
-        seen[s] = True
-        while stack:
-            v, parent = stack.pop()
-            for w in range(n):
-                if not adj[v][w]:
-                    continue
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, v))
-                elif w != parent:
-                    return False
-    return True
+    a = _square(adj)
+    components = weak_components(a)
+    return len(components) == 1 and forest_bit(a, graph_flags(a), components)
 
 
 def bipartition(adj) -> Optional[list[int]]:

@@ -73,10 +73,7 @@ from .shapes import (
     bipartition,
     circuit_count,
     classify_component,
-    is_forest,
-    is_tree,
     pf_integer_vector_check,
-    weak_components,
 )
 
 
@@ -295,15 +292,14 @@ def center_criterion_holds(ctx: FixtureContext) -> bool:
     return True
 
 
-def _trace_power(adj, k: int) -> int:
+def _trace_power(a: np.ndarray, k: int) -> int:
     """tr(A^k) by exact numpy integer power with an overflow guard."""
-    a = np.array(adj, dtype=np.int64)
     n = a.shape[0]
     power = a.copy()
     for _ in range(k - 1):
         bound = int(power.max()) * int(a.max()) * n
         if bound > 2**62:
-            return circuit_count(adj, k)  # exact big-int fallback
+            return circuit_count(a.tolist(), k)  # exact big-int fallback
         power = power @ a
     return int(np.trace(power))
 
@@ -320,7 +316,7 @@ def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> 
     small = graph.n_vertices <= 40
     for k in range(1, kmax + 1):
         s = _char_power_sum(graph.rho.chi, k)
-        t = _trace_power(graph.adjacency, k)
+        t = _trace_power(graph.matrix, k)
         c = circuit_count(graph.adjacency, k) if small else t
         expected.append(s)
         observed.append((t, c))
@@ -343,7 +339,7 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     s2 = graph.edge_count_doubled()
     s3 = sum(_dim_end_centralizer(ctx, graph.rho.chi, k) for k in range(ctx.ct.r))
     vals = [s1, s2, s3]
-    tree = is_tree(graph.adjacency)
+    tree = graph.tree
     expected = f"three routes agree{f', tree value {2 * (ctx.ct.r - 1)}' if tree else ''}"
     ok = s1 == s2 == s3
     if tree:
@@ -360,7 +356,7 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
 
 def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
     records = _Recorder()
-    if not is_tree(graph.adjacency):
+    if not graph.tree:
         raise PreconditionViolated("centralizer endomorphism check needs a tree graph")
     cd = ctx.cd
     central_classes = {int(cd.class_of[z]) for z in cd.center}
@@ -386,7 +382,7 @@ def verify_newton_spectrum(ctx: FixtureContext, graph: McKayGraph) -> CheckRecor
     bad = []
     for k in range(1, r + 1):
         s = _char_power_sum(graph.rho.chi, k)
-        t = _trace_power(graph.adjacency, k)
+        t = _trace_power(graph.matrix, k)
         if s != t:
             bad.append((k, s, t))
     return records.add(
@@ -458,7 +454,7 @@ def _star_exponent(label: ShapeLabel) -> Optional[int]:
 
 def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
     records = _Recorder()
-    if not is_tree(graph.adjacency):
+    if not graph.tree:
         raise PreconditionViolated("tree theorem applies to tree graphs")
     ct, cd, g = ctx.ct, ctx.cd, ctx.group
     rho = graph.rho
@@ -496,7 +492,7 @@ def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
 
 def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
     records = _Recorder()
-    if not is_forest(graph.adjacency):
+    if not graph.forest:
         raise PreconditionViolated("forest theorem applies to forest graphs")
     ct = ctx.ct
     rho = graph.rho
@@ -506,11 +502,11 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         )
     kernel = kernel_of_character(ct, rho.chi)
     quotient_order = ctx.group.order // kernel.order
-    comps = weak_components(graph.adjacency)
+    comps = graph.components
     labels = []
     star_exp: Optional[int] = None
     for comp in comps:
-        sub = tuple(tuple(graph.adjacency[v][w] for w in comp) for v in comp)
+        sub = graph.induced(comp)
         label = classify_component(sub)
         labels.append((comp, sub, label))
         if label.kind == "affine_e" or (label.kind == "affine_d" and not label.hedgehog_alias):
@@ -862,7 +858,7 @@ def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
     records.append(verify_trace_identity(ctx, graph, min(ctx.ct.r, 6)))
     if graph.undirected and graph.loopless:
         records.append(verify_edge_count_identity(ctx, graph))
-    if is_tree(graph.adjacency):
+    if graph.tree:
         records.append(verify_centralizer_endo(ctx, graph))
     if ctx.ct.r <= 12:
         records.append(verify_newton_spectrum(ctx, graph))
@@ -884,8 +880,7 @@ def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
         observed="matches" if ok_center else "differs",
         passed=ok_center,
     )
-    comps = weak_components(graph.adjacency)
-    strong = all(strongly_connected(graph.adjacency, comp) for comp in comps)
+    strong = all(strongly_connected(graph.adjacency, comp) for comp in graph.components)
     records.add(
         check_id=f"strongcomp[{spec_text(spec)}]",
         claim="weak components of the multiplicity graph are strongly connected",
@@ -908,7 +903,7 @@ def _case_ade(spec: GroupSpec, expected_index: int, expected_order: int) -> list
         and label.index == expected_index
         and ctx.group.order == expected_order
         and label.dynkin_group_order == expected_order
-        and is_tree(graph.adjacency)
+        and graph.tree
     )
     okpf, a = pf_integer_vector_check(graph.adjacency, graph.dims, graph.rho.dim, label)
     ok = ok and okpf and a == 1
@@ -968,7 +963,7 @@ def _case_dihedral(spec: Dihedral) -> list[CheckRecord]:
         want_vertices = (n + 3) // 2
         label_ok = classify_component(graph.adjacency).kind == "dihedral_odd_tail"
         loops = 1
-    have_loops = sum(graph.adjacency[i][i] for i in range(graph.n_vertices))
+    have_loops = int(np.trace(graph.matrix))
     records.add(
         check_id=f"dihedral[{spec_text(spec)}]",
         claim="tautological graph has the parity-dependent vertex count and loop",
@@ -994,7 +989,7 @@ def _case_hedgehog(spec: Extraspecial2) -> list[CheckRecord]:
         inputs=f"{spec_text(spec)}, |G|={ctx.group.order}",
         expected=f"4^{n} spines, center dim {2**n}",
         observed=f"{label.short()}, center dim {center_dim}",
-        passed=star == n and center_dim == 2**n and is_tree(graph.adjacency),
+        passed=star == n and center_dim == 2**n and graph.tree,
     )
     if n == 4:
         records.add(
@@ -1030,11 +1025,11 @@ def _case_sweep(spec: GroupSpec) -> list[CheckRecord]:
     trees = forests = 0
     for i in _self_dual_irreps(ctx.ct):
         graph = build_mckay_graph(ctx.ct, Irrep(i))
-        if not is_forest(graph.adjacency):
+        if not graph.forest:
             continue
         forests += 1
         verify_forest_theorem(ctx, graph)  # raises ClassificationViolated on escape
-        if is_tree(graph.adjacency):
+        if graph.tree:
             trees += 1
             verify_tree_theorem(ctx, graph)
     records.add(
@@ -1072,7 +1067,7 @@ def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
         passed=len(decomp.components) == n_copies and iso_all and principal_ok,
     )
     records.append(verify_sum_of_squares(decomp, spec_text(spec)))
-    if is_forest(graph.adjacency):
+    if graph.forest:
         records.append(verify_forest_theorem(ctx, graph))
     return records
 

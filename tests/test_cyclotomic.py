@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,3 +157,13 @@ def test_coefficients_are_the_remainder(e, data):
 def test_cyc_sum():
     zs = [CycInt.root(5, k) for k in range(5)]
     assert cyc_sum(zs).as_integer() == 0
+    assert cyc_sum([]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cyc_values(), min_size=1, max_size=6))
+def test_cyc_sum_is_the_folded_sum_over_mixed_orders(values):
+    # one reduction at the lcm of the orders against one __add__ per value
+    total = cyc_sum(iter(values))
+    folded = reduce(add, values)
+    assert (total.order, total.coeffs) == (folded.order, folded.coeffs)

@@ -1,6 +1,12 @@
 import random
 
-from mckaygraphs.graphs import graph_isomorphic
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mckaygraphs.chartable import CharVector, Irrep, compute_character_table, resolve_rho
+from mckaygraphs.graphs import build_mckay_graph, graph_isomorphic
+from mckaygraphs.groups import BinaryPoly, Dihedral, ElemAb, Heisenberg, build_group
 from mckaygraphs.shapes import (
     bipartition,
     circuit_count,
@@ -10,7 +16,9 @@ from mckaygraphs.shapes import (
     is_tree,
     pf_integer_vector_check,
     template_marking,
+    weak_components,
 )
+from mckaygraphs.verify import _exact_multiplicities
 
 
 def adj_from_edges(n, edges, loops=()):
@@ -308,3 +316,144 @@ def test_bipartite_graphs_have_symmetric_spectra():
         assert bipartition(graph.adjacency) is not None
         for k in range(1, min(ct.r, 9) + 1, 2):
             assert circuit_count(graph.adjacency, k) == 0
+
+
+# ---------------------------------------------------------------------------
+# the array shape facts against pure-Python oracles
+
+
+def symmetric_oracle(adj):
+    n = len(adj)
+    return all(adj[i][j] == adj[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def flags_oracle(adj):
+    n = len(adj)
+    return (
+        symmetric_oracle(adj),
+        all(adj[v][v] == 0 for v in range(n)),
+        all(adj[v][w] <= 1 for v in range(n) for w in range(n) if v != w),
+    )
+
+
+def components_oracle(adj):
+    """DFS from each unseen vertex in index order."""
+    n = len(adj)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in range(n):
+                if not seen[w] and (adj[v][w] or adj[w][v]):
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def acyclic_oracle(adj):
+    """DFS: a visited vertex other than the parent closes a circuit."""
+    n = len(adj)
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack = [(s, -1)]
+        seen[s] = True
+        while stack:
+            v, parent = stack.pop()
+            for w in range(n):
+                if not adj[v][w]:
+                    continue
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, v))
+                elif w != parent:
+                    return False
+    return True
+
+
+def forest_oracle(adj):
+    return all(flags_oracle(adj)) and acyclic_oracle(adj)
+
+
+def tree_oracle(adj):
+    return forest_oracle(adj) and len(components_oracle(adj)) == 1
+
+
+@st.composite
+def multidigraphs(draw):
+    """A random forest on at most 12 vertices, then up to 4 entries set to
+    0-3, each mirrored or not: loops, asymmetric entries, multiple edges,
+    circuits and split trees."""
+    n = draw(st.integers(0, 12))
+    a = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(-1, v - 1))
+        if u >= 0:
+            a[u][v] = a[v][u] = 1
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i][j] = draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            a[j][i] = a[i][j]
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(multidigraphs(), st.sampled_from(["tuples", "int64", "object"]))
+def test_shape_facts_match_the_oracles(adj, form):
+    if form == "tuples":
+        given_adj = tuple(map(tuple, adj))
+    else:
+        given_adj = np.array(adj, dtype=np.int64 if form == "int64" else object).reshape(
+            len(adj), len(adj)
+        )
+    assert graph_flags(given_adj) == flags_oracle(adj)
+    assert weak_components(given_adj) == components_oracle(adj)
+    assert is_forest(given_adj) == forest_oracle(adj)
+    assert is_tree(given_adj) == tree_oracle(adj)
+
+
+@pytest.mark.parametrize(
+    "spec", [Dihedral(9), BinaryPoly("O"), ElemAb(2, 4), Heisenberg(3, 1)]
+)
+def test_graph_facts_are_the_shape_functions(spec):
+    ct = compute_character_table(build_group(spec))
+    for i in range(ct.r):
+        graph = build_mckay_graph(ct, Irrep(i))
+        adj = graph.adjacency
+        assert (graph.undirected, graph.loopless, graph.simply_laced) == graph_flags(adj)
+        assert graph.components == weak_components(adj)
+        assert graph.forest == is_forest(adj)
+        assert graph.tree == is_tree(adj)
+        assert graph.matrix.tolist() == [list(row) for row in adj]
+
+
+def test_huge_multiplicities_take_python_integers():
+    # dim rho = 10^20 + 1 exceeds 2^63, so the sum leaves int64
+    ct = compute_character_table(build_group(Dihedral(5)))
+    rho = resolve_rho(ct, CharVector((10**20, 0, 1, 0)))
+    graph = build_mckay_graph(ct, rho)
+    assert graph.matrix.dtype == object
+    oracle = [
+        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
+        for i in range(ct.r)
+    ]
+    assert [list(row) for row in graph.adjacency] == oracle
+    assert max(max(row) for row in oracle) > 2**63
+    flags = (graph.undirected, graph.loopless, graph.simply_laced)
+    assert flags == flags_oracle(oracle)
+    assert graph.components == components_oracle(oracle)
+    assert graph.forest == forest_oracle(oracle)
+    assert graph.tree == tree_oracle(oracle)
+    assert graph.edge_count_doubled() == sum(
+        oracle[i][j] for i in range(ct.r) for j in range(ct.r) if i != j
+    )
