@@ -11,7 +11,8 @@ the identity fixtures and of the semidirect sweep specs,
 `graph --out json --components` of the same semidirect specs, of four
 groups whose restrictions to the kernel of rho have many classes, and of
 `dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
-and last `verify --suite all --out json`, hashed with every `seconds` set to
+and of `cyclic:2` with 5 * 10^18 trivial constituents, whose entries fit in
+int64 but whose trace does not, and last `verify --suite all --out json`, hashed with every `seconds` set to
 0 and the `observed` timing text of the `runtime[*]` records blanked, so that
 it hashes the records' ids, claims, inputs, expected and observed values and
 results in their order.  Run it once with PYTHONPATH on each of two source
@@ -50,6 +51,7 @@ def commands() -> list[list[str]]:
             ("product(binary:I,cyclic:4)", "irrep:4"),
             ("dihedral:64", "irrep:2"),
             ("dihedral:5", "charvec:100000000000000000000,0,1,0"),
+            ("cyclic:2", "charvec:0,5000000000000000000"),
         ]
     ]
     cmds.append(["verify", "--suite", "all", "--out", "json"])

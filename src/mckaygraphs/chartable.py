@@ -339,12 +339,13 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     N = sum_m mults_m N_m, where row i of N_m decomposes chi_i chi_m, the
     product of the modular rows.  Its degree d_i d_m <= |G| < p is inside the
     lift bound of `multiplicities` whatever dim rho is; the sum is exact.
-    Every entry and partial sum is at most d_i dim rho, so the sum is int64
-    unless max(d) dim rho reaches 2^63, and then Python integers.
+    Row i weighted by the degrees sums to d_i dim rho, so every entry, partial
+    sum, row sum, the trace and the total are at most sum(d) dim rho: the sum
+    is int64 unless that reaches 2^63, and then Python integers.
     """
     p, table = ct.prime, ct.modular
     deg = np.array(ct.degrees, dtype=np.int64)
-    dtype = np.int64 if max(ct.degrees) * rho.dim < 2**63 else object
+    dtype = np.int64 if sum(ct.degrees) * rho.dim < 2**63 else object
     total = np.zeros((ct.r, ct.r), dtype=dtype)
     for m, count in enumerate(rho.mults):
         if count:

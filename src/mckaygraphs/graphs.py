@@ -9,6 +9,7 @@ of G on the irreducibles of the kernel of rho.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,14 @@ class OrbitMismatch(Exception):
 
 @dataclass
 class McKayGraph:
+    """The multiplicity matrix is stored once, as the array `matrix`, which
+    numpy readers take; `adjacency` is the same matrix as nested tuples of
+    Python integers for the pure-Python graph routines, built on first read.
+    Equality skips `matrix`, which ct and rho determine."""
+
     ct: CharacterTable
     rho: Rho
-    adjacency: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray = field(repr=False, compare=False)
     dims: tuple[int, ...]
     trivial_vertex: int
     undirected: bool
@@ -45,7 +51,10 @@ class McKayGraph:
     simply_laced: bool
     components: list[list[int]]  # `weak_components` of the adjacency
     forest: bool
-    matrix: np.ndarray = field(repr=False, compare=False)  # the adjacency as an array
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @property
     def n_vertices(self) -> int:
@@ -76,7 +85,7 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     return McKayGraph(
         ct=ct,
         rho=rho,
-        adjacency=tuple(map(tuple, adj.tolist())),
+        matrix=adj,
         dims=tuple(ct.degrees),
         trivial_vertex=ct.trivial_index,
         undirected=flags[0],
@@ -84,7 +93,6 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
         simply_laced=flags[2],
         components=components,
         forest=forest_bit(adj, flags, components),
-        matrix=adj,
     )
 
 

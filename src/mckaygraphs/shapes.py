@@ -57,8 +57,8 @@ def classify_component(adj) -> ShapeLabel:
     n = len(adj)
     if n == 0:
         return OTHER
-    if not graph_flags(adj)[0]:
-        return OTHER
+    if list(zip(*adj)) != list(map(tuple, adj)):
+        return OTHER  # not symmetric
     loops = [v for v in range(n) if adj[v][v]]
     degs = _degrees(adj)
     # cycles (multigraph sense): every vertex of undirected degree 2

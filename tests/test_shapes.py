@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mckaygraphs.chartable import CharVector, Irrep, compute_character_table, resolve_rho
 from mckaygraphs.graphs import build_mckay_graph, graph_isomorphic
-from mckaygraphs.groups import BinaryPoly, Dihedral, ElemAb, Heisenberg, build_group
+from mckaygraphs.groups import BinaryPoly, Cyclic, Dihedral, ElemAb, Heisenberg, build_group
 from mckaygraphs.shapes import (
     bipartition,
     circuit_count,
@@ -420,6 +420,20 @@ def test_shape_facts_match_the_oracles(adj, form):
     assert weak_components(given_adj) == components_oracle(adj)
     assert is_forest(given_adj) == forest_oracle(adj)
     assert is_tree(given_adj) == tree_oracle(adj)
+    if not symmetric_oracle(adj):
+        assert classify_component(given_adj).kind == "other"
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        ((0, 2), (0, 1)),  # degrees of a doubled loop
+        ((0, 0, 0), (1, 0, 1), (1, 1, 0)),  # degrees of a 3-vertex path
+        ((0, 0, 1), (1, 0, 0), (1, 1, 1)),  # degrees of the 3-vertex odd tail
+    ],
+)
+def test_asymmetric_components_are_other(adj):
+    assert classify_component(adj).kind == "other"
 
 
 @pytest.mark.parametrize(
@@ -457,3 +471,26 @@ def test_huge_multiplicities_take_python_integers():
     assert graph.edge_count_doubled() == sum(
         oracle[i][j] for i in range(ct.r) for j in range(ct.r) if i != j
     )
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [(Cyclic(2), 5 * 10**18), (Dihedral(5), 3 * 10**18), (Cyclic(2), 2**62 - 1)],
+)
+def test_multiplicities_near_the_int64_gate(spec, count):
+    # count copies of the trivial character: the graph is count * I, every
+    # entry below 2^63, but the trace of the first two reaches 10^19
+    ct = compute_character_table(build_group(spec))
+    mults = [0] * ct.r
+    mults[ct.trivial_index] = count
+    rho = resolve_rho(ct, CharVector(tuple(mults)))
+    graph = build_mckay_graph(ct, rho)
+    oracle = [
+        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
+        for i in range(ct.r)
+    ]
+    assert [list(row) for row in graph.adjacency] == oracle
+    assert max(max(row) for row in oracle) < 2**63
+    assert graph.matrix.dtype == (object if sum(ct.degrees) * count >= 2**63 else np.int64)
+    assert int(np.trace(graph.matrix)) == ct.r * count
+    assert graph.edge_count_doubled() == 0
