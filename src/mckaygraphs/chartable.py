@@ -1,7 +1,9 @@
 """Exact character tables via the modular class-algebra method (Dixon, 1967).
 
 The table is computed over F_p for a prime p = 1 (mod exponent), p > 2|G|:
-the class-sum matrices are simultaneously diagonalized (`modp`), degrees are
+the class algebra is split into its common eigenvectors (`modp`) by the
+class matrix of an element of largest order and then by seeded random
+combinations of all the class matrices (Schneider, 1990), degrees are
 recovered from the orthogonality relation, and the whole modular table is
 lifted to exact cyclotomic integers at once.  The lift runs one discrete
 Fourier transform over F_p, for all rows, per class whose element generates
@@ -13,6 +15,7 @@ floating point is involved anywhere.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Union
@@ -21,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
-from .groups import _greedy_generators, _is_prime, _primitive_root
+from .groups import _is_prime, _primitive_root
 from .modp import mul_mod, simultaneous_split
 
 
@@ -82,6 +85,34 @@ def _class_matrix(g: FiniteGroup, cd: ConjugacyData, i: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r).T
 
 
+def _split_matrices(g: FiniteGroup, cd: ConjugacyData, p: int, rng: random.Random):
+    """The matrices that split the class algebra, built as they are drawn.
+
+    First the class matrix of an element of largest order, which alone
+    splits every cyclic group.  Then at most r random combinations
+    sum_i c_i C_i of all the class matrices (Schneider 1990); the
+    eigenvalues of one fail to separate two central characters with
+    probability 1/p.
+    Each combination is one int64 scatter-add of the class weights over
+    flat[x, k] = r class(x^-1 z_k) + k, made once for all of them.
+    """
+    r = cd.r
+    orders = [cd.element_orders[rep] for rep in cd.reps]
+    # its entries count class elements, so they are residues: 0 <= entry <= |G| < p
+    yield _class_matrix(g, cd, orders.index(max(orders)))
+    assert g.order * (p - 1) < 2**63, "a combination's entries overflow int64"
+    flat = cd.class_of[g.mul[g.inv[:, None], np.asarray(cd.reps)[None, :]]]
+    assert r * r <= np.iinfo(flat.dtype).max
+    flat *= r
+    flat += np.arange(r, dtype=flat.dtype)
+    for _ in range(r):
+        weights = np.array([rng.randrange(p) for _ in range(r)], dtype=np.int64)
+        mat = np.zeros(r * r, dtype=np.int64)
+        np.add.at(mat, flat, weights[cd.class_of][:, None])
+        mat %= p
+        yield mat.reshape(r, r)
+
+
 def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) -> CharacterTable:
     cd = cd or conjugacy(g)
     n = g.order
@@ -91,13 +122,10 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     h = np.array(cd.sizes, dtype=np.int64)
     invmap = cd.inverse_class
 
-    # class matrix entries count class elements, so they are residues already:
-    # 0 <= entry <= |G| < p.  The classes of a generating set go first: their
-    # eigenvalues determine every linear character, and often the whole split.
-    first = dict.fromkeys(cd.class_of[_greedy_generators(g)].tolist())
-    classes = [*first, *(i for i in range(1, r) if i not in first)]
-    matrices = (_class_matrix(g, cd, i) for i in classes)
-    vectors = np.array(simultaneous_split(matrices, p, r))
+    # seeded by p, so a group's table is computed the same way every time;
+    # by the stdlib generator, since importing numpy.random alone adds 5.6 MB
+    # of peak RSS
+    vectors = np.array(simultaneous_split(_split_matrices(g, cd, p, random.Random(p)), p, r))
     assert len(vectors) == r
     assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"
 

@@ -27,7 +27,10 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue matrices, with the int64 bound asserted.
 
     numpy's integer matmul has no BLAS; from n = 512 on it runs several times
-    faster on a row-major left and a column-major right operand."""
+    faster on a row-major left and a column-major right operand.  A float64
+    BLAS product would be exact at these sizes (n (p-1)^2 < 2^53), but was
+    measured slower on 2 cores: threaded OpenBLAS took about 16 ms per
+    128 x 128 product, against 0.2 ms on one thread."""
     check_bound(a.shape[-1], p)
     return np.ascontiguousarray(a) @ np.asfortranarray(b) % p
 
@@ -131,29 +134,57 @@ def _poly_roots(poly: np.ndarray, p: int) -> list[int]:
     return [int(x) for x in xs[acc == 0]]
 
 
-def _hessenberg_eigenvectors(h: np.ndarray, u: np.ndarray, roots: list[int], p: int) -> np.ndarray:
-    """Rows v with v @ a.T == lam v for each root lam, where a @ u == u @ h.
+def _block_eigenvectors(h: np.ndarray, roots: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x with h @ x == lam x for the roots lam, from one bottom-up sweep.
 
-    h must be unreduced (no zero subdiagonal entry), so each eigenvalue has a
-    one-dimensional eigenspace: x[n-1] = 1 and row i of (h - lam) x = 0 fixes
-    x[i-1], for all roots at once.  Row 0 is left over and must vanish.
+    A zero subdiagonal entry h[top, top - 1] splits h into unreduced diagonal
+    blocks, and rows top.. of h meet only columns top.., so the sweep finds
+    the eigenvectors of each trailing submatrix h[top:, top:] in turn.  On a
+    block, every root runs the homogeneous recurrence (x = 1 on the block's
+    last row, and row i of (h - lam) x = 0 fixes x[i - 1]), and every
+    eigenvector begun lower down is continued with 0 there.  At the block's
+    top row, a root whose recurrence leaves no residual starts a new
+    eigenvector, and every older one adds the multiple of its root's
+    recurrence that solves that row.  Returns the rows and, for each, the
+    index of its root.  Raises SplitIncomplete when h is not diagonalizable
+    over F_p.
     """
     n = h.shape[0]
     check_bound(n + 1, p)
     lam = np.array(roots, dtype=np.int64)
-    x = np.zeros((lam.size, n), dtype=np.int64)
-    x[:, n - 1] = 1
-    for i in range(n - 1, 0, -1):
-        s = (x[:, i:] @ h[i, i:] - lam * x[:, i]) % p
-        x[:, i - 1] = -s * _inv_mod(h[i, i - 1], p) % p
-    assert not np.any((x @ h[0] - lam * x[:, 0]) % p), "a root is not an eigenvalue"
-    return mul_mod(x, u.T, p)
+    x = np.zeros((0, n), dtype=np.int64)
+    which = np.zeros(0, dtype=np.int64)
+    end = n
+    for top in [*(np.flatnonzero(h.diagonal(-1) == 0)[::-1] + 1).tolist(), 0]:
+        begun = which.size
+        x = np.concatenate([x, np.zeros((lam.size, n), dtype=np.int64)])
+        x[begun:, end - 1] = 1
+        mu = np.concatenate([lam[which], lam])
+        for i in range(end - 1, top, -1):
+            s = (x[:, i:] @ h[i, i:] - mu * x[:, i]) % p
+            x[:, i - 1] = -s * _inv_mod(h[i, i - 1], p) % p
+        res = (x[:, top:] @ h[top, top:] - mu * x[:, top]) % p
+        older, own = res[:begun], res[begun:]
+        if np.any(older[own[which] == 0]):
+            # an eigenvalue of this block whose eigenvector from below cannot continue
+            raise SplitIncomplete("a repeated eigenvalue has a Jordan block")
+        inv = np.array([_inv_mod(v, p) if v else 0 for v in own.tolist()], dtype=np.int64)
+        fix = -older * inv[which] % p
+        x[:begun] = (x[:begun] + fix[:, None] * x[begun:][which]) % p
+        fresh = np.flatnonzero(own == 0)
+        x = np.concatenate([x[:begun], x[begun:][fresh]])
+        which = np.concatenate([which, fresh])
+        end = top
+    if which.size != n:
+        raise SplitIncomplete(f"{which.size} eigenvectors over F_{p} in dimension {n}")
+    return x, which
 
 
 def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: int):
     """Split an invariant row-space by the eigenvalues of mat; None if no split.
 
-    basis is the identity on the columns `pivots`, and so is every piece."""
+    basis is the identity on the columns `pivots`, and so is every piece.
+    The pieces come in ascending order of eigenvalue."""
     m = basis.shape[0]
     whole = m == mat.shape[0]  # the first subspace, whose basis is I
     # a[:, i] = coordinates of basis[i] @ mat.T, read on the pivot columns
@@ -163,17 +194,23 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
         return None  # scalar action cannot split
     h, u = _hessenberg(a, p)
     roots = _poly_roots(_hessenberg_charpoly(h, p), p)
-    if len(roots) == m and np.all(h.diagonal(-1)):
-        vecs = _hessenberg_eigenvectors(h, u, roots, p)
-        assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[:, None] * vecs % p)
-        vecs = _leading_one(vecs if whole else mul_mod(vecs, basis, p), p)
-        return [(v[None], [int(c)]) for v, c in zip(vecs, np.argmax(vecs != 0, axis=1))]
     pieces = []
+    if np.count_nonzero(h.diagonal(-1) == 0) < len(roots):
+        # no more unreduced blocks than eigenvalues: one sweep gives them all
+        x, which = _block_eigenvectors(h, roots, p)
+        vecs = mul_mod(x, u.T, p)
+        assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[which, None] * vecs % p)
+        vecs = _leading_one(vecs if whole else mul_mod(vecs, basis, p), p)
+        for i in range(len(roots)):
+            rows = vecs[which == i]
+            if rows.shape[0] == 1:
+                pieces.append((rows, [int(np.argmax(rows[0] != 0))]))
+            else:
+                pieces.append(_rref(rows, p))  # a repeated eigenvalue
+        return pieces
     total = 0
     for lam in roots:
         ker, free = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
-        if ker.shape[0] == 0:
-            continue
         # ker is the identity on its free columns and basis on pivots, so
         # their product is the identity on pivots[free]
         sub = ker if whole else mul_mod(ker, basis, p)
@@ -189,17 +226,22 @@ def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
     """Common 1-dimensional eigenvectors of a commuting diagonalizable family.
 
     `mats` may be any iterable of dim x dim int64 residue arrays mod p
-    (consumed lazily, so callers can stream matrices that are expensive to
-    build).  Returns `dim` vectors spanning F_p^dim, each normalized with
-    leading coefficient 1.  Raises SplitIncomplete when some joint subspace of
-    dimension > 1 is not split by any input matrix.
+    (consumed lazily, and only while some joint subspace has dimension > 1,
+    so callers can stream matrices that are expensive to build).  Returns
+    `dim` vectors spanning F_p^dim, each normalized with leading coefficient
+    1.  Raises SplitIncomplete when some joint subspace of dimension > 1 is
+    not split by any input matrix.
     """
     subspaces: list[tuple[np.ndarray, list[int]]] = [
         (np.eye(dim, dtype=np.int64), list(range(dim)))
     ]
-    for mat in mats:
-        if all(b.shape[0] == 1 for b, _ in subspaces):
-            break
+    mats = iter(mats)
+    while any(b.shape[0] > 1 for b, _ in subspaces):
+        mat = next(mats, None)
+        if mat is None:
+            raise SplitIncomplete(
+                "a joint subspace of dimension > 1 remains; choose another prime"
+            )
         assert mat.shape == (dim, dim)
         nxt: list[tuple[np.ndarray, list[int]]] = []
         for basis, pivots in subspaces:
@@ -212,9 +254,5 @@ def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
             else:
                 nxt.extend(pieces)
         subspaces = nxt
-    if any(b.shape[0] > 1 for b, _ in subspaces):
-        raise SplitIncomplete(
-            "a joint subspace of dimension > 1 remains; choose another prime"
-        )
     vectors = _leading_one(np.array([b[0] for b, _ in subspaces]), p)
     return sorted(vectors, key=lambda v: tuple(v))

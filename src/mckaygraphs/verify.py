@@ -279,17 +279,21 @@ def verify_orthogonality(ct: CharacterTable) -> bool:
 
 
 def center_criterion_holds(ctx: FixtureContext) -> bool:
-    """Z(G) = classes where |chi| = deg for every irreducible, exactly."""
-    ct, cd = ctx.ct, ctx.cd
+    """Z(G) = classes where |chi| = deg for every irreducible, exactly.
+
+    chi(k) is a sum of deg roots of unity whose orders divide the exponent e,
+    so |chi(k)| = deg exactly when chi(k) = deg zeta_e^s for some s: a lookup
+    of its coefficients among those of the e values deg zeta_e^s."""
+    ct, cd, e = ctx.ct, ctx.cd, ctx.ct.exponent
     central_classes = {int(cd.class_of[z]) for z in cd.center}
-    for k in range(ct.r):
-        flagged = all(
-            ct.values[i][k] * ct.values[i][cd.inverse_class[k]] == ct.degrees[i] ** 2
-            for i in range(ct.r)
-        )
-        if flagged != (k in central_classes):
-            return False
-    return True
+    roots = [CycInt.root(e, s) for s in range(e)]
+    at_degree = {d: {(z * d).coeffs for z in roots} for d in set(ct.degrees)}
+    flagged = {
+        k
+        for k in range(ct.r)
+        if all(row[k].embed(e).coeffs in at_degree[d] for row, d in zip(ct.values, ct.degrees))
+    }
+    return flagged == central_classes
 
 
 def _trace_power(a: np.ndarray, k: int) -> int:

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +36,6 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
-    _greedy_generators,
     _primitive_root,
     build_group,
     conjugacy,
@@ -70,16 +70,50 @@ def test_split_does_not_depend_on_class_order(monkeypatch, spec):
     cd = conjugacy(g)
     p = dixon_prime(g.order, cd.exponent)
     mats = [_class_matrix(g, cd, i) for i in range(cd.r)]
-    first = list(dict.fromkeys(cd.class_of[_greedy_generators(g)].tolist()))
-    led = first + [i for i in range(1, cd.r) if i not in first]
-    by_index = simultaneous_split(mats[1:], p, cd.r)
-    by_generators = simultaneous_split([mats[i] for i in led], p, cd.r)
-    assert np.array_equal(np.array(by_index), np.array(by_generators))
-    # the table streams the generating classes first
-    streamed = []
-    monkeypatch.setattr(chartable, "_class_matrix", lambda g, cd, i: streamed.append(i) or mats[i])
+    by_index = np.array(simultaneous_split(mats[1:], p, cd.r))
+    by_reverse = np.array(simultaneous_split(mats[:0:-1], p, cd.r))
+    assert np.array_equal(by_index, by_reverse)
+    # the table's own stream of random combinations splits the same way
+    split, got = chartable.simultaneous_split, []
+    monkeypatch.setattr(chartable, "simultaneous_split", lambda *a: got.append(split(*a)) or got[-1])
     compute_character_table(g, cd)
-    assert streamed == led[: len(streamed)] and len(streamed) >= len(first)
+    assert np.array_equal(np.array(got[0]), by_index)
+
+
+@pytest.mark.parametrize(
+    "spec", [Dihedral(12), Extraspecial2(2, "-"), Heisenberg(3, 1), ElemAb(2, 5)], ids=spec_text
+)
+def test_table_does_not_depend_on_the_seed(monkeypatch, spec):
+    g = build_group(spec)
+    cd = conjugacy(g)
+    p, r = dixon_prime(g.order, cd.exponent), cd.r
+    tables = [compute_character_table(g, cd)]
+    stream = chartable._split_matrices
+    monkeypatch.setattr(
+        chartable, "_split_matrices", lambda g, cd, p, rng: stream(g, cd, p, random.Random(12345))
+    )
+    tables.append(compute_character_table(g, cd))
+    assert tables[0].degrees == tables[1].degrees and tables[0].values == tables[1].values
+    assert np.array_equal(tables[0].modular, tables[1].modular)
+    # each combination is the exact sum of weighted class matrices, mod p
+    mats = [_class_matrix(g, cd, i) for i in range(r)]
+    drawn = stream(g, cd, p, random.Random(p))
+    next(drawn)
+    replay = random.Random(p)
+    for _ in range(3):
+        weights = [replay.randrange(p) for _ in range(r)]
+        assert np.array_equal(next(drawn), sum(c * m for c, m in zip(weights, mats)) % p)
+
+
+def test_cyclic_table_draws_one_matrix(monkeypatch):
+    """The class of a generator has r distinct eigenvalues, so the split
+    stops before it builds the index of the random combinations."""
+    split, drawn = chartable.simultaneous_split, []
+    monkeypatch.setattr(
+        chartable, "simultaneous_split", lambda mats, p, dim: split((drawn.append(m) or m for m in mats), p, dim)
+    )
+    g, cd, ct = table(Cyclic(64))
+    assert len(drawn) == 1 and ct.r == 64
 
 
 def test_trivial_group():

@@ -5,9 +5,9 @@ import mckaygraphs.modp as modp
 from mckaygraphs.groups import Dihedral, build_group, conjugacy
 from mckaygraphs.modp import (
     SplitIncomplete,
+    _block_eigenvectors,
     _hessenberg,
     _hessenberg_charpoly,
-    _hessenberg_eigenvectors,
     _poly_roots,
     _right_kernel,
     _rref,
@@ -143,73 +143,151 @@ def test_split_random_commuting_families():
                 assert np.all(w == (lam * v) % p)
 
 
-def counted_eigenvectors(monkeypatch):
+def counted(monkeypatch, name):
+    """Record the calls the split makes to the modp function `name`."""
     calls = []
+    fn = getattr(modp, name)
 
-    def counted(*args):
+    def wrapper(*args):
         calls.append(args)
-        return _hessenberg_eigenvectors(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(modp, "_hessenberg_eigenvectors", counted)
+    monkeypatch.setattr(modp, name, wrapper)
     return calls
+
+
+def blocks(h):
+    """Number of unreduced diagonal blocks of an upper Hessenberg h."""
+    return 1 + int(np.count_nonzero(h.diagonal(-1) == 0))
+
+
+def conjugated_diagonal(rng, eigs, p):
+    s, sinv = random_similarity(rng, len(eigs), p)
+    return s @ np.diag(eigs) % p @ sinv % p
+
+
+def check_pieces(pieces, a, roots, p):
+    """The pieces come in ascending eigenvalue order, each is the identity on
+    its pivots (all the split reads of it) and spans the kernel oracle's
+    eigenspace."""
+    assert len(pieces) == len(roots)
+    for (b, piv), ker in zip(pieces, kernel_eigenvectors(a, roots, p)):
+        assert np.array_equal(b[:, piv], np.eye(len(piv), dtype=np.int64))
+        assert np.array_equal(_rref(b, p)[0], _rref(ker, p)[0])
 
 
 def test_hessenberg_eigenvectors_match_kernels(monkeypatch):
     p = 10007
     rng = np.random.default_rng(29)
-    calls = counted_eigenvectors(monkeypatch)
+    sweeps = counted(monkeypatch, "_block_eigenvectors")
+    kernels = counted(monkeypatch, "_right_kernel")
     for n in (2, 3, 7, 16, 29, 40):
-        s, sinv = random_similarity(rng, n, p)
         eigs = rng.choice(p, n, replace=False)
-        a = s @ np.diag(eigs) % p @ sinv % p
+        a = conjugated_diagonal(rng, eigs, p)
         h, u = _hessenberg(a, p)
         assert np.array_equal(a @ u % p, u @ h % p)
-        assert not np.any(np.tril(h, -2)) and np.all(h.diagonal(-1))
+        assert not np.any(np.tril(h, -2)) and blocks(h) == 1
         roots = _poly_roots(_hessenberg_charpoly(h, p), p)
         assert roots == sorted(int(x) for x in eigs)
-        vecs = _hessenberg_eigenvectors(h, u, roots, p)
-        for v, ker in zip(vecs, kernel_eigenvectors(a, roots, p)):
-            assert ker.shape[0] == 1
-            assert np.array_equal(normalized(v, p), normalized(ker[0], p))
-        # the split takes the batched path and gives the same pieces
+        x, which = _block_eigenvectors(h, roots, p)
+        assert sorted(which.tolist()) == list(range(n))
+        vecs = x @ u.T % p
+        oracle = kernel_eigenvectors(a, roots, p)
+        for v, i in zip(vecs, which):
+            assert oracle[i].shape[0] == 1
+            assert np.array_equal(normalized(v, p), normalized(oracle[i][0], p))
+        # the split takes the sweep, in ascending order of eigenvalue
+        sweeps.clear()
+        kernels.clear()
         pieces = _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
-        assert len(calls) == 1
-        calls.clear()
-        got = sorted(tuple(b[0]) for b, _ in pieces)
-        want = sorted(tuple(normalized(k[0], p)) for k in kernel_eigenvectors(a, roots, p))
-        assert got == want
+        assert len(sweeps) == 1 and not kernels
+        assert [tuple(b[0]) for b, _ in pieces] == [tuple(normalized(k[0], p)) for k in oracle]
 
 
 @pytest.mark.parametrize("case", ["block-diagonal", "repeated"])
 def test_split_falls_back_to_kernels(monkeypatch, case):
+    """More unreduced Hessenberg blocks than eigenvalues: one kernel per root."""
     p = 101
     rng = np.random.default_rng(31)
     if case == "block-diagonal":
-        # distinct eigenvalues, but the Hessenberg form has a zero subdiagonal entry
-        blocks = []
-        for eigs in ([3, 5, 7], [11, 13]):
-            s, sinv = random_similarity(rng, len(eigs), p)
-            blocks.append(s @ np.diag(eigs) % p @ sinv % p)
         a = np.zeros((5, 5), dtype=np.int64)
-        a[:3, :3], a[3:, 3:] = blocks
-        dims = [1, 1, 1, 1, 1]
+        a[:2, :2] = conjugated_diagonal(rng, [3, 5], p)
+        a[2:4, 2:4] = conjugated_diagonal(rng, [5, 3], p)
+        a[4, 4] = 3
     else:
-        s, sinv = random_similarity(rng, 5, p)
-        a = s @ np.diag([4, 4, 9, 20, 33]) % p @ sinv % p
-        dims = [2, 1, 1, 1]
+        a = conjugated_diagonal(rng, [4, 9, 4, 9, 4], p)
     h, _ = _hessenberg(a, p)
-    assert case == "repeated" or not np.all(h.diagonal(-1))
-    calls = counted_eigenvectors(monkeypatch)
-    pieces = _split_subspace(np.eye(5, dtype=np.int64), list(range(5)), a, p)
-    assert not calls
-    assert [b.shape[0] for b, _ in pieces] == dims
     roots = _poly_roots(_hessenberg_charpoly(h, p), p)
-    # each piece spans its eigenspace and is the identity on its pivots,
-    # which is all the split reads of it
-    for (b, piv), ker in zip(pieces, kernel_eigenvectors(a, roots, p)):
-        assert np.array_equal(b[:, piv], np.eye(len(piv), dtype=np.int64))
-        assert np.array_equal(_rref(b, p)[0], _rref(ker, p)[0])
-    if case == "block-diagonal":
-        # the split's own output is normalized: leading coefficient 1
-        want = sorted(tuple(normalized(k[0], p)) for k in kernel_eigenvectors(a, roots, p))
-        assert [tuple(v) for v in simultaneous_split([a], p, 5)] == want
+    assert roots == [3, 5] if case == "block-diagonal" else roots == [4, 9]
+    assert blocks(h) > len(roots)
+    sweeps = counted(monkeypatch, "_block_eigenvectors")
+    kernels = counted(monkeypatch, "_right_kernel")
+    pieces = _split_subspace(np.eye(5, dtype=np.int64), list(range(5)), a, p)
+    assert not sweeps and len(kernels) == len(roots)
+    assert [b.shape[0] for b, _ in pieces] == [3, 2]
+    check_pieces(pieces, a, roots, p)
+
+
+@pytest.mark.parametrize("case", ["nested", "coupled"])
+def test_sweep_matches_kernels_on_derogatory_matrices(monkeypatch, case):
+    """Repeated eigenvalues force several unreduced blocks.  A similar copy of
+    a diagonal matrix gives nested blocks, each holding the eigenvalues of
+    the blocks below it, so every eigenvector begun lower down continues
+    through the higher blocks as it is.  A block triangular matrix whose
+    lower eigenvalues are not upper ones gives a top block without them,
+    which every eigenvector begun below must solve with a multiple of its
+    root's recurrence there."""
+    p = 10007
+    rng = np.random.default_rng(3)
+    if case == "nested":
+        eigs = [1, 2, 3, 4, 5, 6, 1, 2, 3, 1, 2, 1, *rng.choice(np.arange(7, p), 8, replace=False)]
+        a = conjugated_diagonal(rng, rng.permutation(eigs), p)
+    else:
+        eigs = [3, 5, 7, 11, 13, 11, 17, 11, 13]
+        a = np.zeros((9, 9), dtype=np.int64)
+        a[:3, :3] = conjugated_diagonal(rng, eigs[:3], p)
+        a[3:, 3:] = conjugated_diagonal(rng, eigs[3:], p)
+        a[:3, 3:] = rng.integers(0, p, (3, 6))
+    h, _ = _hessenberg(a, p)
+    roots = _poly_roots(_hessenberg_charpoly(h, p), p)
+    assert roots == sorted(set(int(x) for x in eigs))
+    assert 4 <= blocks(h) <= len(roots)
+    sweeps = counted(monkeypatch, "_block_eigenvectors")
+    kernels = counted(monkeypatch, "_right_kernel")
+    n = len(eigs)
+    pieces = _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
+    assert len(sweeps) == 1 and not kernels
+    assert [b.shape[0] for b, _ in pieces] == [eigs.count(x) for x in roots]
+    check_pieces(pieces, a, roots, p)
+    # a subspace that is not the whole space gives the same eigenspaces
+    big = np.zeros((n + 3, n + 3), dtype=np.int64)
+    big[:n, :n] = a
+    big[n:, n:] = np.diag([7, 8, 9])
+    pad = np.concatenate([np.eye(n, dtype=np.int64), np.zeros((n, 3), dtype=np.int64)], axis=1)
+    sub = _split_subspace(pad, list(range(n)), big, p)
+    assert [tuple(map(tuple, b[:, :n])) for b, _ in sub] == [tuple(map(tuple, b)) for b, _ in pieces]
+
+
+@pytest.mark.parametrize("case", ["within-a-block", "across-blocks"])
+def test_sweep_raises_on_a_jordan_block(monkeypatch, case):
+    p = 101
+    if case == "within-a-block":
+        # (x - 4)^2 (x - 9) (x - 20) is the minimal polynomial: one block
+        jordan = np.diag([4, 4, 9, 20])
+        jordan[0, 1] = 1
+        s, sinv = random_similarity(np.random.default_rng(37), 4, p)
+        a = s @ jordan % p @ sinv % p
+    else:
+        # the eigenvector of 4 in the lower block cannot continue through
+        # the top block, whose eigenvalue is also 4
+        a = np.array([[4, 1, 1], [0, 4, 0], [0, 1, 9]], dtype=np.int64)
+    h, _ = _hessenberg(a, p)
+    roots = _poly_roots(_hessenberg_charpoly(h, p), p)
+    assert blocks(h) == (1 if case == "within-a-block" else 2) <= len(roots)
+    with pytest.raises(SplitIncomplete):
+        _block_eigenvectors(h, roots, p)
+    sweeps = counted(monkeypatch, "_block_eigenvectors")
+    n = a.shape[0]
+    with pytest.raises(SplitIncomplete):
+        _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
+    assert len(sweeps) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,11 @@ from mckaygraphs.groups import (
     Cyclic,
     Dihedral,
     Extraspecial2,
+    Heisenberg,
+    Product,
     build_group,
     conjugacy,
+    spec_text,
     tables_isomorphic,
 )
 from mckaygraphs.shapes import is_forest
@@ -29,6 +33,7 @@ from mckaygraphs.verify import (
     PreconditionViolated,
     _case_identities,
     _case_product_copies,
+    center_criterion_holds,
     fixture,
     tautological_graph,
     verify_bipartite_criterion,
@@ -42,6 +47,41 @@ from mckaygraphs.verify import (
     verify_trace_identity,
     verify_tree_theorem,
 )
+
+
+def product_center_classes(ct, cd):
+    """The oracle: classes k with chi(k) chi(k^-1) = deg^2 for every
+    irreducible, by exact cyclotomic products."""
+    return {
+        k
+        for k in range(ct.r)
+        if all(
+            ct.values[i][k] * ct.values[i][cd.inverse_class[k]] == ct.degrees[i] ** 2
+            for i in range(ct.r)
+        )
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Dihedral(9), BinaryPoly("O"), Heisenberg(3, 1), Extraspecial2(2, "-"), Cyclic(12),
+     Product(BinaryPoly("I"), Cyclic(4))],
+    ids=spec_text,
+)
+def test_center_criterion_matches_the_product_oracle(spec):
+    ctx = fixture(spec)
+    cd = ctx.cd
+    flagged = product_center_classes(ctx.ct, cd)
+    assert flagged == {int(cd.class_of[z]) for z in cd.center}
+    # claimed centers with one class too many or too few must be refused
+    others = [k for k in range(cd.r) if k not in flagged]
+    claims = [list(cd.center), [z for z in cd.center if z != cd.reps[0]]]
+    if others:
+        claims.append(list(cd.center) + cd.classes[others[-1]].tolist())
+    for claim in claims:
+        classes = {int(cd.class_of[z]) for z in claim}
+        ok = center_criterion_holds(replace(ctx, cd=replace(cd, center=claim)))
+        assert ok == (classes == flagged)
 
 
 def test_trace_identity_values():
