@@ -232,6 +232,9 @@ def chartab_document(spec: GroupSpec) -> dict:
     group = build_group(spec)
     cd = conjugacy(group)
     ct = compute_character_table(group, cd)
+    # the lift shares one CycInt per distinct value, so one cell each will do
+    distinct = {id(v): v for row in ct.values for v in row}
+    cells = {key: {"order": v.order, "coeffs": list(v.coeffs)} for key, v in distinct.items()}
     return {
         "group": spec_text(spec),
         "order": group.order,
@@ -251,9 +254,7 @@ def chartab_document(spec: GroupSpec) -> dict:
             {
                 "index": i,
                 "degree": ct.degrees[i],
-                "values": [
-                    {"order": v.order, "coeffs": list(v.coeffs)} for v in ct.values[i]
-                ],
+                "values": [cells[id(v)] for v in ct.values[i]],
             }
             for i in range(ct.r)
         ],

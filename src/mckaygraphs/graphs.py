@@ -172,7 +172,8 @@ def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> list[
     reps = np.asarray(sub.elements)[cd_n.reps]
     xs = np.arange(g.order)
     conj = g.mul[g.mul[xs[:, None], reps[None, :]], g.inv[xs][:, None]]
-    perms = np.unique(cd_n.class_of[local[conj]], axis=0)
+    # the index form: a plain np.unique imports numpy.ma
+    perms, _ = np.unique(cd_n.class_of[local[conj]], axis=0, return_index=True)
     key_index = {row.tobytes(): i for i, row in enumerate(ct_n.modular)}
     moves = [[key_index[row.tobytes()] for row in ct_n.modular[:, perm]] for perm in perms]
     return sorted({tuple(sorted(set(images))) for images in zip(*moves)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Optional, Union
@@ -200,12 +201,18 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = int(self.mul[y, x])
-            k += 1
-        return k
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, from one sweep y <- y x over all x at once."""
+        orders = np.empty(self.order, dtype=np.int64)
+        x = np.arange(self.order)
+        y, k = x, 1
+        while x.size:
+            done = y == 0
+            orders[x[done]] = k
+            x, y = x[~done], y[~done]
+            y, k = self.mul[y, x], k + 1
+        return orders
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -584,17 +591,11 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        conj = mul[mul[:, x], inv]
-        orbit = np.unique(conj)
-        class_of[orbit] = len(classes)
-        classes.append(orbit)
+        # the orbit, sorted, from a mask: a plain np.unique imports numpy.ma
+        class_of[mul[mul[:, x], inv]] = len(classes)
+        classes.append(np.flatnonzero(class_of == len(classes)))
     reps = [int(cl[0]) for cl in classes]
-    orders = [0] * n
-    for x in range(n):
-        orders[x] = g.element_order(x)
-    exponent = 1
-    for o in set(orders):
-        exponent = lcm(exponent, o)
+    orders = g.element_orders.tolist()
     center = sorted(int(cl[0]) for cl in classes if len(cl) == 1)
     return ConjugacyData(
         group=g,
@@ -604,7 +605,7 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
         reps=reps,
         inverse_class=[int(class_of[inv[rep]]) for rep in reps],
         element_orders=orders,
-        exponent=exponent,
+        exponent=lcm(*set(orders)),
         center=center,
     )
 
@@ -671,9 +672,10 @@ def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
         raise NotNormal(f"subgroup of order {sub.order} is not normal")
     narr = np.array(sub.elements)
     rep_of = np.min(g.mul[narr, :], axis=0)
-    reps = np.unique(rep_of)
-    coset_index = {int(rep): i for i, rep in enumerate(reps)}
-    coset_of = np.array([coset_index[int(rep_of[x])] for x in range(g.order)], dtype=np.int32)
+    is_rep = np.zeros(g.order, dtype=bool)
+    is_rep[rep_of] = True
+    reps = np.flatnonzero(is_rep)
+    coset_of = np.searchsorted(reps, rep_of).astype(np.int32)
     qmul = coset_of[g.mul[np.ix_(reps, reps)]]
     grp = FiniteGroup(
         order=len(reps),
@@ -691,8 +693,9 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
     mul, inv = g.mul, g.inv
     xy = mul
     yx = mul.T
-    comm = mul[xy, inv[yx]]
-    return subgroup_from_elements(g, np.unique(comm))
+    inside = np.zeros(g.order, dtype=bool)
+    inside[mul[xy, inv[yx]]] = True
+    return subgroup_from_elements(g, np.flatnonzero(inside))
 
 
 def normal_subgroups(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[Subgroup]:
@@ -748,10 +751,9 @@ def central_product(a: FiniteGroup, b: FiniteGroup, carrier: str) -> FiniteGroup
 
     def central_involution(grp: FiniteGroup) -> int:
         cands = [
-            x
-            for x in range(1, grp.order)
-            if grp.element_order(x) == 2
-            and np.array_equal(grp.mul[:, x], grp.mul[x, :])
+            int(x)
+            for x in np.flatnonzero(grp.element_orders == 2)
+            if np.array_equal(grp.mul[:, x], grp.mul[x, :])
         ]
         assert len(cands) == 1, "factor must have center of order 2"
         return cands[0]
@@ -841,7 +843,7 @@ def _abelian_homs(a: FiniteGroup, m: int) -> list[np.ndarray]:
     gens = _greedy_generators(a)
     cand = []
     for x in gens:
-        o = a.element_order(x)
+        o = int(a.element_orders[x])
         cand.append([v for v in range(m) if (v * o) % m == 0])
     homs = []
     for choice in iproduct(*cand):
@@ -859,9 +861,10 @@ def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> 
         q, coset_of = quotient_group(g, sub)
         if q.order != m:
             raise InvalidAction(f"quotient has order {q.order}, expected {m}")
-        gen = next((x for x in range(q.order) if q.element_order(x) == m), None)
-        if gen is None:
+        gens = np.flatnonzero(q.element_orders == m)
+        if not gens.size:
             raise InvalidAction("quotient is not cyclic")
+        gen = int(gens[0])
         val = np.zeros(q.order, dtype=np.int64)
         x = gen
         k = 1
@@ -937,7 +940,7 @@ def _group_embedding(q: FiniteGroup, targets: list, mul_t, order_t, ident_t) -> 
     gens = _greedy_generators(q)
     cands = []
     for x in gens:
-        o = q.element_order(x)
+        o = int(q.element_orders[x])
         cands.append([t for t in targets if order_t(t) == o])
     for choice in iproduct(*cands):
         vals = _extend_hom(q, gens, choice, mul_t, ident_t)
@@ -951,6 +954,13 @@ def derive_elemab_action(
 ) -> list[np.ndarray]:
     """Action of G on F_p^n via a quotient embedded in GL_n(F_p), transitive on
     the nonzero vectors."""
+    # orbit-stabilizer: a transitive quotient has order divisible by the orbit
+    quotient = g.order // (1 if sub is None else sub.order)
+    if quotient % (p**n - 1):
+        raise InvalidAction(
+            f"{g.carrier} cannot act transitively on the {p**n - 1} nonzero vectors"
+            f" of F_{p}^{n}: {p**n - 1} does not divide {quotient}"
+        )
     kernel = _build_elemab(p, n)
     vecs: list[tuple[int, ...]] = kernel.payload  # lexicographic tuples
     vec_index = {v: i for i, v in enumerate(vecs)}
@@ -1115,15 +1125,11 @@ def _dispatch(spec: GroupSpec, cap: int) -> FiniteGroup:
 def tables_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     if a.order != b.order:
         return False
-    orders_a = sorted(a.element_order(x) for x in range(a.order))
-    orders_b = sorted(b.element_order(x) for x in range(b.order))
-    if orders_a != orders_b:
+    orders_a, orders_b = a.element_orders, b.element_orders
+    if not np.array_equal(np.sort(orders_a), np.sort(orders_b)):
         return False
     gens = _greedy_generators(a)
-    by_order: dict[int, list[int]] = {}
-    for y in range(b.order):
-        by_order.setdefault(b.element_order(y), []).append(y)
-    cands = [by_order[a.element_order(x)] for x in gens]
+    cands = [np.flatnonzero(orders_b == orders_a[x]).tolist() for x in gens]
     for choice in iproduct(*cands):
         vals = _extend_hom(a, gens, choice, lambda u, v: int(b.mul[u, v]), 0)
         if vals is not None and len(set(vals)) == a.order:

@@ -66,7 +66,9 @@ def _right_kernel(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     a, on which the rows are the identity."""
     cols = a.shape[1]
     red, pivots = _rref(a, p)
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False  # np.setdiff1d would import numpy.ma
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red[:, free].T % p

@@ -165,3 +165,80 @@ def test_usage_errors_exit_2_with_one_line(argv, cap, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "semidirect(cyclic:3,elemab:2:4)",
+        "semidirect(cyclic:7,elemab:2:6)",
+        "semidirect(elemab:2:5,elemab:2:2)",
+    ],
+)
+def test_intransitive_elemab_actions_exit_2_before_any_search(spec, monkeypatch, capsys):
+    # p^n - 1 must divide |G| for G to be transitive on the nonzero vectors
+    from mckaygraphs import groups
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("searched although the orders rule out the action")
+
+    monkeypatch.setattr(groups, "_gl_elements", unreachable)
+    monkeypatch.setattr(groups, "normal_subgroups", unreachable)
+    assert main(["chartab", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "does not divide" in err
+
+
+def per_entry_document(spec):
+    """chartab_document with one fresh cell per table entry."""
+    from mckaygraphs.chartable import compute_character_table
+    from mckaygraphs.groups import build_group
+
+    doc = chartab_document(parse_group_spec(spec))
+    ct = compute_character_table(build_group(parse_group_spec(spec)))
+    for row, values in zip(doc["irreducibles"], ct.values):
+        row["values"] = [{"order": v.order, "coeffs": list(v.coeffs)} for v in values]
+    return doc
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "binary:I", "extraspecial:-:2"])
+def test_shared_cells_dump_like_one_cell_per_entry(spec):
+    doc = chartab_document(parse_group_spec(spec))
+    assert json.dumps(doc, indent=2) == json.dumps(per_entry_document(spec), indent=2)
+
+
+# Every set operation of a graph or chartab command, as a subprocess: kernel
+# orbits and _right_kernel (extraspecial:+:3), the commutator subgroup and
+# quotients (the semidirect product by C_3 and the extraspecial build), and
+# the push-down quotient of the principal-component check.
+NO_MASKED_ARRAYS = """
+import sys
+from mckaygraphs import cli
+from mckaygraphs.chartable import compute_character_table, resolve_rho, Irrep
+from mckaygraphs.graphs import (
+    build_mckay_graph, decompose_components, principal_component_isomorphism_check)
+from mckaygraphs.groups import build_group
+
+for argv in (
+    ["graph", "extraspecial:+:3", "--rho", "faithful-selfdual-min", "--components"],
+    ["graph", "semidirect(dihedral:3,cyclic:3)", "--rho", "irrep:1", "--components"],
+    ["chartab", "semidirect(cyclic:4,cyclic:5)"],
+):
+    assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
+ct = compute_character_table(build_group(cli.parse_group_spec("dihedral:6")))
+graph = build_mckay_graph(ct, resolve_rho(ct, Irrep(1)))
+assert principal_component_isomorphism_check(decompose_components(graph, ct), ct)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # a plain np.unique or np.setdiff1d imports numpy.ma, about 10 ms a process
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -202,6 +202,71 @@ def test_power_maps_and_exponent():
             assert pcs[1] == k
 
 
+def element_order_oracle(g, x):
+    """The order of x by multiplying by x until the identity comes back."""
+    k, y = 1, x
+    while y != 0:
+        y = int(g.mul[y, x])
+        k += 1
+    return k
+
+
+def conjugacy_oracle(g):
+    """Classes by sorting each orbit with np.unique, in order of first element."""
+    class_of = np.full(g.order, -1, dtype=np.int32)
+    classes = []
+    for x in range(g.order):
+        if class_of[x] < 0:
+            orbit = np.unique(g.mul[g.mul[:, x], g.inv])
+            class_of[orbit] = len(classes)
+            classes.append(orbit)
+    return classes, class_of, [int(cl[0]) for cl in classes], [len(cl) for cl in classes]
+
+
+def coset_oracle(g, sub):
+    """Coset index of each element: cosets numbered by their least element."""
+    rep_of = np.min(g.mul[np.array(sub.elements), :], axis=0)
+    index = {int(rep): i for i, rep in enumerate(np.unique(rep_of))}
+    return np.array([index[int(rep_of[x])] for x in range(g.order)])
+
+
+DIFFERENTIAL_SPECS = [
+    Cyclic(1024),
+    Product(BinaryPoly("I"), Cyclic(8)),
+    Dihedral(30),
+    BinaryDihedral(12),
+    BinaryPoly("O"),
+    Extraspecial2(3, "-"),
+    Heisenberg(3, 2),
+    ElemAb(3, 4),
+    Semidirect(BinaryPoly("O"), Cyclic(3)),
+    Semidirect(Cyclic(3), ElemAb(2, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=spec_text)
+def test_orders_classes_and_cosets_match_the_oracles(spec):
+    g = _group(spec)
+    assert g.element_orders.tolist() == [element_order_oracle(g, x) for x in range(g.order)]
+    cd = conjugacy(g)
+    classes, class_of, reps, sizes = conjugacy_oracle(g)
+    assert len(cd.classes) == len(classes)
+    assert all(np.array_equal(a, b) for a, b in zip(cd.classes, classes))
+    assert np.array_equal(cd.class_of, class_of)
+    assert (cd.reps, cd.sizes) == (reps, sizes)
+    assert cd.element_orders == g.element_orders.tolist()
+    # the center, the commutator subgroup and the normal closure of a class
+    normals = [
+        subgroup_from_elements(g, cd.center),
+        commutator_subgroup(g),
+        subgroup_from_elements(g, cd.classes[-1]),
+    ]
+    for sub in normals:
+        quo, coset_of = quotient_group(g, sub)
+        assert np.array_equal(coset_of, coset_oracle(g, sub))
+        assert quo.order * sub.order == g.order
+
+
 def test_subgroups_of_q8():
     q8 = build_group(BinaryDihedral(2))
     cd = conjugacy(q8)
@@ -209,7 +274,7 @@ def test_subgroups_of_q8():
     assert triv.order == 1 and triv.normal
     z = subgroup_from_elements(q8, cd.center)
     assert z.order == 2 and z.normal
-    i_elem = next(x for x in range(8) if q8.element_order(x) == 4)
+    i_elem = int(np.flatnonzero(q8.element_orders == 4)[0])
     gen = subgroup_from_elements(q8, [i_elem])
     assert gen.order == 4
     # <i> equals the centralizer of i
@@ -264,7 +329,7 @@ def test_quotients():
         assert tables_isomorphic(quo, build_group(Dihedral(n)))
     # non-normal subgroup is rejected
     s3 = build_group(Dihedral(3))
-    refl = next(x for x in range(6) if s3.element_order(x) == 2)
+    refl = int(np.flatnonzero(s3.element_orders == 2)[0])
     sub = subgroup_from_elements(s3, [refl])
     assert not sub.normal
     with pytest.raises(NotNormal):
@@ -295,12 +360,12 @@ def test_extraspecial_invariants():
             z = subgroup_from_elements(g, cd.center)
             quo, _ = quotient_group(g, z)
             assert quo.is_abelian() and quo.order == 4**n
-            assert all(quo.element_order(x) <= 2 for x in range(quo.order))
+            assert np.all(quo.element_orders <= 2)
     # the two variants are non-isomorphic: different order-4 element counts
     for n in (1, 2, 3):
         plus = build_group(Extraspecial2(n, "+"))
         minus = build_group(Extraspecial2(n, "-"))
-        count4 = lambda g: sum(1 for x in range(g.order) if g.element_order(x) == 4)
+        count4 = lambda g: int(np.sum(g.element_orders == 4))
         assert count4(plus) != count4(minus)
 
 
