@@ -9,7 +9,8 @@ place of the digest when the command fails and writes nothing.  The set is
 the `export_fixture_graphs.py` fixtures as DOT with components, `chartab` of
 the identity fixtures and of the semidirect sweep specs, `chartab` of
 `semidirect(cyclic:3,elemab:2:4)`, which exits 2 (C_3 cannot be transitive on
-the 15 nonzero vectors of F_2^4),
+the 15 nonzero vectors of F_2^4), `chartab` of `semidirect(cyclic:15,elemab:2:4)`,
+whose action embeds C_15 in GL_4(F_2),
 `graph --out json --components` of the same semidirect specs, of four
 groups whose restrictions to the kernel of rho have many classes, and of
 `dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
@@ -45,6 +46,7 @@ def commands() -> list[list[str]]:
     cmds += [["chartab", spec_text(s)] for s in IDENTITY_FIXTURES]
     cmds += [["chartab", s] for s in semidirect]
     cmds.append(["chartab", "semidirect(cyclic:3,elemab:2:4)"])
+    cmds.append(["chartab", "semidirect(cyclic:15,elemab:2:4)"])
     cmds += [["graph", s, "--out", "json", "--components"] for s in semidirect]
     cmds += [
         ["graph", spec, "--rho", rho, "--out", "json", "--components"]

@@ -101,18 +101,9 @@ class Product:
 
 
 @dataclass(frozen=True)
-class ExplicitAction:
-    """images[i][j] = kernel element index of the image of kernel generator j
-    under conjugation by group generator i."""
-
-    images: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Semidirect:
     group: "GroupSpec"
     kernel: "GroupSpec"
-    action: Optional[ExplicitAction] = None  # None: derive a canonical action
 
 
 GroupSpec = Union[
@@ -186,8 +177,6 @@ class FiniteGroup:
     carrier: str
     element_names: list[str]
     identity: int = 0
-    generators: list[int] = field(default_factory=list)
-    gen_words: Optional[list[tuple[int, ...]]] = None  # per element, word in generators
     payload: object = None  # carrier-specific element data
 
     def power(self, x: int, k: int) -> int:
@@ -300,8 +289,6 @@ def _close_and_build(gens, carrier: str, cap: int, mulfun, namer=None) -> Finite
         inv=_inverses_from_table(mul),
         carrier=carrier,
         element_names=names,
-        generators=[index[g] for g in gens],
-        gen_words=words,
         payload=elems,
     )
 
@@ -320,8 +307,6 @@ def _build_cyclic(n: int) -> FiniteGroup:
         inv=((-idx) % n).astype(np.int32),
         carrier=f"cyclic:{n}",
         element_names=names,
-        generators=[1] if n > 1 else [],
-        gen_words=[(0,) * k for k in range(n)] if n > 1 else [()],
         payload=list(range(n)),
     )
 
@@ -376,6 +361,14 @@ def _quat(a: int, b: int, c: int, d: int, den: int = 1):
     )
 
 
+def _mat_mul_mod(a, b, p: int):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
 def _build_binary(kind: str) -> FiniteGroup:
     if kind == "T":
         gens = [_quat(0, 1, 0, 0), _quat(0, 0, 1, 0), _quat(-1, 1, 1, 1, den=2)]
@@ -403,37 +396,35 @@ def _build_binary(kind: str) -> FiniteGroup:
     return g
 
 
+def _digits(p: int, n: int) -> np.ndarray:
+    """The p^n vectors of F_p^n in lexicographic order, one row each."""
+    return np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+
+
 def _build_elemab(p: int, n: int) -> FiniteGroup:
-    elems = list(iproduct(range(p), repeat=n))
-    index = {v: i for i, v in enumerate(elems)}
+    digits = _digits(p, n)
+    elems = [tuple(v) for v in digits.tolist()]
     size = p**n
-    digits = np.array(elems, dtype=np.int64).reshape(size, n)
     weights = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     summed = (digits[:, None, :] + digits[None, :, :]) % p
     mul = (summed @ weights).astype(np.int32)
     invs = ((-digits) % p @ weights).astype(np.int32)
-    gens = [index[tuple(1 if j == i else 0 for j in range(n))] for i in range(n)]
-    words = [
-        tuple(i for i in range(n) for _ in range(v[i])) for v in elems
-    ]
     return FiniteGroup(
         order=size,
         mul=mul,
         inv=invs,
         carrier=f"elemab:{p}:{n}",
         element_names=[str(v) for v in elems],
-        generators=gens,
-        gen_words=words,
         payload=elems,
     )
 
 
 def _build_heisenberg(p: int, n: int) -> FiniteGroup:
-    vecs = list(iproduct(range(p), repeat=n))
+    digits = _digits(p, n)
+    vecs = [tuple(v) for v in digits.tolist()]
     elems = [(a, b, c) for a in vecs for b in vecs for c in range(p)]
     # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1.b2), digits mod p
     q, size = len(vecs), len(elems)
-    digits = np.array(vecs, dtype=np.int64).reshape(q, n)
     vadd = (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(n - 1, -1, -1)
     dot = digits @ digits.T % p
     i = np.arange(size)
@@ -448,8 +439,6 @@ def _build_heisenberg(p: int, n: int) -> FiniteGroup:
         inv=_inverses_from_table(mul),
         carrier=f"heis:{p}:{n}",
         element_names=[f"{a}|{b}|{c}" for a, b, c in elems],
-        generators=[],
-        gen_words=None,
         payload=elems,
     )
 
@@ -464,15 +453,12 @@ def build_product(a: FiniteGroup, b: FiniteGroup, carrier: Optional[str] = None)
     names = [
         f"({x},{y})" for x in a.element_names for y in b.element_names
     ]
-    gens = [g * nb for g in a.generators] + [int(g) for g in b.generators]
     return FiniteGroup(
         order=n,
         mul=mul,
         inv=inv,
         carrier=carrier or f"product({a.carrier},{b.carrier})",
         element_names=names,
-        generators=gens,
-        gen_words=None,
     )
 
 
@@ -481,29 +467,26 @@ def build_semidirect(
     k: FiniteGroup,
     action: list[np.ndarray],
     carrier: Optional[str] = None,
-    check: bool = True,
 ) -> FiniteGroup:
     """G acting on an abelian kernel K; action[x] is the permutation of K
-    induced by conjugation with the element x of G."""
+    induced by conjugation with the element x of G.  A homomorphism into the
+    bijections of K sends the identity to the identity, so that needs no check."""
     ng, nk = g.order, k.order
-    if check:
-        if len(action) != ng:
-            raise InvalidAction("need one kernel automorphism per acting element")
-        if not k.is_abelian():
-            raise InvalidAction("kernel must be abelian")
-        kj = np.arange(nk)
-        for x in range(ng):
-            perm = np.asarray(action[x])
-            if not np.array_equal(np.sort(perm), kj):
-                raise InvalidAction("action image is not a bijection")
-            if not np.array_equal(perm[k.mul], k.mul[perm[:, None], perm[None, :]]):
-                raise InvalidAction("action image is not an automorphism")
-        for x in range(ng):
-            for y in range(ng):
-                if not np.array_equal(action[g.mul[x, y]], action[x][action[y]]):
-                    raise InvalidAction("action is not a homomorphism")
-        if not np.array_equal(action[0], kj):
-            raise InvalidAction("identity must act trivially")
+    if len(action) != ng:
+        raise InvalidAction("need one kernel automorphism per acting element")
+    if not k.is_abelian():
+        raise InvalidAction("kernel must be abelian")
+    kj = np.arange(nk)
+    for x in range(ng):
+        perm = np.asarray(action[x])
+        if not np.array_equal(np.sort(perm), kj):
+            raise InvalidAction("action image is not a bijection")
+        if not np.array_equal(perm[k.mul], k.mul[perm[:, None], perm[None, :]]):
+            raise InvalidAction("action image is not an automorphism")
+    for x in range(ng):
+        for y in range(ng):
+            if not np.array_equal(action[g.mul[x, y]], action[x][action[y]]):
+                raise InvalidAction("action is not a homomorphism")
 
     n = ng * nk
     mul = np.empty((n, n), dtype=np.int32)
@@ -514,16 +497,13 @@ def build_semidirect(
         for a in range(ng):
             mul[a * nk : (a + 1) * nk, cols] = gcol[a] + twist
     names = [f"({x};{y})" for x in g.element_names for y in k.element_names]
-    grp = FiniteGroup(
+    return FiniteGroup(
         order=n,
         mul=mul,
         inv=_inverses_from_table(mul),
         carrier=carrier or f"semidirect({g.carrier},{k.carrier})",
         element_names=names,
-        generators=[x * nk for x in g.generators] + [int(y) for y in k.generators],
-        gen_words=None,
     )
-    return grp
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +523,6 @@ class ConjugacyData:
     center: list[int]
     _centralizers: dict = field(default_factory=dict, repr=False)
     _power_classes: dict = field(default_factory=dict, repr=False)
-    _power_maps: dict = field(default_factory=dict, repr=False)
 
     @property
     def r(self) -> int:
@@ -571,15 +550,6 @@ class ConjugacyData:
                 x = int(g.mul[x, rep])
             cached = out
             self._power_classes[class_index] = cached
-        return cached
-
-    def power_map(self, t: int) -> list[int]:
-        t %= self.exponent
-        cached = self._power_maps.get(t)
-        if cached is None:
-            g = self.group
-            cached = [int(self.class_of[g.power(rep, t)]) for rep in self.reps]
-            self._power_maps[t] = cached
         return cached
 
 
@@ -660,8 +630,6 @@ def subgroup_on(g: FiniteGroup, arr: np.ndarray) -> Subgroup:
         inv=_inverses_from_table(sub_mul),
         carrier=f"{g.carrier}|sub{len(arr)}",
         element_names=[g.element_names[i] for i in sorted_elems],
-        generators=[],
-        gen_words=None,
     )
     return Subgroup(parent=g, elements=sorted_elems, normal=normal, group=induced)
 
@@ -683,8 +651,6 @@ def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
         inv=_inverses_from_table(qmul),
         carrier=f"{g.carrier}/N{sub.order}",
         element_names=[f"[{g.element_names[int(r)]}]" for r in reps],
-        generators=[],
-        gen_words=None,
     )
     return grp, coset_of
 
@@ -699,47 +665,29 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def normal_subgroups(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[Subgroup]:
-    """All normal subgroups, found as class unions closed under multiplication."""
-    r = cd.r
-    sizes = cd.sizes
-    results = []
-    order = g.order
-    inside = np.zeros(order, dtype=bool)
-
-    def closed(mask_classes: tuple[int, ...]) -> bool:
-        inside[:] = False
-        for ci in mask_classes:
-            inside[cd.classes[ci]] = True
-        elems = np.nonzero(inside)[0]
-        prods = g.mul[np.ix_(elems, elems)]
-        return bool(np.all(inside[prods]))
-
-    # depth-first over class subsets containing the identity class
-    picks: list[int] = [0]
-
-    def rec(next_class: int, total: int):
-        if target_order is None or total == target_order:
-            if (order % total == 0) and closed(tuple(picks)):
-                elems = np.concatenate([cd.classes[ci] for ci in picks])
-                sub = subgroup_from_elements(g, elems)
-                if sub.order == total:
-                    assert sub.normal
-                    results.append(sub)
-        if total == order:
-            return
-        for ci in range(next_class, r):
-            t = total + sizes[ci]
-            if t > order or (target_order is not None and t > target_order):
-                continue
-            picks.append(ci)
-            rec(ci + 1, t)
-            picks.pop()
-
-    rec(1, 1)
-    uniq = {}
-    for sub in results:
-        uniq[sub.elements] = sub
-    return sorted(uniq.values(), key=lambda s: (s.order, s.elements))
+    """All normal subgroups (of one order, if given): the normal closures of
+    single classes, closed under joins with them (Hulpke, "Computing normal
+    subgroups", ISSAC 1998).  Normal subgroups A and B join to the set AB."""
+    closures = [
+        np.asarray(subgroup_from_elements(g, cl).elements, dtype=np.int64)
+        for cl in cd.classes
+    ]
+    found = {c.tobytes(): c for c in closures}
+    frontier = list(found.values())
+    while frontier:
+        joins = []
+        for a in frontier:
+            for b in closures:
+                inside = np.zeros(g.order, dtype=bool)
+                inside[g.mul[np.ix_(a, b)]] = True
+                ab = np.flatnonzero(inside)
+                if ab.tobytes() not in found:
+                    found[ab.tobytes()] = ab
+                    joins.append(ab)
+        frontier = joins
+    subs = [subgroup_on(g, a) for a in found.values() if target_order in (None, len(a))]
+    assert all(sub.normal for sub in subs)
+    return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -896,55 +844,56 @@ def derive_cyclic_action(
     return action
 
 
-def _gl_elements(p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    mats = []
-    for flat in iproduct(range(p), repeat=n * n):
-        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if _det_mod(m, p) != 0:
-            mats.append(m)
-    return mats
+# GL_4(F_2) is listed from 2^16 matrices.  Under the default order cap a
+# transitive action on F_p^n needs (p^n - 1) p^n <= 1024, so p^n <= 32, and
+# only F_2^5 (2^25 matrices, acted on by C_31) goes over the bound.
+_GL_LISTING_BOUND = 2**16
 
 
-def _det_mod(m, p: int) -> int:
-    rows = [list(r) for r in m]
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c] % p
-        invp = pow(rows[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            f = rows[i][c] * invp % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[c])]
-    return det % p
+def _gl_permutations(p: int, n: int) -> np.ndarray:
+    """Every invertible n x n matrix over F_p, in row-major lexicographic
+    order, as the permutation it induces on the lexicographic vectors of
+    F_p^n.  Matrix i has the rows with the base-p^n digits of i as vector
+    indices, so one product of every row with every vector maps the vectors
+    by all p^(n^2) matrices.  A matrix is invertible exactly when no nonzero
+    vector maps to 0."""
+    if p ** (n * n) > _GL_LISTING_BOUND:
+        raise InvalidAction(
+            f"listing GL_{n}(F_{p}) takes {p ** (n * n)} matrices,"
+            f" over the bound {_GL_LISTING_BOUND}"
+        )
+    vecs = _digits(p, n)
+    row_times_vec = (vecs @ vecs.T % p).astype(np.int32)
+    rows = _digits(p**n, n)
+    perms = np.zeros((len(rows), p**n), dtype=np.int32)
+    for r in range(n):
+        perms = perms * p + row_times_vec[rows[:, r]]
+    return perms[np.all(perms[:, 1:] != 0, axis=1)]
 
 
-def _mat_mul_mod(a, b, p: int):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
+def _permutation_orders(perms: np.ndarray) -> np.ndarray:
+    """Order of every row permutation, from one sweep y <- y x over all rows
+    at once."""
+    orders = np.empty(len(perms), dtype=np.int64)
+    rows, ident = np.arange(len(perms)), np.arange(perms.shape[1])
+    y, k = perms, 1
+    while rows.size:
+        done = np.all(y == ident, axis=1)
+        orders[rows[done]] = k
+        rows, y = rows[~done], y[~done]
+        y, k = np.take_along_axis(y, perms[rows], axis=1), k + 1
+    return orders
 
 
-def _group_embedding(q: FiniteGroup, targets: list, mul_t, order_t, ident_t) -> Optional[list]:
-    """Images of the first injective homomorphism q -> targets (a group given by
-    a multiply function and its identity), found by depth-first search over
-    generator images."""
-    gens = _greedy_generators(q)
-    cands = []
-    for x in gens:
-        o = int(q.element_orders[x])
-        cands.append([t for t in targets if order_t(t) == o])
+def _group_embedding(a: FiniteGroup, candidates, mul_t, ident) -> Optional[list]:
+    """Images of the first injective homomorphism from a into a group given by
+    a multiply function and its identity, found by search over the images
+    that candidates(order) lists for each generator of a."""
+    gens = _greedy_generators(a)
+    cands = [candidates(int(a.element_orders[x])) for x in gens]
     for choice in iproduct(*cands):
-        vals = _extend_hom(q, gens, choice, mul_t, ident_t)
-        if vals is not None and len(set(vals)) == q.order:
+        vals = _extend_hom(a, gens, choice, mul_t, ident)
+        if vals is not None and len(set(vals)) == a.order:
             return vals
     return None
 
@@ -961,91 +910,37 @@ def derive_elemab_action(
             f"{g.carrier} cannot act transitively on the {p**n - 1} nonzero vectors"
             f" of F_{p}^{n}: {p**n - 1} does not divide {quotient}"
         )
-    kernel = _build_elemab(p, n)
-    vecs: list[tuple[int, ...]] = kernel.payload  # lexicographic tuples
-    vec_index = {v: i for i, v in enumerate(vecs)}
-    gl = _gl_elements(p, n)
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-    def order_t(m) -> int:
-        k, cur = 1, m
-        while cur != ident:
-            cur = _mat_mul_mod(cur, m, p)
-            k += 1
-        return k
-
-    def perm_of(mat) -> np.ndarray:
-        out = np.empty(len(vecs), dtype=np.int32)
-        for i, v in enumerate(vecs):
-            w = tuple(sum(mat[r][c] * v[c] for c in range(n)) % p for r in range(n))
-            out[i] = vec_index[w]
-        return out
-
-    def transitive(image_mats) -> bool:
-        nonzero = [v for v in vecs if any(v)]
-        seen = {nonzero[0]}
-        frontier = [nonzero[0]]
-        while frontier:
-            v = frontier.pop()
-            for m in image_mats:
-                w = tuple(sum(m[r][c] * v[c] for c in range(n)) % p for r in range(n))
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(nonzero)
-
-    cd = conjugacy(g)
+    gl = _gl_permutations(p, n)
+    orders = _permutation_orders(gl)
+    index = {perm.tobytes(): i for i, perm in enumerate(gl)}
+    ident = index[np.arange(p**n, dtype=gl.dtype).tobytes()]
     if sub is not None:
         candidates = [sub]
     else:
-        candidates = sorted(normal_subgroups(g, cd), key=lambda s: (-s.order, s.elements))
+        candidates = sorted(normal_subgroups(g, conjugacy(g)), key=lambda s: (-s.order, s.elements))
     for h in candidates:
         if not h.normal:
             continue
         q, coset_of = quotient_group(g, h)
-        if q.order > len(gl):
+        # an embedding has order dividing |GL|, and a transitive one order divisible by p^n - 1
+        if len(gl) % q.order or q.order % (p**n - 1):
             continue
-        emb = _group_embedding(q, gl, lambda a, b: _mat_mul_mod(a, b, p), order_t, ident)
+        emb = _group_embedding(
+            q,
+            lambda o: np.flatnonzero(orders == o).tolist(),
+            lambda i, j: index[gl[i][gl[j]].tobytes()],
+            ident,
+        )
         if emb is None:
             continue
-        if not transitive(list({emb[x] for x in range(q.order)})):
-            continue
-        perms = {x: perm_of(emb[x]) for x in range(q.order)}
-        return [perms[int(coset_of[i])] for i in range(g.order)]
+        images = gl[emb]
+        reached = np.zeros(p**n, dtype=bool)
+        reached[images[:, 1]] = True
+        if np.count_nonzero(reached) == p**n - 1:  # vector 1 reaches every nonzero vector
+            return [images[c] for c in coset_of]
     raise InvalidAction(
         f"no transitive action of {g.carrier} on the nonzero vectors of F_{p}^{n}"
     )
-
-
-def _action_from_generator_images(
-    g: FiniteGroup, k: FiniteGroup, images: tuple[tuple[int, ...], ...]
-) -> list[np.ndarray]:
-    if g.gen_words is None or k.gen_words is None:
-        raise InvalidAction("explicit actions need generator words on both groups")
-    if len(images) != len(g.generators):
-        raise InvalidAction("one image row per acting generator required")
-    kn = k.order
-
-    def automorphism(img_row) -> np.ndarray:
-        if len(img_row) != len(k.generators):
-            raise InvalidAction("one image per kernel generator required")
-        out = np.empty(kn, dtype=np.int32)
-        for x in range(kn):
-            acc = 0
-            for gi in k.gen_words[x]:
-                acc = int(k.mul[acc, img_row[gi]])
-            out[x] = acc
-        return out
-
-    gen_perms = [automorphism(row) for row in images]
-    action: list[Optional[np.ndarray]] = [None] * g.order
-    action[0] = np.arange(kn, dtype=np.int32)
-    for x in range(g.order):
-        perm = np.arange(kn, dtype=np.int32)
-        for gi in g.gen_words[x]:
-            perm = gen_perms[gi][perm]
-        action[x] = perm
-    return action  # type: ignore[return-value]
 
 
 def _derive_action(g: FiniteGroup, kspec: GroupSpec, k: FiniteGroup) -> list[np.ndarray]:
@@ -1110,11 +1005,7 @@ def _dispatch(spec: GroupSpec, cap: int) -> FiniteGroup:
     if isinstance(spec, Semidirect):
         g = _dispatch(spec.group, cap)
         k = _dispatch(spec.kernel, cap)
-        if spec.action is None:
-            action = _derive_action(g, spec.kernel, k)
-        else:
-            action = _action_from_generator_images(g, k, spec.action.images)
-        return build_semidirect(g, k, action, carrier=spec_text(spec))
+        return build_semidirect(g, k, _derive_action(g, spec.kernel, k), carrier=spec_text(spec))
     raise TypeError(f"not a group spec: {spec!r}")
 
 
@@ -1128,10 +1019,7 @@ def tables_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     orders_a, orders_b = a.element_orders, b.element_orders
     if not np.array_equal(np.sort(orders_a), np.sort(orders_b)):
         return False
-    gens = _greedy_generators(a)
-    cands = [np.flatnonzero(orders_b == orders_a[x]).tolist() for x in gens]
-    for choice in iproduct(*cands):
-        vals = _extend_hom(a, gens, choice, lambda u, v: int(b.mul[u, v]), 0)
-        if vals is not None and len(set(vals)) == a.order:
-            return True
-    return False
+    embedding = _group_embedding(
+        a, lambda o: np.flatnonzero(orders_b == o).tolist(), lambda u, v: int(b.mul[u, v]), 0
+    )
+    return embedding is not None

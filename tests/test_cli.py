@@ -182,12 +182,39 @@ def test_intransitive_elemab_actions_exit_2_before_any_search(spec, monkeypatch,
     def unreachable(*args, **kwargs):
         raise AssertionError("searched although the orders rule out the action")
 
-    monkeypatch.setattr(groups, "_gl_elements", unreachable)
+    monkeypatch.setattr(groups, "_gl_permutations", unreachable)
     monkeypatch.setattr(groups, "normal_subgroups", unreachable)
     assert main(["chartab", spec]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "does not divide" in err
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        ("semidirect(cyclic:30,elemab:2:4)", 480),
+        ("semidirect(cyclic:26,elemab:3:3)", 702),
+        ("semidirect(cyclic:24,elemab:5:2)", 600),
+        # C_31 is transitive on F_2^5, but GL_5(F_2) has 2^25 matrices to list
+        ("semidirect(cyclic:31,elemab:2:5)", None),
+    ],
+)
+def test_elemab_actions_finish_in_bounded_time(spec, order):
+    # one process each, run alone: GL_n(F_p) is listed as permutations in
+    # numpy and the normal subgroups come from joins, not from class subsets
+    proc = subprocess.run(
+        [sys.executable, "-m", "mckaygraphs.cli", "chartab", spec],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    if order is None:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1 and "GL_5(F_2)" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["order"] == order
 
 
 def per_entry_document(spec):

@@ -1,6 +1,6 @@
 import hashlib
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from mckaygraphs.groups import (
     Cyclic,
     Dihedral,
     ElemAb,
-    ExplicitAction,
     Extraspecial2,
     FiniteGroup,
     GroupBuildError,
@@ -25,6 +24,7 @@ from mckaygraphs.groups import (
     Semidirect,
     build_group,
     build_product,
+    build_semidirect,
     central_product,
     commutator_subgroup,
     conjugacy,
@@ -191,10 +191,6 @@ def test_power_maps_and_exponent():
     g = build_group(BinaryDihedral(3))
     cd = conjugacy(g)
     assert cd.exponent == 12
-    pm = cd.power_map(0)
-    assert all(c == cd.class_of[0] for c in pm)
-    pm1 = cd.power_map(1)
-    assert pm1 == list(range(cd.r))
     for k in range(cd.r):
         pcs = cd.power_classes(k)
         assert pcs[0] == cd.class_of[0]
@@ -369,6 +365,140 @@ def test_extraspecial_invariants():
         assert count4(plus) != count4(minus)
 
 
+def normal_subgroups_by_class_subsets(g, cd, target_order=None):
+    """All normal subgroups (of one order, if given), as the unions of classes
+    that contain the identity and are closed under multiplication, found by a
+    depth-first walk over class subsets."""
+    results = {}
+    inside = np.zeros(g.order, dtype=bool)
+
+    def closed(picks):
+        inside[:] = False
+        for ci in picks:
+            inside[cd.classes[ci]] = True
+        elems = np.flatnonzero(inside)
+        return bool(np.all(inside[g.mul[np.ix_(elems, elems)]]))
+
+    picks = [0]
+
+    def walk(next_class, total):
+        if target_order in (None, total) and g.order % total == 0 and closed(picks):
+            sub = subgroup_from_elements(g, np.concatenate([cd.classes[ci] for ci in picks]))
+            assert sub.order == total and sub.normal
+            results[sub.elements] = sub
+        for ci in range(next_class, cd.r):
+            t = total + cd.sizes[ci]
+            if t <= (g.order if target_order is None else target_order):
+                picks.append(ci)
+                walk(ci + 1, t)
+                picks.pop()
+
+    walk(1, 1)
+    return sorted(results.values(), key=lambda s: (s.order, s.elements))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Dihedral(6),
+        BinaryDihedral(3),
+        Extraspecial2(1, "+"),
+        Cyclic(12),
+        ElemAb(2, 3),
+        Heisenberg(3, 1),
+        BinaryPoly("T"),
+        BinaryPoly("O"),
+        Semidirect(Cyclic(3), ElemAb(2, 2)),
+    ],
+    ids=spec_text,
+)
+def test_normal_subgroups_match_the_class_subset_walk(spec):
+    g = _group(spec)
+    cd = conjugacy(g)
+    key = lambda subs: [(s.order, s.elements, s.normal) for s in subs]
+    found = normal_subgroups(g, cd)
+    assert key(found) == key(normal_subgroups_by_class_subsets(g, cd))
+    for order in (d for d in range(1, g.order + 1) if g.order % d == 0):
+        want = normal_subgroups_by_class_subsets(g, cd, order)
+        assert key(normal_subgroups(g, cd, order)) == key(want)
+        assert key(want) == key([s for s in found if s.order == order])
+
+
+def _det_mod(m, p):
+    rows = [list(r) for r in m]
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        invp = pow(rows[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            f = rows[i][c] * invp % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[c])]
+    return det % p
+
+
+def _gl_elements(p, n):
+    """GL_n(F_p) as tuple matrices with nonzero determinant, in row-major
+    lexicographic order."""
+    mats = []
+    for flat in iproduct(range(p), repeat=n * n):
+        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        if _det_mod(m, p) != 0:
+            mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_gl_permutations_match_the_tuple_listing(p, n):
+    from mckaygraphs.groups import _gl_permutations, _mat_mul_mod, _permutation_orders
+
+    vecs = list(iproduct(range(p), repeat=n))
+    vec_index = {v: i for i, v in enumerate(vecs)}
+
+    def perm_of(mat):
+        return [
+            vec_index[tuple(sum(mat[r][c] * v[c] for c in range(n)) % p for r in range(n))]
+            for v in vecs
+        ]
+
+    def order_of(mat):
+        k, cur = 1, mat
+        while cur != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+            cur, k = _mat_mul_mod(cur, mat, p), k + 1
+        return k
+
+    mats = _gl_elements(p, n)
+    perms = _gl_permutations(p, n)
+    assert perms.tolist() == [perm_of(m) for m in mats]
+    assert _permutation_orders(perms).tolist() == [order_of(m) for m in mats]
+
+
+def test_gl_listing_is_bounded():
+    from mckaygraphs.groups import _gl_permutations
+
+    assert len(_gl_permutations(2, 4)) == 20160
+    with pytest.raises(InvalidAction, match="GL_5"):
+        _gl_permutations(2, 5)
+    with pytest.raises(InvalidAction, match="GL_4"):
+        _gl_permutations(3, 4)
+
+
+def test_elemab_action_needs_a_transitive_embedding():
+    # D_4 embeds in GL_2(F_3) only as a group with two orbits of 4 on the 8
+    # nonzero vectors; Q_8 embeds and acts regularly on them
+    with pytest.raises(InvalidAction, match="no transitive action"):
+        build_group(Semidirect(Dihedral(4), ElemAb(3, 2)))
+    sd = build_group(Semidirect(BinaryDihedral(2), ElemAb(3, 2)))
+    assert sd.order == 72 and subgroup_from_elements(sd, range(1, 9)).order == 9
+
+
 def test_heisenberg_matches_plus_type():
     for n in (1, 2):
         heis = build_group(Heisenberg(2, n))
@@ -408,18 +538,28 @@ def test_semidirect_requires_valid_action():
 
 def test_explicit_action():
     # the Frobenius group of order 20: C_4 acting on C_5 by k -> 2k
-    action = ExplicitAction(images=((2,),))
-    sd = build_group(Semidirect(Cyclic(4), Cyclic(5), action))
+    c2, c4, c5 = (build_group(Cyclic(n)) for n in (2, 4, 5))
+    k = np.arange(5)
+    doubling = [2**x * k % 5 for x in range(4)]
+    sd = build_semidirect(c4, c5, doubling)
     assert sd.order == 20
     kern = subgroup_from_elements(sd, [1])
     assert kern.order == 5 and kern.normal
     assert len(conjugacy(sd).classes) == 5
     # k -> 2k has order 4, so C_2 cannot act through it
-    with pytest.raises(InvalidAction):
-        build_group(Semidirect(Cyclic(2), Cyclic(5), ExplicitAction(images=((2,),))))
-    # collapsing the generator is not an automorphism
-    with pytest.raises(InvalidAction):
-        build_group(Semidirect(Cyclic(4), Cyclic(5), ExplicitAction(images=((0,),))))
+    with pytest.raises(InvalidAction, match="homomorphism"):
+        build_semidirect(c2, c5, doubling[:2])
+    # collapsing the generator is not a bijection; swapping 1 and 2 is one,
+    # but not an automorphism
+    with pytest.raises(InvalidAction, match="bijection"):
+        build_semidirect(c4, c5, [k, 0 * k, 0 * k, 0 * k])
+    swap = np.array([0, 2, 1, 3, 4])
+    with pytest.raises(InvalidAction, match="automorphism"):
+        build_semidirect(c2, c5, [k, swap])
+    with pytest.raises(InvalidAction, match="one kernel automorphism"):
+        build_semidirect(c4, c5, doubling[:2])
+    with pytest.raises(InvalidAction, match="abelian"):
+        build_semidirect(c2, build_group(Dihedral(3)), [np.arange(6)] * 2)
 
 
 def test_commutator_subgroup():
@@ -475,6 +615,30 @@ GOLDEN_TABLES = {
         "92e15a4b96ca898b8c85c265369f6e1da0c1443c62d3a0d199131498f36ccd16",
     ),
 }
+
+
+# sha256 of mul.astype("<i4").tobytes() of semidirect products with derived
+# actions on F_p^n, as first built from GL_n(F_p) listed as tuple matrices
+GOLDEN_ELEMAB_SEMIDIRECTS = {
+    Semidirect(BinaryPoly("T"), ElemAb(2, 2)): (
+        "a85a1394dbec2bf6f53e40282a697b445cb74a269fadd15cf45adf16ed66e933"
+    ),
+    Semidirect(BinaryPoly("O"), ElemAb(2, 2)): (
+        "fc281ad0e645fa62da2d3bb68e7a8167fdb14aa2438a82f809b30177a95a2ecb"
+    ),
+    Semidirect(Cyclic(15), ElemAb(2, 4)): (
+        "fb318fca93051725f86f3c6aecf1a1f4d6d51cfee2135b6d493dab786bc29c31"
+    ),
+    Semidirect(Cyclic(8), ElemAb(3, 2)): (
+        "a360e4316b995fd5c86ed2199f8573b543305af113c413986621130f13a3cb89"
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", GOLDEN_ELEMAB_SEMIDIRECTS, ids=spec_text)
+def test_derived_elemab_actions_keep_their_tables(spec):
+    digest = hashlib.sha256(build_group(spec).mul.astype("<i4").tobytes()).hexdigest()
+    assert digest == GOLDEN_ELEMAB_SEMIDIRECTS[spec]
 
 
 def test_deterministic_element_order():
