@@ -22,9 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _is_prime, _primitive_root
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
-from .groups import _is_prime, _primitive_root
 from .modp import mul_mod, simultaneous_split
 
 

@@ -23,6 +23,7 @@ from .chartable import (
     compute_character_table,
     resolve_rho,
 )
+from .cyclotomic import _is_prime
 from .graphs import build_mckay_graph, decompose_components
 from .groups import (
     BinaryDihedral,
@@ -49,6 +50,13 @@ class SpecParseError(ValueError):
     pass
 
 
+# the number of ':' fields after the name of each leaf spec
+_LEAF_ARITY = {
+    "cyclic": 1, "dihedral": 1, "bindihedral": 1, "binary": 1,
+    "extraspecial": 2, "heis": 2, "elemab": 2,
+}
+
+
 def _split_top(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -70,7 +78,7 @@ def _split_top(text: str) -> list[str]:
 def _int_arg(parts: list[str], idx: int, name: str, minimum: int = 1) -> int:
     try:
         value = int(parts[idx])
-    except (IndexError, ValueError):
+    except ValueError:
         raise SpecParseError(f"{name} needs an integer argument: {':'.join(parts)!r}")
     if value < minimum:
         raise SpecParseError(f"{name} argument must be >= {minimum}, got {value}")
@@ -98,6 +106,10 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise SpecParseError(f"unknown constructor {head!r}")
     parts = text.split(":")
     kind = parts[0]
+    if kind not in _LEAF_ARITY:
+        raise SpecParseError(f"unknown group spec {text!r}")
+    if len(parts) != 1 + _LEAF_ARITY[kind]:
+        raise SpecParseError(f"{kind} takes {_LEAF_ARITY[kind]} ':' field(s): {text!r}")
     if kind == "cyclic":
         return Cyclic(_int_arg(parts, 1, "cyclic"))
     if kind == "dihedral":
@@ -105,18 +117,17 @@ def parse_group_spec(text: str) -> GroupSpec:
     if kind == "bindihedral":
         return BinaryDihedral(_int_arg(parts, 1, "bindihedral", minimum=2))
     if kind == "binary":
-        if len(parts) != 2 or parts[1] not in ("T", "O", "I"):
+        if parts[1] not in ("T", "O", "I"):
             raise SpecParseError("binary takes one of T, O, I")
         return BinaryPoly(parts[1])
     if kind == "extraspecial":
-        if len(parts) != 3 or parts[1] not in ("+", "-"):
+        if parts[1] not in ("+", "-"):
             raise SpecParseError("extraspecial takes a variant (+ or -) and an index")
         return Extraspecial2(_int_arg(parts, 2, "extraspecial", minimum=0), parts[1])
-    if kind == "heis":
-        return Heisenberg(_int_arg(parts, 1, "heis"), _int_arg(parts, 2, "heis"))
-    if kind == "elemab":
-        return ElemAb(_int_arg(parts, 1, "elemab"), _int_arg(parts, 2, "elemab"))
-    raise SpecParseError(f"unknown group spec {text!r}")
+    p, n = _int_arg(parts, 1, kind), _int_arg(parts, 2, kind)
+    if not _is_prime(p):
+        raise SpecParseError(f"{kind} needs a prime p, got {p}")
+    return Heisenberg(p, n) if kind == "heis" else ElemAb(p, n)
 
 
 def parse_rho_selector(text: str) -> RhoSelector:
@@ -184,7 +195,7 @@ def graph_document(spec: GroupSpec, selector_text: str, with_components: bool) -
         },
     }
     if with_components:
-        decomp = decompose_components(graph, ct)
+        decomp = decompose_components(graph)
         doc["components"] = [
             {
                 "vertices": list(c.vertices),

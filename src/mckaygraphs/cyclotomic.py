@@ -2,34 +2,18 @@
 
 A value is an integer coefficient vector in the power basis of
 Z[x]/Phi_e(x), so equality is decidable and every operation is exact.
-Mixed orders are unified by embedding into Q(zeta_lcm).
+Mixed orders are unified by embedding into Q(zeta_lcm).  A value has no
+canonical order, so values compare across orders but are not hashable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 
-def euler_phi(e: int) -> int:
-    if e < 1:
-        raise ValueError("order must be positive")
-    result = e
-    m = e
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            result -= result // q
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _prime_divisors(e: int) -> tuple[int, ...]:
+    """The distinct primes dividing e, ascending, by trial division."""
     primes = []
     m = e
     q = 2
@@ -44,16 +28,23 @@ def _prime_divisors(e: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _divisors(e: int) -> list[int]:
-    small, large = [], []
-    q = 1
-    while q * q <= e:
-        if e % q == 0:
-            small.append(q)
-            if q != e // q:
-                large.append(e // q)
-        q += 1
-    return small + large[::-1]
+def euler_phi(e: int) -> int:
+    if e < 1:
+        raise ValueError("order must be positive")
+    for q in _prime_divisors(e):
+        e -= e // q
+    return e
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_divisors(n) == (n,)
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest generator of F_p^x, p prime.  Callers that reduce through
+    its powers (the quaternion carriers, the lift) depend on this choice."""
+    factors = _prime_divisors(p - 1)
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors))
 
 
 def _polydiv_exact(num: list[int], den) -> list[int]:
@@ -81,8 +72,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     if e < 1:
         raise ValueError("order must be positive")
     poly = [-1] + [0] * (e - 1) + [1]
-    for d in _divisors(e):
-        if d < e:
+    for d in range(1, e):
+        if e % d == 0:
             poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
@@ -121,59 +112,14 @@ def _reduce_coeffs(e: int, coeffs) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def rational_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, pivoting in the first ncols columns;
-    returns the reduced rows and their pivot columns."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
-def _solve_rational(cols: list[tuple[int, ...]], target) -> list[Fraction] | None:
-    """Solve sum_j x_j * cols[j] == target over Q, or None if inconsistent."""
-    n = len(cols)
-    aug, pivots = rational_rref([[c[i] for c in cols] + [t] for i, t in enumerate(target)], n)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    # columns are linearly independent in our callers, so free variables stay 0
-    return sol
-
-
-@lru_cache(maxsize=None)
-def _embedding_columns(e: int, f: int) -> tuple[tuple[int, ...], ...]:
-    """Images of the power basis of Z[zeta_f] inside Z[zeta_e] (f | e)."""
-    assert e % f == 0
-    t = e // f
-    rows = _power_reductions(e)
-    return tuple(rows[j * t] for j in range(euler_phi(f)))
-
-
 class CycInt:
     """A cyclotomic integer: order e plus phi(e) power-basis coefficients."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
         self.order = order
         self.coeffs = _reduce_coeffs(order, coeffs)
-        self._hash = None
 
     @staticmethod
     def integer(n: int) -> "CycInt":
@@ -229,15 +175,6 @@ class CycInt:
     def __neg__(self) -> "CycInt":
         return CycInt(self.order, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other) -> "CycInt":
-        o = CycInt._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "CycInt":
-        return -(self - other)
-
     def __mul__(self, other) -> "CycInt":
         o = CycInt._coerce(other)
         if o is None:
@@ -279,27 +216,6 @@ class CycInt:
             assert c % n == 0, "coefficient not divisible"
         return CycInt(self.order, tuple(c // n for c in self.coeffs))
 
-    def reduced(self) -> "CycInt":
-        """Canonical copy at the smallest cyclotomic order containing the value."""
-        n = self.as_integer()
-        if n is not None:
-            return self if self.order == 1 else CycInt(1, (n,))
-        e, vec = self.order, self.coeffs
-        changed = True
-        while changed:
-            changed = False
-            for q in _prime_divisors(e):
-                f = e // q
-                cols = _embedding_columns(e, f)
-                sol = _solve_rational(list(cols), vec)
-                if sol is not None:
-                    assert all(s.denominator == 1 for s in sol)
-                    e = f
-                    vec = tuple(int(s) for s in sol)
-                    changed = True
-                    break
-        return CycInt(e, vec)
-
     def __eq__(self, other) -> bool:
         o = CycInt._coerce(other)
         if o is None:
@@ -307,37 +223,8 @@ class CycInt:
         a, b = self._pair(o)
         return a.coeffs == b.coeffs
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            r = self.reduced()
-            h = hash((r.order, r.coeffs))
-            self._hash = h
-        return h
-
     def __repr__(self) -> str:
-        r = self.reduced()
-        n = r.as_integer()
-        if n is not None:
-            return str(n)
-        parts = []
-        for j, c in enumerate(r.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                zeta = f"z{r.order}" if j == 1 else f"z{r.order}^{j}"
-                if c == 1:
-                    parts.append(zeta)
-                elif c == -1:
-                    parts.append(f"-{zeta}")
-                else:
-                    parts.append(f"{c}*{zeta}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" + {part}" if not part.startswith("-") else f" - {part[1:]}"
-        return out
+        return f"CycInt({self.order}, {self.coeffs})"
 
 
 def cyc_sum(values) -> CycInt:

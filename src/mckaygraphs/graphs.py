@@ -186,8 +186,8 @@ def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np
     return multiplicities(ct_n, ct.modular[:, at_sub], ct.degrees, ct.prime)
 
 
-def decompose_components(graph: McKayGraph, ct: CharacterTable) -> ComponentDecomposition:
-    comps = graph.components
+def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
+    ct, comps = graph.ct, graph.components
     kernel = kernel_of_character(ct, graph.rho.chi)
     # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table
     ct_n = ct if kernel.order == ct.group.order else compute_character_table(kernel.group)
@@ -259,12 +259,10 @@ def _push_down(ct: CharacterTable, kernel: Subgroup, rho: Rho) -> tuple[Characte
     return ct_q, resolve_rho(ct_q, CharVector(tuple((counts @ mults).tolist())))
 
 
-def principal_component_isomorphism_check(
-    decomp: ComponentDecomposition, ct: CharacterTable
-) -> bool:
+def principal_component_isomorphism_check(decomp: ComponentDecomposition) -> bool:
     """Principal component = graph of (G/N, rho); components with a degree-1
     vertex are isomorphic to the principal one."""
-    ct_q, rho_q = _push_down(ct, decomp.kernel, decomp.graph.rho)
+    ct_q, rho_q = _push_down(decomp.graph.ct, decomp.kernel, decomp.graph.rho)
     graph_q = build_mckay_graph(ct_q, rho_q)
     principal = decomp.principal
     if not graph_isomorphic(graph_q.adjacency, principal.adjacency):

@@ -18,6 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .cyclotomic import _is_prime, _primitive_root
+
 DEFAULT_ORDER_CAP = 1024
 
 
@@ -176,19 +178,7 @@ class FiniteGroup:
     inv: np.ndarray  # (n,)
     carrier: str
     element_names: list[str]
-    identity: int = 0
     payload: object = None  # carrier-specific element data
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(int(self.inv[x]), -k)
-        acc, base = 0, x
-        while k:
-            if k & 1:
-                acc = int(self.mul[acc, base])
-            base = int(self.mul[base, base])
-            k >>= 1
-        return acc
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -205,10 +195,6 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
-
-    def conj(self, x: int, g: int) -> int:
-        """g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def validate(self) -> None:
         """Latin square, identity, inverses, and Light's associativity test over
@@ -734,26 +720,6 @@ def _build_extraspecial(n: int, variant: str) -> FiniteGroup:
 # canonical semidirect actions
 
 
-def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
-    for r in range(2, p):
-        if all(pow(r, (p - 1) // q, p) != 1 for q in factors):
-            return r
-    raise AssertionError("no primitive root found")
-
-
 def _greedy_generators(g: FiniteGroup) -> list[int]:
     gens: list[int] = []
     span = {0}
@@ -954,33 +920,21 @@ def _derive_action(g: FiniteGroup, kspec: GroupSpec, k: FiniteGroup) -> list[np.
     raise InvalidAction(f"no canonical action on kernel {spec_text(kspec)}")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the entry point
 
 
-def build_group(spec: GroupSpec, cap: Optional[int] = None, validate: bool = True) -> FiniteGroup:
+def build_group(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
     cap = order_cap() if cap is None else cap
     n = expanded_order(spec)
     if n > cap:
         raise OrderCapExceeded(f"{spec_text(spec)} has order {n} > cap {cap}")
-    g = _dispatch(spec, cap)
-    if validate:
-        g.validate()
+    g = _dispatch(spec)
+    g.validate()
     return g
 
 
-def _dispatch(spec: GroupSpec, cap: int) -> FiniteGroup:
+def _dispatch(spec: GroupSpec) -> FiniteGroup:
     if isinstance(spec, Cyclic):
         return _build_cyclic(spec.n)
     if isinstance(spec, Dihedral):
@@ -999,12 +953,12 @@ def _dispatch(spec: GroupSpec, cap: int) -> FiniteGroup:
     if isinstance(spec, ElemAb):
         return _build_elemab(spec.p, spec.n)
     if isinstance(spec, Product):
-        a = _dispatch(spec.left, cap)
-        b = _dispatch(spec.right, cap)
+        a = _dispatch(spec.left)
+        b = _dispatch(spec.right)
         return build_product(a, b, carrier=spec_text(spec))
     if isinstance(spec, Semidirect):
-        g = _dispatch(spec.group, cap)
-        k = _dispatch(spec.kernel, cap)
+        g = _dispatch(spec.group)
+        k = _dispatch(spec.kernel)
         return build_semidirect(g, k, _derive_action(g, spec.kernel, k), carrier=spec_text(spec))
     raise TypeError(f"not a group spec: {spec!r}")
 

@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import rational_rref
-
 
 @dataclass(frozen=True)
 class ShapeLabel:
@@ -298,6 +296,28 @@ def circuit_count(adj, k: int) -> int:
             for i in range(n)
         ]
     return sum(power[i][i] for i in range(n))
+
+
+def rational_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, pivoting in the first ncols columns;
+    returns the reduced rows and their pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
 
 
 def template_marking(adj) -> Optional[list[int]]:

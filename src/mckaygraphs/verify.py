@@ -216,15 +216,19 @@ def _int_chi(chi) -> Optional[np.ndarray]:
     return np.array(vals, dtype=np.int64)
 
 
-def _char_power_sum(chi, k: int) -> int:
-    """sum over classes of chi(g)^k, as a rational integer."""
+def _char_power_sums(chi, kmax: int) -> list[int]:
+    """sum over classes of chi(g)^k for k = 1..kmax, as rational integers,
+    from one chain of powers chi^k = chi^(k-1) chi."""
     ints = _int_chi(chi)
-    if ints is not None:
-        return int(np.sum(ints.astype(object) ** k))
-    total = cyc_sum(v**k for v in chi)
-    val = total.as_integer()
-    assert val is not None, "power sum over classes must be a rational integer"
-    return val
+    base = list(chi) if ints is None else ints.tolist()
+    power, sums = base, []
+    for k in range(1, kmax + 1):
+        if k > 1:
+            power = [x * y for x, y in zip(power, base)]
+        total = sum(power) if ints is not None else cyc_sum(power).as_integer()
+        assert total is not None, "power sum over classes must be a rational integer"
+        sums.append(total)
+    return sums
 
 
 def _dim_end_centralizer(ctx: FixtureContext, chi, class_index: int) -> int:
@@ -296,16 +300,18 @@ def center_criterion_holds(ctx: FixtureContext) -> bool:
     return flagged == central_classes
 
 
-def _trace_power(a: np.ndarray, k: int) -> int:
-    """tr(A^k) by exact numpy integer power with an overflow guard."""
+def _power_traces(a: np.ndarray, kmax: int) -> list[int]:
+    """tr(A^k) for k = 1..kmax from one chain of products A^k = A^(k-1) A, in
+    int64 while the entries (nonnegative) bound the next product's trace
+    below 2^63, then in exact Python integers."""
     n = a.shape[0]
-    power = a.copy()
-    for _ in range(k - 1):
-        bound = int(power.max()) * int(a.max()) * n
-        if bound > 2**62:
-            return circuit_count(a.tolist(), k)  # exact big-int fallback
+    power, traces = a, [int(np.trace(a))]
+    for _ in range(kmax - 1):
+        if power.dtype != object and int(power.max()) * int(a.max()) * n * n >= 2**63:
+            power, a = power.astype(object), a.astype(object)
         power = power @ a
-    return int(np.trace(power))
+        traces.append(int(np.trace(power)))
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +322,13 @@ def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> 
     records = _Recorder()
     if not 1 <= kmax <= ctx.ct.r:
         raise PreconditionViolated("kmax must lie in [1, class count]")
-    expected, observed, ok = [], [], True
     small = graph.n_vertices <= 40
-    for k in range(1, kmax + 1):
-        s = _char_power_sum(graph.rho.chi, k)
-        t = _trace_power(graph.matrix, k)
-        c = circuit_count(graph.adjacency, k) if small else t
-        expected.append(s)
-        observed.append((t, c))
-        ok = ok and (s == t == c)
+    expected = _char_power_sums(graph.rho.chi, kmax)
+    observed = [
+        (t, circuit_count(graph.adjacency, k) if small else t)
+        for k, t in enumerate(_power_traces(graph.matrix, kmax), 1)
+    ]
+    ok = all(s == t == c for s, (t, c) in zip(expected, observed))
     return records.add(
         check_id=f"trace[{spec_text(ctx.spec)}]",
         claim=f"class power sums of rho equal circuit counts, k=1..{kmax}",
@@ -339,7 +343,7 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     records = _Recorder()
     if not (graph.undirected and graph.loopless):
         raise PreconditionViolated("edge-count identity needs an undirected loopless graph")
-    s1 = _char_power_sum(graph.rho.chi, 2)
+    s1 = _char_power_sums(graph.rho.chi, 2)[1]
     s2 = graph.edge_count_doubled()
     s3 = sum(_dim_end_centralizer(ctx, graph.rho.chi, k) for k in range(ctx.ct.r))
     vals = [s1, s2, s3]
@@ -383,12 +387,8 @@ def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckReco
 def verify_newton_spectrum(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
     records = _Recorder()
     r = ctx.ct.r
-    bad = []
-    for k in range(1, r + 1):
-        s = _char_power_sum(graph.rho.chi, k)
-        t = _trace_power(graph.matrix, k)
-        if s != t:
-            bad.append((k, s, t))
+    pairs = zip(_char_power_sums(graph.rho.chi, r), _power_traces(graph.matrix, r))
+    bad = [(k, s, t) for k, (s, t) in enumerate(pairs, 1) if s != t]
     return records.add(
         check_id=f"newton[{spec_text(ctx.spec)}]",
         claim=f"power traces match character sums for k=1..{r} (eigenvalue multiset)",
@@ -476,7 +476,7 @@ def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
         n = _star_exponent(label) if label.kind in ("hedgehog", "affine_d") else None
         if n is not None and rho.dim == 2**n and g.order == 2 ** (1 + 2 * n):
             central = set(cd.center)
-            squares_central = all(g.power(x, 2) in central for x in range(g.order))
+            squares_central = set(np.diagonal(g.mul).tolist()) <= central  # x^2 = mul[x, x]
             if len(central) == 2 and squares_central:
                 case = f"extraspecial star 4^{n}"
     if case is None:
@@ -708,7 +708,7 @@ def build_construction(fx: ConstructionFixture):
     ctp = compute_character_table(gp, cdp)
     rho_p = pullback_rho(ctp, ctx.cd.class_of, K.order, rho)
     graph = build_mckay_graph(ctp, rho_p)
-    decomp = decompose_components(graph, ctp)
+    decomp = decompose_components(graph)
     return ctx, rho, H, K, action, gp, cdp, ctp, graph, decomp
 
 
@@ -1055,12 +1055,12 @@ def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
     rho_base = resolve_rho(base_ctx.ct, FaithfulSelfDualMinDim())
     rho = pullback_rho(ctx.ct, base_ctx.cd.class_of, n_copies, rho_base)
     graph = build_mckay_graph(ctx.ct, rho)
-    decomp = decompose_components(graph, ctx.ct)
+    decomp = decompose_components(graph)
     iso_all = all(
         graph_isomorphic(c.adjacency, decomp.principal.adjacency)
         for c in decomp.components
     )
-    principal_ok = principal_component_isomorphism_check(decomp, ctx.ct)
+    principal_ok = principal_component_isomorphism_check(decomp)
     records.add(
         check_id=f"copies[{spec_text(spec)}]",
         claim="inflating along a cyclic factor yields that many copies of the base graph",
@@ -1084,8 +1084,8 @@ def _case_principal_semidirect() -> list[CheckRecord]:
     rho_base = resolve_rho(base.ct, FaithfulSelfDualMinDim())
     rho = pullback_rho(ctx.ct, base.cd.class_of, 3, rho_base)
     graph = build_mckay_graph(ctx.ct, rho)
-    decomp = decompose_components(graph, ctx.ct)
-    ok = principal_component_isomorphism_check(decomp, ctx.ct)
+    decomp = decompose_components(graph)
+    ok = principal_component_isomorphism_check(decomp)
     base_graph = build_mckay_graph(base.ct, rho_base)
     ok = ok and graph_isomorphic(decomp.principal.adjacency, base_graph.adjacency)
     records.add(

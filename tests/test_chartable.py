@@ -26,7 +26,7 @@ from mckaygraphs.chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from mckaygraphs.cyclotomic import CycInt
+from mckaygraphs.cyclotomic import CycInt, _primitive_root
 from mckaygraphs.groups import (
     BinaryDihedral,
     BinaryPoly,
@@ -36,7 +36,6 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
-    _primitive_root,
     build_group,
     conjugacy,
     spec_text,

@@ -156,6 +156,17 @@ def test_cli_bogus_suite_exits_2():
         (["graph", "cyclic:5", "--rho", "charvec:1,0"], None),  # wrong length
         (["graph", "cyclic:5"], "abc"),  # MCKAY_ORDER_CAP is not an integer
         (["verify", "--suite", "trees"], "abc"),
+        # p must be prime: F_1 once divided by p^n - 1 = 0, and elemab:4:2 built (Z/4)^2
+        (["chartab", "semidirect(cyclic:4,elemab:1:1)"], None),
+        (["chartab", "elemab:4:2"], None),
+        (["chartab", "heis:4:1"], None),
+        # extra or missing ':' fields: cyclic:5:7 was once read as cyclic:5
+        (["chartab", "cyclic:5:7"], None),
+        (["chartab", "dihedral:4:1"], None),
+        (["chartab", "binary:T:1"], None),
+        (["chartab", "heis:3:1:1"], None),
+        (["chartab", "elemab:2:2:2"], None),
+        (["chartab", "elemab:2"], None),
     ],
 )
 def test_usage_errors_exit_2_with_one_line(argv, cap, monkeypatch, capsys):
@@ -163,7 +174,7 @@ def test_usage_errors_exit_2_with_one_line(argv, cap, monkeypatch, capsys):
         monkeypatch.setenv("MCKAY_ORDER_CAP", cap)
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
@@ -255,7 +266,7 @@ for argv in (
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
 ct = compute_character_table(build_group(cli.parse_group_spec("dihedral:6")))
 graph = build_mckay_graph(ct, resolve_rho(ct, Irrep(1)))
-assert principal_component_isomorphism_check(decompose_components(graph, ct), ct)
+assert principal_component_isomorphism_check(decompose_components(graph))
 print("numpy.ma" in sys.modules)
 """
 

@@ -128,11 +128,11 @@ def test_dual_checks():
 
 def test_faithful_rho_single_component():
     g, cd, ct, graph = graph_for(BinaryPoly("T"))
-    decomp = decompose_components(graph, ct)
+    decomp = decompose_components(graph)
     assert len(decomp.components) == 1
     assert decomp.components[0].principal
     assert decomp.kernel.order == 1
-    assert principal_component_isomorphism_check(decomp, ct)
+    assert principal_component_isomorphism_check(decomp)
 
 
 def test_product_with_cyclic_three_copies():
@@ -150,12 +150,12 @@ def test_product_with_cyclic_three_copies():
         vals.append(rho_base.chi[int(base_cd.class_of[a])])
     rho = rho_from_class_function(ct, tuple(vals))
     graph = build_mckay_graph(ct, rho)
-    decomp = decompose_components(graph, ct)
+    decomp = decompose_components(graph)
     assert len(decomp.components) == 3
     assert decomp.kernel.order == 3
     for comp in decomp.components:
         assert graph_isomorphic(comp.adjacency, decomp.principal.adjacency)
-    assert principal_component_isomorphism_check(decomp, ct)
+    assert principal_component_isomorphism_check(decomp)
 
 
 def test_semidirect_bo_c3_two_components():
@@ -173,7 +173,7 @@ def test_semidirect_bo_c3_two_components():
         vals.append(rho_base.chi[int(base_cd.class_of[a])])
     rho = rho_from_class_function(ct, tuple(vals))
     graph = build_mckay_graph(ct, rho)
-    decomp = decompose_components(graph, ct)
+    decomp = decompose_components(graph)
     assert len(decomp.components) == 2
     orbit_sizes = sorted(c.orbit_size for c in decomp.components)
     assert orbit_sizes == [1, 2]  # trivial orbit and the two nontrivial characters
@@ -277,13 +277,13 @@ def test_multiplicities_match_exact_oracle(spec_text, selector):
     if selector == "pullback":
         assert ct_q.group.order == base.order and (ct_q.prime - 1) % ct.exponent != 0
 
-    decomp = decompose_components(graph, ct)
-    assert principal_component_isomorphism_check(decomp, ct)
+    decomp = decompose_components(graph)
+    assert principal_component_isomorphism_check(decomp)
 
 
 def test_dihedral_128_sign_components():
     g, cd, ct, graph = graph_for(Dihedral(128), Irrep(2))
-    decomp = decompose_components(graph, ct)
+    decomp = decompose_components(graph)
     assert decomp.kernel.order == 128 and decomp.kernel.group.is_abelian()
     assert len(decomp.components) == 128 // 2 + 1
 
@@ -302,7 +302,7 @@ def test_trivial_rho_reuses_the_group_table(monkeypatch, spec_text):
         return compute_character_table(*args)
 
     monkeypatch.setattr(graphs, "compute_character_table", counted)
-    decomp = decompose_components(build_mckay_graph(ct, Irrep(ct.trivial_index)), ct)
+    decomp = decompose_components(build_mckay_graph(ct, Irrep(ct.trivial_index)))
     assert not calls
     assert decomp.kernel.order == g.order and decomp.kernel_table is ct
     # rho = 1 fixes every vertex: one single-vertex component per irreducible
@@ -310,5 +310,5 @@ def test_trivial_rho_reuses_the_group_table(monkeypatch, spec_text):
     assert sorted(c.vertices for c in decomp.components) == [(i,) for i in range(ct.r)]
     # a proper kernel still gets its own table
     sign = next(i for i in range(ct.r) if ct.degrees[i] == 1 and i != ct.trivial_index)
-    decompose_components(build_mckay_graph(ct, Irrep(sign)), ct)
+    decompose_components(build_mckay_graph(ct, Irrep(sign)))
     assert len(calls) == 1

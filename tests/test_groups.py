@@ -290,7 +290,9 @@ def _closure_reference(g, elems):
                 if z not in members:
                     members.add(z)
                     frontier.append(z)
-    normal = all(g.conj(h, x) in members for x in range(g.order) for h in members)
+    normal = all(
+        int(g.mul[g.mul[x, h], g.inv[x]]) in members for x in range(g.order) for h in members
+    )
     return tuple(sorted(members)), normal
 
 

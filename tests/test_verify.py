@@ -3,6 +3,7 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mckaygraphs.chartable import (
@@ -26,9 +27,10 @@ from mckaygraphs.groups import (
     spec_text,
     tables_isomorphic,
 )
-from mckaygraphs.shapes import is_forest
+from mckaygraphs.shapes import circuit_count, is_forest
 from mckaygraphs.verify import (
     CONSTRUCTIONS,
+    _power_traces,
     ClassificationViolated,
     PreconditionViolated,
     _case_identities,
@@ -99,6 +101,14 @@ def test_trace_identity_bt_cubes_vanish():
     rec = verify_trace_identity(ctx, graph, 3)
     assert rec.passed
     assert rec.expected == "[0, 12, 0]"  # bipartite: odd traces vanish
+
+
+def test_power_traces_continue_exactly_past_the_int64_guard():
+    # entries near 2^20 put tr(A^4) near 2^86: the chain must leave int64
+    a = np.array([[0, 2**20, 3], [2**20 - 1, 1, 2**19], [5, 2**20 + 7, 0]], dtype=np.int64)
+    traces = _power_traces(a, 6)
+    assert traces == [circuit_count(a.tolist(), k) for k in range(1, 7)]
+    assert traces[-1] > 2**63
 
 
 def test_edge_count_q8_and_bt():
