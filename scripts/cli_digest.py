@@ -15,7 +15,9 @@ whose action embeds C_15 in GL_4(F_2),
 groups whose restrictions to the kernel of rho have many classes, and of
 `dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
 and of `cyclic:2` with 5 * 10^18 trivial constituents, whose entries fit in
-int64 but whose trace does not, and last `verify --suite all --out json`, hashed with every `seconds` set to
+int64 but whose trace does not, then the DOT export of `cyclic:3` with rho = 1 + 2 chi_2,
+whose looped edges carry a label and `dir=none`, and `chartab` of a nested
+spec, and last `verify --suite all --out json`, hashed with every `seconds` set to
 0 and the `observed` timing text of the `runtime[*]` records blanked, so that
 it hashes the records' ids, claims, inputs, expected and observed values and
 results in their order.  Run it once with PYTHONPATH on each of two source
@@ -59,6 +61,8 @@ def commands() -> list[list[str]]:
             ("cyclic:2", "charvec:0,5000000000000000000"),
         ]
     ]
+    cmds.append(["graph", "cyclic:3", "--rho", "charvec:1,0,2"])
+    cmds.append(["chartab", "product(semidirect(dihedral:8,cyclic:3),cyclic:2)"])
     cmds.append(["verify", "--suite", "all", "--out", "json"])
     return cmds
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycInt, _is_prime, _primitive_root
+from .cyclotomic import CycInt, _is_prime, _primitive_root, coefficient_rows
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
 from .modp import mul_mod, simultaneous_split
 
@@ -305,29 +306,18 @@ def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
     raise TypeError(f"not a selector: {sel!r}")
 
 
-def residues(p: int, values) -> np.ndarray:
-    """Images mod p of cyclotomic values under zeta_o -> g^((p-1)/o), for
-    g = `_primitive_root(p)`: the map `_lift` reduces through.  A table whose
-    exponent divides p - 1 (a subgroup's, a quotient's) thereby reduces into
-    the field of the larger group.  `values` is a sequence of values or of
-    rows; each distinct value is converted once."""
-    arr = np.array(values, dtype=object)
-    g = _primitive_root(p)
-    powers: dict[int, list[int]] = {}
-    known: dict[tuple, int] = {}
-    out = []
-    for v in arr.ravel():
-        key = (v.order, v.coeffs)
-        res = known.get(key)
-        if res is None:
-            zs = powers.get(v.order)
-            if zs is None:
-                assert (p - 1) % v.order == 0, f"zeta_{v.order} is not in F_{p}"
-                z = pow(g, (p - 1) // v.order, p)
-                zs = powers[v.order] = [pow(z, j, p) for j in range(len(v.coeffs))]
-            res = known[key] = sum(c * w for c, w in zip(v.coeffs, zs)) % p
-        out.append(res)
-    return np.array(out, dtype=np.int64).reshape(arr.shape)
+def residues(p: int, rows) -> np.ndarray:
+    """Images mod p of rows of cyclotomic values under zeta_o -> g^((p-1)/o),
+    for g = `_primitive_root(p)`: the map `_lift` reduces through.  A table
+    whose exponent divides p - 1 (a subgroup's, a quotient's) thereby reduces
+    into the field of the larger group.  One product maps every distinct
+    coefficient row of Z[x]/(x^e - 1) at x -> g^((p-1)/e)."""
+    layout, index, e = coefficient_rows(chain.from_iterable(rows))
+    assert (p - 1) % e == 0, f"zeta_{e} is not in F_{p}"
+    xi = pow(_primitive_root(p), (p - 1) // e, p)
+    powers = np.array([pow(xi, j, p) for j in range(e)], dtype=np.int64)
+    images = mul_mod((layout % p).astype(np.int64), powers[:, None], p)[:, 0]
+    return images[index].reshape(len(rows), -1)
 
 
 def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.ndarray:

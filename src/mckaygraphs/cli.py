@@ -23,7 +23,6 @@ from .chartable import (
     compute_character_table,
     resolve_rho,
 )
-from .cyclotomic import _is_prime
 from .graphs import build_mckay_graph, decompose_components
 from .groups import (
     BinaryDihedral,
@@ -125,8 +124,6 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise SpecParseError("extraspecial takes a variant (+ or -) and an index")
         return Extraspecial2(_int_arg(parts, 2, "extraspecial", minimum=0), parts[1])
     p, n = _int_arg(parts, 1, kind), _int_arg(parts, 2, kind)
-    if not _is_prime(p):
-        raise SpecParseError(f"{kind} needs a prime p, got {p}")
     return Heisenberg(p, n) if kind == "heis" else ElemAb(p, n)
 
 

@@ -4,12 +4,18 @@ A value is an integer coefficient vector in the power basis of
 Z[x]/Phi_e(x), so equality is decidable and every operation is exact.
 Mixed orders are unified by embedding into Q(zeta_lcm).  A value has no
 canonical order, so values compare across orders but are not hashable.
+
+Many values at once are rows of Z[x]/(x^e - 1), x -> zeta_e
+(`coefficient_rows`): sums are row sums, products cyclic convolutions
+(`convolve`, `gram`), and `reduced` gives the canonical coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+
+import numpy as np
 
 
 def _prime_divisors(e: int) -> tuple[int, ...]:
@@ -210,12 +216,6 @@ class CycInt:
             return None
         return self.coeffs[0]
 
-    def exact_div(self, n: int) -> "CycInt":
-        assert n != 0
-        for c in self.coeffs:
-            assert c % n == 0, "coefficient not divisible"
-        return CycInt(self.order, tuple(c // n for c in self.coeffs))
-
     def __eq__(self, other) -> bool:
         o = CycInt._coerce(other)
         if o is None:
@@ -227,14 +227,66 @@ class CycInt:
         return f"CycInt({self.order}, {self.coeffs})"
 
 
-def cyc_sum(values) -> CycInt:
-    """Sum of cyclotomic integers in one reduction: each value's coefficients
-    are added, at stride e / order, into x-powers below e = lcm of the orders."""
+def coefficient_rows(values) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lay out cyclotomic values as rows of Z[x]/(x^e - 1), x -> zeta_e, for e
+    the lcm of their orders: coefficient j of a value of order o sits at
+    x^(j e/o).  Each distinct value object (the lift builds each value once
+    and shares it) has one row, values[i] is rows[index[i]], and the rows are
+    int64 unless the sum of all the values could reach 2^63 in a coefficient."""
     values = list(values)
-    e = lcm(1, *(v.order for v in values))
-    acc = [0] * e
-    for v in values:
-        t = e // v.order
-        for j, c in enumerate(v.coeffs):
-            acc[j * t] += c
-    return CycInt(e, acc)
+    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [values[i] for i in first.tolist()]
+    e = lcm(1, *(v.order for v in distinct))
+    counts = np.bincount(index, minlength=len(distinct)).tolist()
+    peak = sum(c * max(map(abs, v.coeffs)) for c, v in zip(counts, distinct))
+    rows = np.zeros((len(distinct), e), dtype=np.int64 if peak < 2**63 else object)
+    for row, v in zip(rows, distinct):
+        row[: e * len(v.coeffs) // v.order : e // v.order] = v.coeffs
+    return rows, index, e
+
+
+def reduced(rows: np.ndarray, e: int) -> np.ndarray:
+    """The canonical coefficients (last axis phi(e) long) of the values that
+    rows of Z[x]/(x^e - 1) stand for: rows times x^k mod Phi_e for k < e, in
+    int64 while the bound below holds and in Python integers past it."""
+    red = np.array(_power_reductions(e)[:e], dtype=np.int64)
+    peak = int(np.abs(rows).max(initial=0)) * int(np.abs(red).max())
+    return (rows if e * peak < 2**63 else rows.astype(object)) @ red
+
+
+def convolve(a: np.ndarray, b: np.ndarray, e: int, product=np.multiply, terms: int = 1):
+    """Cyclic convolution in Z[x]/(x^e - 1) along the last axes of two
+    coefficient arrays at most e long: each pair of powers s, t nonzero
+    somewhere in a and in b costs one product(a[..., s], b[..., t]) into
+    x^(s + t mod e), so integer values cost one.  `product` (elementwise by
+    default) sums at most `terms` entry products; past the int64 bound on
+    the output the whole convolution runs in Python integers."""
+    peaks = [np.abs(x).reshape(-1, x.shape[-1]).max(axis=0, initial=0) for x in (a, b)]
+    bound = terms * sum(peaks[0].tolist()) * sum(peaks[1].tolist())
+    dtype = np.int64 if bound < 2**63 else object
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    sa, sb = (np.flatnonzero(peak).tolist() or [0] for peak in peaks)
+    out = None
+    for s in sa:
+        for t in sb:
+            part = product(a[..., s], b[..., t])
+            if out is None:
+                out = np.zeros(part.shape + (e,), dtype=dtype)
+            out[..., (s + t) % e] += part
+    return out
+
+
+def gram(a: np.ndarray, b: np.ndarray, e: int, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k a[i, k] b[j, k] for coefficient arrays a (m, n, .) and
+    b (l, n, .), as (m, l, e) rows of Z[x]/(x^e - 1)."""
+    weights = np.asarray(weights, dtype=np.int64)
+    return convolve(a, b, e, lambda x, y: (x * weights) @ y.T, int(np.abs(weights).sum()))
+
+
+def cyc_sum(values) -> CycInt:
+    """Sum of cyclotomic integers: the rows of their layout, each weighted by
+    how many of the values share it."""
+    rows, index, e = coefficient_rows(values)
+    counts = np.bincount(index, minlength=len(rows))
+    return CycInt(e, (counts @ rows).tolist())

@@ -111,31 +111,6 @@ def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
 # components
 
 
-def strongly_connected(adj, vertices) -> bool:
-    """Is the induced subgraph strongly connected (directed reachability)?"""
-    index = {v: i for i, v in enumerate(vertices)}
-    m = len(vertices)
-
-    def reach(forward: bool) -> int:
-        seen = [False] * m
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            i = stack.pop()
-            v = vertices[i]
-            for w in vertices:
-                j = index[w]
-                edge = adj[v][w] if forward else adj[w][v]
-                if edge and not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    stack.append(j)
-        return count
-
-    return reach(True) == m and reach(False) == m
-
-
 @dataclass
 class Component:
     vertices: tuple[int, ...]  # irreducible indices of the parent table

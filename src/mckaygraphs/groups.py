@@ -937,17 +937,20 @@ def build_group(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
 def _dispatch(spec: GroupSpec) -> FiniteGroup:
     if isinstance(spec, Cyclic):
         return _build_cyclic(spec.n)
+    if isinstance(spec, (Dihedral, BinaryDihedral)) and spec.n < 2:
+        raise GroupBuildError(f"{spec_text(spec)} needs n >= 2")
     if isinstance(spec, Dihedral):
-        assert spec.n >= 2, "dihedral carrier needs n >= 2"
         return _build_dihedral(spec.n)
     if isinstance(spec, BinaryDihedral):
-        assert spec.n >= 2, "binary dihedral carrier needs n >= 2"
         return _build_bindihedral(spec.n)
     if isinstance(spec, BinaryPoly):
         return _build_binary(spec.kind)
     if isinstance(spec, Extraspecial2):
-        assert spec.variant in "+-"
+        if spec.variant not in ("+", "-"):
+            raise GroupBuildError(f"{spec_text(spec)} needs the variant + or -")
         return _build_extraspecial(spec.n, spec.variant)
+    if isinstance(spec, (Heisenberg, ElemAb)) and not _is_prime(spec.p):
+        raise GroupBuildError(f"{spec_text(spec)} needs a prime p, got {spec.p}")
     if isinstance(spec, Heisenberg):
         return _build_heisenberg(spec.p, spec.n)
     if isinstance(spec, ElemAb):

@@ -193,27 +193,42 @@ def graph_flags(adj) -> tuple[bool, bool, bool]:
     return bool((a == a.T).all()), not a.diagonal().any(), bool(simple.all())
 
 
-def weak_components(adj) -> list[list[int]]:
-    """Vertex lists of the components of the undirected support, each sorted,
-    in the order of their smallest vertices.
-
-    Min-label propagation: every vertex takes the least label among itself and
-    its neighbours, then the label of its label.  Labels only fall and stay
-    inside a component, so they settle on each component's least vertex."""
-    a = _square(adj)
-    n = len(a)
-    src, dst = np.nonzero((a != 0) | (a.T != 0))
-    label = np.arange(n)
+def _least_reached(support: np.ndarray) -> np.ndarray:
+    """For every vertex, the least vertex it reaches along the directed
+    boolean support, itself included.  Min-label propagation: every vertex
+    takes the least label among itself and its out-neighbours, then the label
+    of its label.  A vertex reaches its label and all that its label reaches,
+    so labels only fall, and they settle on the least vertex reached."""
+    src, dst = np.nonzero(support)
+    label = np.arange(len(support))
     while True:
         step = label.copy()
         np.minimum.at(step, src, label[dst])
         step = step[step]
         if np.array_equal(step, label):
-            break
+            return label
         label = step
+
+
+def weak_components(adj) -> list[list[int]]:
+    """Vertex lists of the components of the undirected support, each sorted,
+    in the order of their smallest vertices: the vertices that share a least
+    reached vertex of the symmetric support."""
+    a = _square(adj) != 0
+    label = _least_reached(a | a.T)
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order])) + 1
-    return [part.tolist() for part in np.split(order, starts)] if n else []
+    return [part.tolist() for part in np.split(order, starts)] if len(a) else []
+
+
+def components_strongly_connected(adj) -> bool:
+    """Is every weak component strongly connected?  Exactly when the least
+    vertex each vertex reaches along the edges, the least that reaches it, and
+    the least of its weak component agree: then every vertex reaches the least
+    vertex of its component, and that vertex reaches every vertex."""
+    a = _square(adj) != 0
+    weak = _least_reached(a | a.T)
+    return np.array_equal(_least_reached(a), weak) and np.array_equal(_least_reached(a.T), weak)
 
 
 def _union_find_acyclic(n: int, us: list[int], ws: list[int]) -> bool:

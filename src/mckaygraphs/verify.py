@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from .cyclotomic import CycInt, cyc_sum
+from .cyclotomic import coefficient_rows, convolve, gram, reduced
 from .graphs import (
     ComponentDecomposition,
     McKayGraph,
@@ -40,7 +41,6 @@ from .graphs import (
     disjoint_union,
     graph_isomorphic,
     principal_component_isomorphism_check,
-    strongly_connected,
 )
 from .groups import (
     BinaryDihedral,
@@ -73,6 +73,7 @@ from .shapes import (
     bipartition,
     circuit_count,
     classify_component,
+    components_strongly_connected,
     pf_integer_vector_check,
 )
 
@@ -195,109 +196,81 @@ def tautological_graph(ctx: FixtureContext) -> McKayGraph:
 
 
 # ---------------------------------------------------------------------------
-# fast helpers for integer-valued tables
+# exact cyclotomic sums, as coefficient rows of Z[x]/(x^e - 1)
 
 
-def _int_table(ct: CharacterTable) -> Optional[np.ndarray]:
-    out = np.zeros((ct.r, ct.r), dtype=np.int64)
-    for i in range(ct.r):
-        for k in range(ct.r):
-            v = ct.values[i][k].as_integer()
-            if v is None:
-                return None
-            out[i, k] = v
-    return out
+def _table_layout(ct: CharacterTable, chi=()) -> tuple[np.ndarray, np.ndarray, int]:
+    """The (r, r, e) coefficient array of the table and the (len(chi), e) one
+    of the values chi, in one layout."""
+    rows, index, e = coefficient_rows(chain(chi, *ct.values))
+    m = len(chi)
+    return rows[index[m:].reshape(ct.r, ct.r)], rows[index[:m]], e
 
 
-def _int_chi(chi) -> Optional[np.ndarray]:
-    vals = [v.as_integer() for v in chi]
-    if any(v is None for v in vals):
-        return None
-    return np.array(vals, dtype=np.int64)
+def _integers(rows: np.ndarray, e: int) -> Optional[np.ndarray]:
+    """The rational integers that rows of Z[x]/(x^e - 1) stand for, or None
+    (equal to no array) when one of them is not rational."""
+    canon = reduced(rows, e)
+    return None if canon[..., 1:].any() else canon[..., 0]
 
 
 def _char_power_sums(chi, kmax: int) -> list[int]:
     """sum over classes of chi(g)^k for k = 1..kmax, as rational integers,
-    from one chain of powers chi^k = chi^(k-1) chi."""
-    ints = _int_chi(chi)
-    base = list(chi) if ints is None else ints.tolist()
+    from one chain of powers chi^k = chi^(k-1) chi, each power reduced so
+    that the next product pairs at most phi(e) powers of x from each side."""
+    rows, index, e = coefficient_rows(chi)
+    base = reduced(rows[index], e)
     power, sums = base, []
     for k in range(1, kmax + 1):
         if k > 1:
-            power = [x * y for x, y in zip(power, base)]
-        total = sum(power) if ints is not None else cyc_sum(power).as_integer()
-        assert total is not None, "power sum over classes must be a rational integer"
-        sums.append(total)
+            power = reduced(convolve(power, base, e), e)
+        total = power.sum(axis=0, dtype=object)
+        assert not total[1:].any(), "power sum over classes must be a rational integer"
+        sums.append(int(total[0]))
     return sums
 
 
-def _dim_end_centralizer(ctx: FixtureContext, chi, class_index: int) -> int:
-    """dim End_{C(x)}(rho restricted), via the exact inner product over C(x)."""
-    g, cd = ctx.group, ctx.cd
-    cen = np.array(cd.centralizer(class_index))
-    classes_of = cd.class_of
-    ints = _int_chi(chi)
-    if ints is not None:
-        vals = ints[classes_of[cen]]
-        vals_inv = ints[classes_of[g.inv[cen]]]
-        total = int(np.sum(vals.astype(object) * vals_inv.astype(object)))
-    else:
-        acc = CycInt.zero()
-        for x in cen:
-            acc = acc + chi[int(classes_of[x])] * chi[int(classes_of[g.inv[x]])]
-        total = acc.as_integer()
-        assert total is not None
-    assert total % len(cen) == 0
-    return total // len(cen)
+def _centralizer_endo_dims(ctx: FixtureContext, chi) -> list[int]:
+    """dim End_{C(x)}(rho restricted) for a representative x of every class,
+    by the exact inner product over C(x): sum_l c_l chi(l) chi(l^-1) / |C(x)|,
+    where c_l counts the elements of class l that commute with x."""
+    g, cd, r = ctx.group, ctx.cd, ctx.ct.r
+    k, y = np.nonzero(g.mul[cd.reps, :] == g.mul[:, cd.reps].T)
+    counts = np.bincount(k * r + cd.class_of[y], minlength=r * r).reshape(r, r)
+    rows, index, e = coefficient_rows(chi)
+    base = rows[index]
+    weighted = convolve(base, base[cd.inverse_class], e, lambda u, v: counts @ (u * v), g.order)
+    totals = _integers(weighted, e)
+    orders = counts.sum(axis=1)
+    assert totals is not None and not np.any(totals % orders)
+    return (totals // orders).tolist()
 
 
 def verify_orthogonality(ct: CharacterTable) -> bool:
     """Exact row and column orthogonality of the lifted table."""
-    r = ct.r
+    r, n = ct.r, ct.group.order
     h = np.array(ct.conj.sizes, dtype=np.int64)
     inv = ct.conj.inverse_class
-    n = ct.group.order
-    ints = _int_table(ct)
-    if ints is not None:
-        gram = (ints * h[None, :]) @ ints[:, inv].T
-        if not np.array_equal(gram, n * np.eye(r, dtype=np.int64)):
-            return False
-        col = ints.T @ ints[:, inv]
-        expected = np.diag([n // int(h[k]) for k in range(r)])
-        return np.array_equal(col, expected)
-    for i in range(r):
-        for j in range(r):
-            acc = CycInt.zero()
-            for k in range(r):
-                acc = acc + ct.values[i][k] * ct.values[j][inv[k]] * int(h[k])
-            if acc != (n if i == j else 0):
-                return False
-    for k in range(r):
-        for l in range(r):
-            acc = CycInt.zero()
-            for i in range(r):
-                acc = acc + ct.values[i][k] * ct.values[i][inv[l]]
-            if acc != (n // int(h[k]) if k == l else 0):
-                return False
-    return True
+    table, _, e = _table_layout(ct)
+    rows = _integers(gram(table, table[:, inv], e, h), e)
+    cols = _integers(gram(table.swapaxes(0, 1), table[:, inv].swapaxes(0, 1), e, np.ones(r)), e)
+    orthogonal_rows = np.array_equal(rows, n * np.eye(r, dtype=np.int64))
+    return orthogonal_rows and np.array_equal(cols, np.diag(n // h))
 
 
 def center_criterion_holds(ctx: FixtureContext) -> bool:
     """Z(G) = classes where |chi| = deg for every irreducible, exactly.
 
-    chi(k) is a sum of deg roots of unity whose orders divide the exponent e,
-    so |chi(k)| = deg exactly when chi(k) = deg zeta_e^s for some s: a lookup
-    of its coefficients among those of the e values deg zeta_e^s."""
-    ct, cd, e = ctx.ct, ctx.cd, ctx.ct.exponent
+    chi(k) is a sum of deg roots of unity, so |chi(k)|^2 = chi(k) chi(k^-1)
+    reaches deg^2 exactly when they all agree; one elementwise product of the
+    table with its inverse-class columns decides every entry."""
+    ct, cd = ctx.ct, ctx.cd
     central_classes = {int(cd.class_of[z]) for z in cd.center}
-    roots = [CycInt.root(e, s) for s in range(e)]
-    at_degree = {d: {(z * d).coeffs for z in roots} for d in set(ct.degrees)}
-    flagged = {
-        k
-        for k in range(ct.r)
-        if all(row[k].embed(e).coeffs in at_degree[d] for row, d in zip(ct.values, ct.degrees))
-    }
-    return flagged == central_classes
+    table, _, e = _table_layout(ct)
+    canon = reduced(convolve(table, table[:, cd.inverse_class], e), e)
+    deg = np.array(ct.degrees, dtype=np.int64)
+    attained = ~canon[..., 1:].any(axis=-1) & (canon[..., 0] == (deg * deg)[:, None])
+    return set(np.flatnonzero(attained.all(axis=0)).tolist()) == central_classes
 
 
 def _power_traces(a: np.ndarray, kmax: int) -> list[int]:
@@ -345,7 +318,7 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
         raise PreconditionViolated("edge-count identity needs an undirected loopless graph")
     s1 = _char_power_sums(graph.rho.chi, 2)[1]
     s2 = graph.edge_count_doubled()
-    s3 = sum(_dim_end_centralizer(ctx, graph.rho.chi, k) for k in range(ctx.ct.r))
+    s3 = sum(_centralizer_endo_dims(ctx, graph.rho.chi))
     vals = [s1, s2, s3]
     tree = graph.tree
     expected = f"three routes agree{f', tree value {2 * (ctx.ct.r - 1)}' if tree else ''}"
@@ -369,8 +342,7 @@ def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckReco
     cd = ctx.cd
     central_classes = {int(cd.class_of[z]) for z in cd.center}
     bad = []
-    for k in range(ctx.ct.r):
-        dim_end = _dim_end_centralizer(ctx, graph.rho.chi, k)
+    for k, dim_end in enumerate(_centralizer_endo_dims(ctx, graph.rho.chi)):
         want = 1 if k in central_classes else 2
         if dim_end != want:
             bad.append((k, dim_end, want))
@@ -651,17 +623,12 @@ def pullback_rho(ct_big: CharacterTable, small_class_of, nk: int, rho_small: Rho
 def _exact_multiplicities(ct: CharacterTable, chi) -> tuple[int, ...]:
     """<chi, psi> = (1/|G|) sum_k h_k chi(k) psi(k^-1) for every psi in Irr(G),
     as exact cyclotomic sums: the oracle for the modular `multiplicities`."""
-    cd = ct.conj
-    out = []
-    for psi in ct.values:
-        total = CycInt.zero()
-        for k in range(ct.r):
-            total = total + chi[k] * psi[cd.inverse_class[k]] * cd.sizes[k]
-        val = total.exact_div(ct.group.order).as_integer()
-        if val is None:
-            raise InternalNonInteger("inner product is not a rational integer")
-        out.append(val)
-    return tuple(out)
+    cd, n = ct.conj, ct.group.order
+    table, row, e = _table_layout(ct, chi)
+    totals = _integers(gram(row[None], table[:, cd.inverse_class], e, cd.sizes), e)
+    if totals is None or np.any(totals % n):
+        raise InternalNonInteger("inner product is not a rational integer")
+    return tuple((totals[0] // n).tolist())
 
 
 def restricted_graph(
@@ -884,7 +851,7 @@ def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
         observed="matches" if ok_center else "differs",
         passed=ok_center,
     )
-    strong = all(strongly_connected(graph.adjacency, comp) for comp in graph.components)
+    strong = components_strongly_connected(graph.matrix)
     records.add(
         check_id=f"strongcomp[{spec_text(spec)}]",
         claim="weak components of the multiplicity graph are strongly connected",

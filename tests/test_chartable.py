@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from mckaygraphs.chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from mckaygraphs.cyclotomic import CycInt, _primitive_root
+from mckaygraphs.cyclotomic import CycInt, _is_prime, _primitive_root, coefficient_rows
 from mckaygraphs.groups import (
     BinaryDihedral,
     BinaryPoly,
@@ -287,6 +288,56 @@ def test_restriction_bo_to_bt_is_tautological():
     assert bt_ct.degrees[idx] == 2
     assert is_faithful(bt_ct, bt_ct.values[idx])
     assert is_self_dual(bt_ct, bt_ct.values[idx])
+
+
+def residues_oracle(p, rows):
+    """One value at a time: sum_j c_j z^j mod p for z = g^((p-1)/order)."""
+    g = _primitive_root(p)
+    out = []
+    for row in rows:
+        images = []
+        for v in row:
+            assert (p - 1) % v.order == 0
+            z = pow(g, (p - 1) // v.order, p)
+            images.append(sum(c * pow(z, j, p) for j, c in enumerate(v.coeffs)) % p)
+        out.append(images)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "spec", [Cyclic(12), Dihedral(9), BinaryPoly("I"), Heisenberg(3, 1), ElemAb(2, 3)],
+    ids=spec_text,
+)
+def test_residues_match_the_per_value_oracle(spec):
+    _, _, ct = table(spec)
+    assert np.array_equal(residues(ct.prime, ct.values), residues_oracle(ct.prime, ct.values))
+    assert np.array_equal(residues(ct.prime, ct.values), ct.modular)
+    # a larger prime of the same residue class mod the exponent
+    p = next(q for q in range(ct.prime + ct.exponent, 10**5, ct.exponent) if _is_prime(q))
+    assert np.array_equal(residues(p, ct.values), residues_oracle(p, ct.values))
+
+
+def test_subgroup_residues_in_the_larger_field():
+    # binary:T has exponent 12 and binary:O exponent 24: the restriction of
+    # binary:O's rho and binary:T's own table meet in one row set
+    bo = build_group(BinaryPoly("O"))
+    cdo = conjugacy(bo)
+    cto = compute_character_table(bo, cdo)
+    from mckaygraphs.groups import normal_subgroups
+
+    bt_sub = normal_subgroups(bo, cdo, 24)[0]
+    bt_ct = compute_character_table(bt_sub.group)
+    assert bt_ct.exponent != cto.exponent
+    rho = resolve_rho(cto, FaithfulSelfDualMinDim())
+    rows = list(bt_ct.values) + [restrict(cto, bt_sub, bt_ct, rho.chi)]
+    assert np.array_equal(residues(cto.prime, rows), residues_oracle(cto.prime, rows))
+
+
+def test_table_layout_has_one_row_per_distinct_value():
+    # every value of cyclic:256 is one of its 256 roots of unity, shared by the lift
+    _, _, ct = table(Cyclic(256))
+    rows, index, e = coefficient_rows(chain.from_iterable(ct.values))
+    assert rows.shape == (256, 256) and index.shape == (256 * 256,) and e == 256
 
 
 def test_self_dual_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import reduce
 from operator import add
@@ -11,9 +12,13 @@ from mckaygraphs.cyclotomic import (
     _is_prime,
     _prime_divisors,
     _primitive_root,
+    coefficient_rows,
+    convolve,
     cyc_sum,
     cyclotomic_polynomial,
     euler_phi,
+    gram,
+    reduced,
 )
 
 
@@ -185,3 +190,44 @@ def test_cyc_sum_is_the_folded_sum_over_mixed_orders(values):
     total = cyc_sum(iter(values))
     folded = reduce(add, values)
     assert (total.order, total.coeffs) == (folded.order, folded.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-row layout against CycInt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
+def test_layout_sums_products_and_grams_match_cycint(data, m, l, n):
+    a = [[data.draw(cyc_values()) for _ in range(n)] for _ in range(m)]
+    b = [[data.draw(cyc_values()) for _ in range(n)] for _ in range(l)]
+    h = data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    a[0][0] = b[0][-1]  # one value object twice: it gets one row
+    flat = [v for row in a + b for v in row]
+    rows, index, e = coefficient_rows(flat)
+    assert len(rows) == len({id(v) for v in flat}) < len(flat)
+    assert e == math.lcm(*(v.order for v in flat))
+    canon = reduced(rows, e)
+    for i, v in enumerate(flat):
+        assert tuple(canon[index[i]].tolist()) == v.embed(e).coeffs
+    laid = rows[index]
+    la, lb = laid[: m * n].reshape(m, n, e), laid[m * n :].reshape(l, n, e)
+    products = reduced(convolve(la[0], lb[0], e), e)
+    for k in range(n):
+        assert tuple(products[k].tolist()) == (a[0][k] * b[0][k]).embed(e).coeffs
+    grams = reduced(gram(la, lb, e, np.array(h)), e)
+    for i in range(m):
+        for j in range(l):
+            want = cyc_sum(a[i][k] * b[j][k] * h[k] for k in range(n))
+            assert tuple(grams[i, j].tolist()) == want.embed(e).coeffs
+    assert cyc_sum(flat) == reduce(add, flat)
+
+
+def test_layout_leaves_int64_past_two_to_the_63():
+    big = CycInt(4, (2**62, -(2**62)))
+    rows, index, e = coefficient_rows([big, big])  # the sum's coefficients reach 2^63
+    assert rows.dtype == object and len(rows) == 1
+    square = reduced(convolve(rows[index], rows[index], e), e)
+    assert tuple(square[0]) == (big * big).coeffs and abs(square[0][1]) > 2**63
+    rows, _, _ = coefficient_rows([big])
+    assert rows.dtype == np.int64

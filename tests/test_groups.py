@@ -59,6 +59,24 @@ def test_expanded_orders_and_build():
         assert build_group(spec).order == order
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (ElemAb(4, 2), "prime"),  # once (Z/4)^2 under the name elemab:4:2
+        (Heisenberg(4, 1), "prime"),
+        (Semidirect(Cyclic(4), ElemAb(1, 1)), "prime"),  # once p^n - 1 = 0 as a divisor
+        (Product(Cyclic(2), ElemAb(6, 1)), "prime"),
+        (Dihedral(1), "n >= 2"),
+        (BinaryDihedral(1), "n >= 2"),
+        (Extraspecial2(1, "*"), "variant"),
+        (Extraspecial2(1, "+-"), "variant"),
+    ],
+)
+def test_build_group_rejects_what_the_grammar_rejects(spec, message):
+    with pytest.raises(GroupBuildError, match=message):
+        build_group(spec)
+
+
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         build_group(Cyclic(7), cap=5)

@@ -11,6 +11,7 @@ from mckaygraphs.shapes import (
     bipartition,
     circuit_count,
     classify_component,
+    components_strongly_connected,
     graph_flags,
     is_forest,
     is_tree,
@@ -422,6 +423,64 @@ def test_shape_facts_match_the_oracles(adj, form):
     assert is_tree(given_adj) == tree_oracle(adj)
     if not symmetric_oracle(adj):
         assert classify_component(given_adj).kind == "other"
+
+
+def strongly_connected_oracle(adj, vertices):
+    """Is the induced subgraph strongly connected?  A DFS along the edges and
+    one against them, from the first vertex, must each reach every vertex."""
+    index = {v: i for i, v in enumerate(vertices)}
+    m = len(vertices)
+
+    def reach(forward):
+        seen = [False] * m
+        stack = [0]
+        seen[0] = True
+        count = 1
+        while stack:
+            v = vertices[stack.pop()]
+            for w in vertices:
+                j = index[w]
+                edge = adj[v][w] if forward else adj[w][v]
+                if edge and not seen[j]:
+                    seen[j] = True
+                    count += 1
+                    stack.append(j)
+        return count
+
+    return reach(True) == m and reach(False) == m
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs on at most 9 vertices, most of whose weak components
+    are not strongly connected, plus the McKay-like multidigraphs."""
+    if draw(st.booleans()):
+        return draw(multidigraphs())
+    n = draw(st.integers(0, 9))
+    cells = draw(st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))
+    return [[max(c - 3, 0) for c in cells[i * n : (i + 1) * n]] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs())
+def test_strong_connectivity_matches_the_dfs_oracle(adj):
+    oracle = all(strongly_connected_oracle(adj, comp) for comp in components_oracle(adj))
+    given_adj = np.array(adj, dtype=np.int64).reshape(len(adj), len(adj))
+    assert components_strongly_connected(given_adj) == oracle
+
+
+@pytest.mark.parametrize(
+    "adj, strong",
+    [
+        (((0, 1), (0, 0)), False),  # one arc
+        (((0, 1, 0), (0, 0, 1), (1, 0, 0)), True),  # a directed triangle
+        (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)), False),  # an edge, an arc
+        (((1, 0), (0, 0)), True),  # isolated vertices
+    ],
+)
+def test_strong_connectivity_examples(adj, strong):
+    assert components_strongly_connected(adj) == strong
+    assert all(strongly_connected_oracle(adj, c) for c in components_oracle(adj)) == strong
 
 
 @pytest.mark.parametrize(

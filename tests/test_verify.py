@@ -13,6 +13,7 @@ from mckaygraphs.chartable import (
     is_self_dual,
     resolve_rho,
 )
+from mckaygraphs.cyclotomic import CycInt
 from mckaygraphs.graphs import build_mckay_graph, decompose_components, graph_isomorphic
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -30,6 +31,8 @@ from mckaygraphs.groups import (
 from mckaygraphs.shapes import circuit_count, is_forest
 from mckaygraphs.verify import (
     CONSTRUCTIONS,
+    _centralizer_endo_dims,
+    _char_power_sums,
     _power_traces,
     ClassificationViolated,
     PreconditionViolated,
@@ -45,6 +48,7 @@ from mckaygraphs.verify import (
     verify_forest_theorem,
     verify_newton_spectrum,
     verify_normal_tower,
+    verify_orthogonality,
     verify_sum_of_squares,
     verify_trace_identity,
     verify_tree_theorem,
@@ -132,6 +136,43 @@ def test_centralizer_endo_q8():
     ctx = fixture(BinaryDihedral(2))
     rec = verify_centralizer_endo(ctx, tautological_graph(ctx))
     assert rec.passed
+
+
+ORACLE_SPECS = [Dihedral(9), BinaryPoly("O"), BinaryPoly("I"), Heisenberg(3, 1), Cyclic(12)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_text)
+def test_exact_sums_match_per_value_cycint_loops(spec):
+    """Power sums and centralizer endomorphism dimensions against one CycInt
+    product per value."""
+    ctx = fixture(spec)
+    ct, cd, g = ctx.ct, ctx.cd, ctx.group
+    for i in range(ct.r):
+        chi = ct.values[i]
+        power, sums = chi, []
+        for k in range(1, 5):
+            if k > 1:
+                power = tuple(x * y for x, y in zip(power, chi))
+            sums.append(sum(power, CycInt.zero()).as_integer())
+        assert _char_power_sums(chi, 4) == sums
+        dims = []
+        for k in range(ct.r):
+            cen = cd.centralizer(k)
+            total = sum(
+                (chi[int(cd.class_of[x])] * chi[int(cd.class_of[g.inv[x]])] for x in cen),
+                CycInt.zero(),
+            )
+            assert total.as_integer() % len(cen) == 0
+            dims.append(total.as_integer() // len(cen))
+        assert _centralizer_endo_dims(ctx, chi) == dims
+
+
+def test_orthogonality_refuses_a_spoiled_table():
+    ct = fixture(BinaryPoly("T")).ct
+    values = [list(row) for row in ct.values]
+    i = next(i for i in range(ct.r) if ct.degrees[i] == 1 and i != ct.trivial_index)
+    values[i][1], values[i][2] = values[i][2], values[i][1]  # two classes of one row swapped
+    assert not verify_orthogonality(replace(ct, values=[tuple(row) for row in values]))
 
 
 def test_newton_spectrum_small():
