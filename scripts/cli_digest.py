@@ -15,14 +15,16 @@ whose action embeds C_15 in GL_4(F_2),
 groups whose restrictions to the kernel of rho have many classes, and of
 `dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
 and of `cyclic:2` with 5 * 10^18 trivial constituents, whose entries fit in
-int64 but whose trace does not, then the DOT export of `cyclic:3` with rho = 1 + 2 chi_2,
-whose looped edges carry a label and `dir=none`, and `chartab` of a nested
-spec, and last `verify --suite all --out json`, hashed with every `seconds` set to
-0 and the `observed` timing text of the `runtime[*]` records blanked, so that
-it hashes the records' ids, claims, inputs, expected and observed values and
-results in their order.  Run it once with PYTHONPATH on each of two source
-trees (say a `git archive` export of the parent commit and the working tree)
-and diff the two outputs: a change that keeps the CLI bytes prints the same
+int64 but whose trace does not, and of `cyclic:64` with the regular rho
+(`charvec:` of 64 ones), whose character sums every row of the table, then
+the DOT export of `cyclic:3` with rho = 1 + 2 chi_2, whose looped edges
+carry a label and `dir=none`, and `chartab` of a nested spec, and last
+`verify --suite all --out json`, hashed with every `seconds` set to 0 and the
+`observed` timing text of the `runtime[*]` records blanked, so that it hashes
+the records' ids, claims, inputs, expected and observed values and results
+in their order.  Run it once with PYTHONPATH on each of two source trees
+(say a `git archive` export of the parent commit and the working tree) and
+diff the two outputs: a change that keeps the CLI bytes prints the same
 lines.
 """
 
@@ -59,6 +61,7 @@ def commands() -> list[list[str]]:
             ("dihedral:64", "irrep:2"),
             ("dihedral:5", "charvec:100000000000000000000,0,1,0"),
             ("cyclic:2", "charvec:0,5000000000000000000"),
+            ("cyclic:64", "charvec:" + ",".join(["1"] * 64)),
         ]
     ]
     cmds.append(["graph", "cyclic:3", "--rho", "charvec:1,0,2"])

@@ -8,22 +8,24 @@ recovered from the orthogonality relation, and the whole modular table is
 lifted to exact cyclotomic integers at once.  The lift runs one discrete
 Fourier transform over F_p, for all rows, per class whose element generates
 a maximal cyclic subgroup; every power class of that element takes its
-values by remapping the eigenvalue exponents.  All arithmetic is int64 with
-the overflow bound asserted next to each product, or Python integers; no
-floating point is involved anywhere.
+values by remapping the eigenvalue exponents.  The table holds each distinct
+value once, as a row of canonical coefficients (`cyclotomic`), and an r x r
+index of the rows, so equal values have equal indices.  A single character
+is an (r, phi(e)) coefficient array at a stated order e.  All arithmetic is
+int64 with the overflow bound asserted next to each product, or Python
+integers; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycInt, _is_prime, _primitive_root, coefficient_rows
+from .cyclotomic import _is_prime, _power_reductions, _primitive_root, euler_phi
 from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
 from .modp import mul_mod, simultaneous_split
 
@@ -66,7 +68,8 @@ class CharacterTable:
     prime: int
     exponent: int
     degrees: list[int]
-    values: list[tuple[CycInt, ...]]  # irreducible x class
+    rows: np.ndarray  # the distinct values: canonical coefficients at the exponent, sorted
+    index: np.ndarray  # (r, r) irreducible x class -> the row of its value
     modular: np.ndarray  # (r, r) residues mod prime
     trivial_index: int
 
@@ -141,18 +144,18 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     assert np.all(hits.sum(axis=1) == 1), "degree not unique from d^2 mod p"
     degrees = ds[hits.argmax(axis=1)].tolist()
     modular = np.array(degrees, dtype=np.int64)[:, None] * omega % p * h_inv % p
-    lifted = _lift(modular, degrees, cd, p)
+    rows, index = _lift(modular, degrees, cd, p)
 
-    order = sorted(range(r), key=lambda i: (degrees[i], tuple(v.coeffs for v in lifted[i])))
+    # by degree, then by the values in class order: the rows are sorted, so
+    # their indices order the values as their coefficient tuples do
+    order = np.lexsort(np.vstack([index.T[::-1], [degrees]]))
     degrees = [degrees[i] for i in order]
-    values = [lifted[i] for i in order]
+    index = index[order]
     modular = modular[order]
 
     assert sum(d * d for d in degrees) == n, "degree squares must sum to |G|"
-    one = CycInt.one()
-    trivial = next(
-        i for i in range(r) if degrees[i] == 1 and all(v == one for v in values[i])
-    )
+    one = np.flatnonzero((rows[:, 0] == 1) & ~rows[:, 1:].any(axis=1))  # the row of 1
+    trivial = int(np.flatnonzero((index == one).all(axis=1))[0])
     # modular row orthogonality: sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij
     gram = mul_mod(modular * h[None, :] % p, modular[:, invmap].T, p)
     assert np.array_equal(gram, (n % p) * np.eye(r, dtype=np.int64) % p)
@@ -162,7 +165,8 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
         prime=p,
         exponent=e,
         degrees=degrees,
-        values=values,
+        rows=rows,
+        index=index,
         modular=modular,
         trivial_index=trivial,
     )
@@ -175,33 +179,37 @@ def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
     for every row at once, the multiplicity m_j of the eigenvalue zeta_n^j:
     m_j = (1/n) sum_t chi(g^t) xi_n^(-jt).  The class of g^t holds
     sum_j m_j zeta_n^(jt), so one DFT per maximal cyclic subgroup serves all
-    the classes of its elements.  Returns one tuple of values per row.
+    the classes of its elements.
+
+    An entry is keyed by its (exponent, multiplicity) cells in exponent
+    order, padded to the largest degree d (a row of degree d has at most d
+    cells).  Each class takes the distinct keys of its column, and only keys
+    that no earlier class had are reduced to coefficients, each checked once
+    against its residue.  Two keys can be one value (1 + zeta_2 = 0 =
+    1 + zeta_3 + zeta_3^2), so the reduced rows are deduplicated again.
+    Returns the distinct rows in lexicographic order and the (r, r) index of
+    each entry's row.
     """
     r = modular.shape[0]
     e = cd.exponent
+    phi = euler_phi(e)
     xi = pow(_primitive_root(p), (p - 1) // e, p)
-    xis = [pow(xi, s, p) for s in range(e)]
-    xi_arr = np.array(xis, dtype=np.int64)
+    xi_arr = np.array([pow(xi, s, p) for s in range(e)], dtype=np.int64)
     deg = np.array(degrees, dtype=np.int64)
-    known: dict[tuple, CycInt] = {}
+    red = np.array(_power_reductions(e)[:e], dtype=np.int64)  # x^s mod Phi_e
+    width = max(degrees)
+    radix = width + 1  # a cell codes as s radix + m, 1 <= m <= d; padding is 0
+    assert width * int(np.abs(red).max()) < 2**63, "a value's coefficients overflow int64"
+    assert phi * (p - 1) ** 2 < 2**63, "a value's residue overflows int64"
+    key_type = np.dtype((np.void, 8 * width))
+    row_of_key: dict[bytes, int] = {}
+    row_of_coeffs: dict[bytes, int] = {}
+    rows: list[np.ndarray] = []
+    index = np.full((r, r), -1, dtype=np.int64)
 
-    def value(terms: tuple[tuple[int, int], ...]) -> CycInt:
-        """sum m zeta_e^s over the (s, m) terms, built once per distinct sum."""
-        val = known.get(terms)
-        if val is None:
-            hist = [0] * e
-            for s, m in terms:
-                hist[s] += m
-            val = known[terms] = CycInt(e, hist)
-            # its reduced coefficients at zeta_e -> xi give the residue of the terms
-            at_xi = sum(c * xis[t] for t, c in enumerate(val.coeffs))
-            assert (at_xi - sum(m * xis[s] for s, m in terms)) % p == 0, "lift does not reduce back"
-        return val
-
-    columns: list = [None] * r
     order_of = [cd.element_orders[rep] for rep in cd.reps]
     for k in sorted(range(r), key=lambda k: -order_of[k]):
-        if columns[k] is not None:
+        if index[0, k] >= 0:
             continue  # a power of an element already transformed
         nk, pc = order_of[k], cd.power_classes(k)
         step = e // nk
@@ -218,25 +226,47 @@ def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
         if np.any(sums != deg):
             i = int(np.argmax(sums != deg))
             raise LiftOutOfRange(f"eigenvalue multiplicities sum to {sums[i]}, not {degrees[i]}")
-        rows, js = np.nonzero(mult)
+        nz_rows, js = np.nonzero(mult)
         for t, c in enumerate(pc):
-            if columns[c] is not None:
+            if index[0, c] >= 0:
                 continue
             # g^t has the eigenvalues zeta_e^s, s = j t step; merge the j that meet
-            cells, where = np.unique(rows * e + js * t % nk * step, return_inverse=True)
+            cells, where = np.unique(nz_rows * e + js * t % nk * step, return_inverse=True)
             ms = np.zeros(cells.size, dtype=np.int64)
-            np.add.at(ms, where, mult[rows, js])
+            np.add.at(ms, where, mult[nz_rows, js])
             cell_rows, expo = np.divmod(cells, e)
             back = np.zeros(r, dtype=np.int64)
             np.add.at(back, cell_rows, ms * xi_arr[expo] % p)
             if not np.array_equal(back % p, modular[:, c]):
                 i = int(np.argmax(back % p != modular[:, c]))
                 raise LiftOutOfRange(f"eigenvalues of row {i} do not reduce back at class {c}")
-            terms: list[list] = [[] for _ in range(r)]
-            for i, s, m in zip(cell_rows.tolist(), expo.tolist(), ms.tolist()):
-                terms[i].append((s, m))
-            columns[c] = [value(tuple(row)) for row in terms]
-    return list(zip(*columns))
+            keys = np.zeros((r, width), dtype=np.int64)
+            keys[cell_rows, np.arange(cells.size) - np.searchsorted(cell_rows, cell_rows)] = (
+                expo * radix + ms
+            )
+            distinct, inverse = np.unique(keys.view(key_type).ravel(), return_inverse=True)
+            ids = np.array([row_of_key.get(key, -1) for key in distinct.tolist()])
+            new = np.flatnonzero(ids < 0)
+            if new.size:
+                code = distinct[new].view(np.int64).reshape(-1, width)
+                coeffs = np.zeros((new.size, phi), dtype=np.int64)
+                residue = np.zeros(new.size, dtype=np.int64)
+                for s, m in zip(*np.divmod(code.T, radix)):
+                    coeffs += m[:, None] * red[s]
+                    residue += m * xi_arr[s] % p
+                # the reduced coefficients at zeta_e -> xi give the residue of the cells
+                at_xi = (coeffs % p) @ xi_arr[:phi] % p
+                assert np.array_equal(at_xi, residue % p), "lift does not reduce back"
+                for u, key, row in zip(new.tolist(), distinct[new].tolist(), coeffs):
+                    ids[u] = row_of_key[key] = row_of_coeffs.setdefault(row.tobytes(), len(rows))
+                    if ids[u] == len(rows):
+                        rows.append(row)
+            index[:, c] = ids[inverse]
+    table = np.array(rows)
+    order = np.lexsort(table.T[::-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return table[order], rank[index]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +293,12 @@ RhoSelector = Union[Irrep, FaithfulSelfDualMinDim, CharVector]
 
 @dataclass(frozen=True)
 class Rho:
-    chi: tuple[CycInt, ...]
+    """A character: its (r, phi(order)) coefficient rows on the classes of
+    its table, whose exponent is `order`, and its multiplicities over the
+    irreducibles, which determine the rows."""
+
+    chi: np.ndarray = field(compare=False)
+    order: int
     mults: tuple[int, ...]
     dim: int
 
@@ -278,12 +313,12 @@ def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
         if not 0 <= sel.index < r:
             raise NoSuchIrrep(f"irreducible index {sel.index} out of range")
         mults = tuple(1 if i == sel.index else 0 for i in range(r))
-        return Rho(chi=ct.values[sel.index], mults=mults, dim=ct.degrees[sel.index])
+        chi = ct.rows[ct.index[sel.index]]
+        return Rho(chi=chi, order=ct.exponent, mults=mults, dim=ct.degrees[sel.index])
     if isinstance(sel, FaithfulSelfDualMinDim):
         best = None
         for i in range(r):
-            chi = ct.values[i]
-            if is_faithful(ct, chi) and is_self_dual(ct, chi):
+            if is_faithful(ct, ct.index[i]) and is_self_dual(ct, ct.index[i]):
                 key = (ct.degrees[i], i)
                 if best is None or key < best:
                     best = key
@@ -294,30 +329,31 @@ def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
         mults = tuple(sel.mults)
         if len(mults) != r or any(m < 0 for m in mults) or not any(mults):
             raise NoSuchIrrep("multiplicity vector must be nonnegative and nonzero")
-        chi = []
-        for k in range(r):
-            acc = CycInt.zero()
-            for i, m in enumerate(mults):
-                if m:
-                    acc = acc + ct.values[i][k] * m
-            chi.append(acc)
+        # row k of the weights sums the multiplicities of the irreducibles by
+        # their value at class k; int64 while no partial sum can reach 2^63
+        used = [i for i, m in enumerate(mults) if m]
+        bound = sum(mults) * int(np.abs(ct.rows).max())
+        dtype = np.int64 if bound < 2**63 else object
+        weights = np.zeros((r, len(ct.rows)), dtype=dtype)
+        counts = np.array([mults[i] for i in used], dtype=dtype)[:, None]
+        np.add.at(weights, (np.arange(r)[None, :], ct.index[used]), counts)
+        chi = weights @ ct.rows.astype(dtype, copy=False)
         dim = sum(m * d for m, d in zip(mults, ct.degrees))
-        return Rho(chi=tuple(chi), mults=mults, dim=dim)
+        return Rho(chi=chi, order=ct.exponent, mults=mults, dim=dim)
     raise TypeError(f"not a selector: {sel!r}")
 
 
-def residues(p: int, rows) -> np.ndarray:
-    """Images mod p of rows of cyclotomic values under zeta_o -> g^((p-1)/o),
+def residues(p: int, coeffs: np.ndarray, e: int) -> np.ndarray:
+    """Images mod p of cyclotomic values, given by their canonical
+    coefficients at order e along the last axis, under zeta_e -> g^((p-1)/e)
     for g = `_primitive_root(p)`: the map `_lift` reduces through.  A table
     whose exponent divides p - 1 (a subgroup's, a quotient's) thereby reduces
-    into the field of the larger group.  One product maps every distinct
-    coefficient row of Z[x]/(x^e - 1) at x -> g^((p-1)/e)."""
-    layout, index, e = coefficient_rows(chain.from_iterable(rows))
+    into the field of the larger group."""
     assert (p - 1) % e == 0, f"zeta_{e} is not in F_{p}"
     xi = pow(_primitive_root(p), (p - 1) // e, p)
-    powers = np.array([pow(xi, j, p) for j in range(e)], dtype=np.int64)
-    images = mul_mod((layout % p).astype(np.int64), powers[:, None], p)[:, 0]
-    return images[index].reshape(len(rows), -1)
+    powers = np.array([pow(xi, j, p) for j in range(coeffs.shape[-1])], dtype=np.int64)
+    flat = (coeffs.reshape(-1, coeffs.shape[-1]) % p).astype(np.int64)
+    return mul_mod(flat, powers[:, None], p).reshape(coeffs.shape[:-1])
 
 
 def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.ndarray:
@@ -330,7 +366,7 @@ def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.nda
     sum_t m_t deg psi_t = D for every row, or InternalNonInteger.
     """
     cd = ct.conj
-    table = ct.modular if p == ct.prime else residues(p, ct.values)
+    table = ct.modular if p == ct.prime else residues(p, ct.rows, ct.exponent)[ct.index]
     h = np.array(cd.sizes, dtype=np.int64)
     num = mul_mod(rows * h % p, table[:, cd.inverse_class].T, p)
     mults = num * pow(ct.group.order, p - 2, p) % p
@@ -343,10 +379,11 @@ def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.nda
     return mults
 
 
-def rho_from_class_function(ct: CharacterTable, chi) -> Rho:
-    """Resolve a character given by its values, of degree below ct.prime."""
-    row = residues(ct.prime, [chi])
-    mults = multiplicities(ct, row, [chi[0].as_integer()], ct.prime)[0]
+def rho_from_class_function(ct: CharacterTable, chi: np.ndarray, order: int) -> Rho:
+    """Resolve a character of degree below ct.prime, given by its coefficient
+    rows at `order` on ct's classes."""
+    row = residues(ct.prime, chi, order)[None]
+    mults = multiplicities(ct, row, [int(chi[0, 0])], ct.prime)[0]
     return resolve_rho(ct, CharVector(tuple(mults.tolist())))
 
 
@@ -371,22 +408,27 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     return total
 
 
+# A character below is its coefficient rows, or a table row of `index`:
+# either way equal values have equal rows.
+
+
 def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
     """Union of the classes where the character attains its identity value;
     a character kernel is a normal subgroup, so no closure is needed."""
-    cd = ct.conj
-    top = chi[0]
-    elems = np.sort(np.concatenate([cd.classes[k] for k in range(ct.r) if chi[k] == top]))
+    chi = np.asarray(chi).reshape(ct.r, -1)
+    at_one = np.flatnonzero((chi == chi[0]).all(axis=1))
+    elems = np.sort(np.concatenate([ct.conj.classes[k] for k in at_one]))
     sub = subgroup_on(ct.group, elems)
     assert sub.normal
     return sub
 
 
 def is_self_dual(ct: CharacterTable, chi) -> bool:
-    inv = ct.conj.inverse_class
-    return all(chi[k] == chi[inv[k]] for k in range(ct.r))
+    chi = np.asarray(chi).reshape(ct.r, -1)
+    return bool((chi == chi[ct.conj.inverse_class]).all())
 
 
 def is_faithful(ct: CharacterTable, chi) -> bool:
     """No non-identity class attains the identity value, so the kernel is trivial."""
-    return all(chi[k] != chi[0] for k in range(1, ct.r))
+    chi = np.asarray(chi).reshape(ct.r, -1)
+    return not (chi[1:] == chi[0]).all(axis=1).any()

@@ -240,9 +240,8 @@ def chartab_document(spec: GroupSpec) -> dict:
     group = build_group(spec)
     cd = conjugacy(group)
     ct = compute_character_table(group, cd)
-    # the lift shares one CycInt per distinct value, so one cell each will do
-    distinct = {id(v): v for row in ct.values for v in row}
-    cells = {key: {"order": v.order, "coeffs": list(v.coeffs)} for key, v in distinct.items()}
+    # one cell per distinct value, shared by every entry that holds it
+    cells = [{"order": ct.exponent, "coeffs": coeffs} for coeffs in ct.rows.tolist()]
     return {
         "group": spec_text(spec),
         "order": group.order,
@@ -262,7 +261,7 @@ def chartab_document(spec: GroupSpec) -> dict:
             {
                 "index": i,
                 "degree": ct.degrees[i],
-                "values": [cells[id(v)] for v in ct.values[i]],
+                "values": [cells[u] for u in ct.index[i].tolist()],
             }
             for i in range(ct.r)
         ],

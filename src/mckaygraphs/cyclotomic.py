@@ -1,19 +1,17 @@
 """Exact arithmetic in rings of cyclotomic integers Z[zeta_e].
 
-A value is an integer coefficient vector in the power basis of
-Z[x]/Phi_e(x), so equality is decidable and every operation is exact.
-Mixed orders are unified by embedding into Q(zeta_lcm).  A value has no
-canonical order, so values compare across orders but are not hashable.
-
-Many values at once are rows of Z[x]/(x^e - 1), x -> zeta_e
-(`coefficient_rows`): sums are row sums, products cyclic convolutions
-(`convolve`, `gram`), and `reduced` gives the canonical coefficients.
+A value of order e is its canonical coefficient vector: phi(e) integers in
+the power basis of Z[x]/Phi_e(x), x -> zeta_e, so equal values have equal
+coefficients and every operation is exact.  Many values at once are the
+rows of an integer array, coefficients along the last axis: sums are row
+sums, `embed` moves values to a multiple of their order, products are cyclic
+convolutions in Z[x]/(x^e - 1) (`convolve`, `gram`), and `reduced` brings
+rows of Z[x]/(x^e - 1) back to canonical coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -103,156 +101,27 @@ def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_coeffs(e: int, coeffs) -> tuple[int, ...]:
-    phi = euler_phi(e)
-    if len(coeffs) <= phi:
-        # already in the power basis: rows k < phi of _power_reductions are unit vectors
-        return tuple(coeffs) + (0,) * (phi - len(coeffs))
-    rows = _power_reductions(e)
-    acc = [0] * phi
-    for k, v in enumerate(coeffs):
-        if v:
-            row = rows[k if k < len(rows) else k % e]  # x^e = 1 in the quotient
-            for j in range(phi):
-                acc[j] += v * row[j]
-    return tuple(acc)
-
-
-class CycInt:
-    """A cyclotomic integer: order e plus phi(e) power-basis coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        self.order = order
-        self.coeffs = _reduce_coeffs(order, coeffs)
-
-    @staticmethod
-    def integer(n: int) -> "CycInt":
-        return CycInt(1, (n,))
-
-    @staticmethod
-    def zero() -> "CycInt":
-        return CycInt(1, (0,))
-
-    @staticmethod
-    def one() -> "CycInt":
-        return CycInt(1, (1,))
-
-    @staticmethod
-    def root(e: int, k: int = 1) -> "CycInt":
-        """zeta_e^k."""
-        k %= e
-        return CycInt(e, (0,) * k + (1,))
-
-    def embed(self, target_order: int) -> "CycInt":
-        if target_order == self.order:
-            return self
-        assert target_order % self.order == 0
-        t = target_order // self.order
-        vec = [0] * ((len(self.coeffs) - 1) * t + 1)
-        for j, c in enumerate(self.coeffs):
-            vec[j * t] = c
-        return CycInt(target_order, vec)
-
-    def _pair(self, other: "CycInt") -> tuple["CycInt", "CycInt"]:
-        if self.order == other.order:
-            return self, other
-        e = lcm(self.order, other.order)
-        return self.embed(e), other.embed(e)
-
-    @staticmethod
-    def _coerce(value) -> "CycInt | None":
-        if isinstance(value, CycInt):
-            return value
-        if isinstance(value, int):
-            return CycInt.integer(value)
-        return None
-
-    def __add__(self, other) -> "CycInt":
-        o = CycInt._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._pair(o)
-        return CycInt(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "CycInt":
-        o = CycInt._coerce(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(other, int):
-            return CycInt(self.order, tuple(c * other for c in self.coeffs))
-        a, b = self._pair(o)
-        la, lb = a.coeffs, b.coeffs
-        conv = [0] * (len(la) + len(lb) - 1)
-        for i, x in enumerate(la):
-            if x:
-                for j, y in enumerate(lb):
-                    if y:
-                        conv[i + j] += x * y
-        return CycInt(a.order, conv)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CycInt":
-        if k < 0:
-            raise ValueError("negative powers are not defined in the integer ring")
-        result = CycInt.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def as_integer(self) -> int | None:
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        o = CycInt._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._pair(o)
-        return a.coeffs == b.coeffs
-
-    def __repr__(self) -> str:
-        return f"CycInt({self.order}, {self.coeffs})"
-
-
-def coefficient_rows(values) -> tuple[np.ndarray, np.ndarray, int]:
-    """Lay out cyclotomic values as rows of Z[x]/(x^e - 1), x -> zeta_e, for e
-    the lcm of their orders: coefficient j of a value of order o sits at
-    x^(j e/o).  Each distinct value object (the lift builds each value once
-    and shares it) has one row, values[i] is rows[index[i]], and the rows are
-    int64 unless the sum of all the values could reach 2^63 in a coefficient."""
-    values = list(values)
-    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [values[i] for i in first.tolist()]
-    e = lcm(1, *(v.order for v in distinct))
-    counts = np.bincount(index, minlength=len(distinct)).tolist()
-    peak = sum(c * max(map(abs, v.coeffs)) for c, v in zip(counts, distinct))
-    rows = np.zeros((len(distinct), e), dtype=np.int64 if peak < 2**63 else object)
-    for row, v in zip(rows, distinct):
-        row[: e * len(v.coeffs) // v.order : e // v.order] = v.coeffs
-    return rows, index, e
-
-
 def reduced(rows: np.ndarray, e: int) -> np.ndarray:
     """The canonical coefficients (last axis phi(e) long) of the values that
-    rows of Z[x]/(x^e - 1) stand for: rows times x^k mod Phi_e for k < e, in
-    int64 while the bound below holds and in Python integers past it."""
-    red = np.array(_power_reductions(e)[:e], dtype=np.int64)
+    rows of Z[x]/(x^e - 1), at most e long, stand for: rows times x^k mod
+    Phi_e, in int64 while the bound below holds and in Python integers past
+    it."""
+    red = np.array(_power_reductions(e)[: rows.shape[-1]], dtype=np.int64)
     peak = int(np.abs(rows).max(initial=0)) * int(np.abs(red).max())
-    return (rows if e * peak < 2**63 else rows.astype(object)) @ red
+    return (rows if len(red) * peak < 2**63 else rows.astype(object)) @ red
+
+
+def embed(coeffs: np.ndarray, o: int, e: int) -> np.ndarray:
+    """Canonical coefficients at order e of values given by their canonical
+    coefficients at an order o dividing e: zeta_o = zeta_e^(e/o), so
+    coefficient j moves to x^(j e/o) before the reduction."""
+    if o == e:
+        return coeffs
+    assert e % o == 0, f"zeta_{o} is not in Q(zeta_{e})"
+    t = e // o
+    spread = np.zeros(coeffs.shape[:-1] + ((coeffs.shape[-1] - 1) * t + 1,), dtype=coeffs.dtype)
+    spread[..., ::t] = coeffs
+    return reduced(spread, e)
 
 
 def convolve(a: np.ndarray, b: np.ndarray, e: int, product=np.multiply, terms: int = 1):
@@ -282,11 +151,3 @@ def gram(a: np.ndarray, b: np.ndarray, e: int, weights: np.ndarray) -> np.ndarra
     b (l, n, .), as (m, l, e) rows of Z[x]/(x^e - 1)."""
     weights = np.asarray(weights, dtype=np.int64)
     return convolve(a, b, e, lambda x, y: (x * weights) @ y.T, int(np.abs(weights).sum()))
-
-
-def cyc_sum(values) -> CycInt:
-    """Sum of cyclotomic integers: the rows of their layout, each weighted by
-    how many of the values share it."""
-    rows, index, e = coefficient_rows(values)
-    counts = np.bincount(index, minlength=len(rows))
-    return CycInt(e, (counts @ rows).tolist())

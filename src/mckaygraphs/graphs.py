@@ -25,7 +25,6 @@ from .chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from .cyclotomic import cyc_sum
 from .groups import FiniteGroup, Subgroup, quotient_group
 from .shapes import forest_bit, graph_flags, weak_components
 
@@ -78,8 +77,11 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     adj = adjacency_matrix(ct, rho)
     flags = graph_flags(adj)
     components = weak_components(adj)
-    # k = 1 trace identity: tr A = sum over classes of chi_rho
-    assert cyc_sum(rho.chi).as_integer() == np.trace(adj), (
+    # k = 1 trace identity: tr A = sum over classes of chi_rho, the rational
+    # integer with coefficients (tr A, 0, ..., 0)
+    bound = ct.r * int(np.abs(rho.chi).max())
+    total = rho.chi.sum(axis=0, dtype=np.int64 if bound < 2**63 else object)
+    assert total[0] == np.trace(adj) and not total[1:].any(), (
         "trace differs from the character sum over classes"
     )
     return McKayGraph(
@@ -99,9 +101,7 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
 def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
     """Does the graph of the dual equal the transposed graph?"""
     rho = resolve_rho(ct, sel)
-    inv = ct.conj.inverse_class
-    dual_chi = tuple(rho.chi[inv[k]] for k in range(ct.r))
-    dual = rho_from_class_function(ct, dual_chi)
+    dual = rho_from_class_function(ct, rho.chi[ct.conj.inverse_class], rho.order)
     a = build_mckay_graph(ct, rho).matrix
     b = build_mckay_graph(ct, dual).matrix
     return np.array_equal(a, b.T)

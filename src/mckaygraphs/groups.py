@@ -581,9 +581,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def to_parent(self, local_index: int) -> int:
-        return self.elements[local_index]
-
 
 def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
     """The subgroup generated by elems: products of the member set with itself

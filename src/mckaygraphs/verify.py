@@ -13,7 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from .cyclotomic import coefficient_rows, convolve, gram, reduced
+from .cyclotomic import convolve, embed, gram, reduced
 from .graphs import (
     ComponentDecomposition,
     McKayGraph,
@@ -196,15 +196,8 @@ def tautological_graph(ctx: FixtureContext) -> McKayGraph:
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic sums, as coefficient rows of Z[x]/(x^e - 1)
-
-
-def _table_layout(ct: CharacterTable, chi=()) -> tuple[np.ndarray, np.ndarray, int]:
-    """The (r, r, e) coefficient array of the table and the (len(chi), e) one
-    of the values chi, in one layout."""
-    rows, index, e = coefficient_rows(chain(chi, *ct.values))
-    m = len(chi)
-    return rows[index[m:].reshape(ct.r, ct.r)], rows[index[:m]], e
+# exact cyclotomic sums: canonical coefficient rows, multiplied as rows of
+# Z[x]/(x^e - 1)
 
 
 def _integers(rows: np.ndarray, e: int) -> Optional[np.ndarray]:
@@ -214,16 +207,15 @@ def _integers(rows: np.ndarray, e: int) -> Optional[np.ndarray]:
     return None if canon[..., 1:].any() else canon[..., 0]
 
 
-def _char_power_sums(chi, kmax: int) -> list[int]:
+def _char_power_sums(chi: np.ndarray, e: int, kmax: int) -> list[int]:
     """sum over classes of chi(g)^k for k = 1..kmax, as rational integers,
-    from one chain of powers chi^k = chi^(k-1) chi, each power reduced so
-    that the next product pairs at most phi(e) powers of x from each side."""
-    rows, index, e = coefficient_rows(chi)
-    base = reduced(rows[index], e)
-    power, sums = base, []
+    for chi given at order e, from one chain of powers chi^k = chi^(k-1) chi,
+    each power reduced so that the next product pairs at most phi(e) powers
+    of x from each side."""
+    power, sums = chi, []
     for k in range(1, kmax + 1):
         if k > 1:
-            power = reduced(convolve(power, base, e), e)
+            power = reduced(convolve(power, chi, e), e)
         total = power.sum(axis=0, dtype=object)
         assert not total[1:].any(), "power sum over classes must be a rational integer"
         sums.append(int(total[0]))
@@ -233,13 +225,12 @@ def _char_power_sums(chi, kmax: int) -> list[int]:
 def _centralizer_endo_dims(ctx: FixtureContext, chi) -> list[int]:
     """dim End_{C(x)}(rho restricted) for a representative x of every class,
     by the exact inner product over C(x): sum_l c_l chi(l) chi(l^-1) / |C(x)|,
-    where c_l counts the elements of class l that commute with x."""
-    g, cd, r = ctx.group, ctx.cd, ctx.ct.r
+    where c_l counts the elements of class l that commute with x; chi is
+    given at the table's exponent."""
+    g, cd, r, e = ctx.group, ctx.cd, ctx.ct.r, ctx.ct.exponent
     k, y = np.nonzero(g.mul[cd.reps, :] == g.mul[:, cd.reps].T)
     counts = np.bincount(k * r + cd.class_of[y], minlength=r * r).reshape(r, r)
-    rows, index, e = coefficient_rows(chi)
-    base = rows[index]
-    weighted = convolve(base, base[cd.inverse_class], e, lambda u, v: counts @ (u * v), g.order)
+    weighted = convolve(chi, chi[cd.inverse_class], e, lambda u, v: counts @ (u * v), g.order)
     totals = _integers(weighted, e)
     orders = counts.sum(axis=1)
     assert totals is not None and not np.any(totals % orders)
@@ -251,7 +242,7 @@ def verify_orthogonality(ct: CharacterTable) -> bool:
     r, n = ct.r, ct.group.order
     h = np.array(ct.conj.sizes, dtype=np.int64)
     inv = ct.conj.inverse_class
-    table, _, e = _table_layout(ct)
+    table, e = ct.rows[ct.index], ct.exponent
     rows = _integers(gram(table, table[:, inv], e, h), e)
     cols = _integers(gram(table.swapaxes(0, 1), table[:, inv].swapaxes(0, 1), e, np.ones(r)), e)
     orthogonal_rows = np.array_equal(rows, n * np.eye(r, dtype=np.int64))
@@ -266,7 +257,7 @@ def center_criterion_holds(ctx: FixtureContext) -> bool:
     table with its inverse-class columns decides every entry."""
     ct, cd = ctx.ct, ctx.cd
     central_classes = {int(cd.class_of[z]) for z in cd.center}
-    table, _, e = _table_layout(ct)
+    table, e = ct.rows[ct.index], ct.exponent
     canon = reduced(convolve(table, table[:, cd.inverse_class], e), e)
     deg = np.array(ct.degrees, dtype=np.int64)
     attained = ~canon[..., 1:].any(axis=-1) & (canon[..., 0] == (deg * deg)[:, None])
@@ -296,7 +287,7 @@ def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> 
     if not 1 <= kmax <= ctx.ct.r:
         raise PreconditionViolated("kmax must lie in [1, class count]")
     small = graph.n_vertices <= 40
-    expected = _char_power_sums(graph.rho.chi, kmax)
+    expected = _char_power_sums(graph.rho.chi, graph.rho.order, kmax)
     observed = [
         (t, circuit_count(graph.adjacency, k) if small else t)
         for k, t in enumerate(_power_traces(graph.matrix, kmax), 1)
@@ -316,7 +307,7 @@ def verify_edge_count_identity(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     records = _Recorder()
     if not (graph.undirected and graph.loopless):
         raise PreconditionViolated("edge-count identity needs an undirected loopless graph")
-    s1 = _char_power_sums(graph.rho.chi, 2)[1]
+    s1 = _char_power_sums(graph.rho.chi, graph.rho.order, 2)[1]
     s2 = graph.edge_count_doubled()
     s3 = sum(_centralizer_endo_dims(ctx, graph.rho.chi))
     vals = [s1, s2, s3]
@@ -359,7 +350,7 @@ def verify_centralizer_endo(ctx: FixtureContext, graph: McKayGraph) -> CheckReco
 def verify_newton_spectrum(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
     records = _Recorder()
     r = ctx.ct.r
-    pairs = zip(_char_power_sums(graph.rho.chi, r), _power_traces(graph.matrix, r))
+    pairs = zip(_char_power_sums(graph.rho.chi, graph.rho.order, r), _power_traces(graph.matrix, r))
     bad = [(k, s, t) for k, (s, t) in enumerate(pairs, 1) if s != t]
     return records.add(
         check_id=f"newton[{spec_text(ctx.spec)}]",
@@ -613,19 +604,18 @@ def designated_normal_subgroup(
 
 def pullback_rho(ct_big: CharacterTable, small_class_of, nk: int, rho_small: Rho) -> Rho:
     """rho of the pair-layout quotient (g,k) -> g, pulled back to the big group."""
-    vals = []
-    for rep in ct_big.conj.reps:
-        a, _ = divmod(int(rep), nk)
-        vals.append(rho_small.chi[int(small_class_of[a])])
-    return rho_from_class_function(ct_big, tuple(vals))
+    at_small = small_class_of[np.asarray(ct_big.conj.reps) // nk]
+    return rho_from_class_function(ct_big, rho_small.chi[at_small], rho_small.order)
 
 
-def _exact_multiplicities(ct: CharacterTable, chi) -> tuple[int, ...]:
+def _exact_multiplicities(ct: CharacterTable, chi: np.ndarray, order: int) -> tuple[int, ...]:
     """<chi, psi> = (1/|G|) sum_k h_k chi(k) psi(k^-1) for every psi in Irr(G),
-    as exact cyclotomic sums: the oracle for the modular `multiplicities`."""
+    for chi given at `order`, as exact cyclotomic sums at the lcm of the
+    orders: the oracle for the modular `multiplicities`."""
     cd, n = ct.conj, ct.group.order
-    table, row, e = _table_layout(ct, chi)
-    totals = _integers(gram(row[None], table[:, cd.inverse_class], e, cd.sizes), e)
+    e = lcm(ct.exponent, order)
+    table = embed(ct.rows, ct.exponent, e)[ct.index]
+    totals = _integers(gram(embed(chi, order, e)[None], table[:, cd.inverse_class], e, cd.sizes), e)
     if totals is None or np.any(totals % n):
         raise InternalNonInteger("inner product is not a rational integer")
     return tuple((totals[0] // n).tolist())
@@ -637,8 +627,8 @@ def restricted_graph(
     """Graph of the restriction of rho, decomposed exactly, so that it stays
     independent of the modular table."""
     sct = compute_character_table(sub.group)
-    chi = tuple(rho.chi[int(ct.conj.class_of[sub.to_parent(rep)])] for rep in sct.conj.reps)
-    return build_mckay_graph(sct, CharVector(_exact_multiplicities(sct, chi))), sct
+    chi = rho.chi[ct.conj.class_of[np.asarray(sub.elements)[sct.conj.reps]]]
+    return build_mckay_graph(sct, CharVector(_exact_multiplicities(sct, chi, rho.order))), sct
 
 
 def dual_vector_stabilizer(
@@ -648,16 +638,11 @@ def dual_vector_stabilizer(
     ct_k = compute_character_table(kernel_group)
     cd_k = ct_k.conj
     xi = next(i for i in range(ct_k.r) if i != ct_k.trivial_index)
-    row = ct_k.values[xi]
-    members = []
-    for x in range(g.order):
-        perm = action[int(g.inv[x])]
-        moved = tuple(
-            row[int(cd_k.class_of[perm[cd_k.reps[k]]])] for k in range(ct_k.r)
-        )
-        if moved == row:
-            members.append(x)
-    return subgroup_from_elements(g, members)
+    row = ct_k.index[xi]
+    # row x of the gather is the character moved by x, read off its index
+    perms = np.array([action[x] for x in g.inv.tolist()])
+    moved = row[cd_k.class_of[perms[:, cd_k.reps]]]
+    return subgroup_from_elements(g, np.flatnonzero((moved == row).all(axis=1)))
 
 
 def build_construction(fx: ConstructionFixture):
@@ -987,7 +972,7 @@ def _case_tree_theorem(spec: GroupSpec) -> list[CheckRecord]:
 
 
 def _self_dual_irreps(ct: CharacterTable) -> list[int]:
-    return [i for i in range(ct.r) if is_self_dual(ct, ct.values[i])]
+    return [i for i in range(ct.r) if is_self_dual(ct, ct.index[i])]
 
 
 def _case_sweep(spec: GroupSpec) -> list[CheckRecord]:

@@ -8,6 +8,7 @@ disjoint union over G and the stabilizer of a nontrivial kernel character.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from mckaygraphs.chartable import (
@@ -18,7 +19,7 @@ from mckaygraphs.chartable import (
     is_self_dual,
     resolve_rho,
 )
-from mckaygraphs.cyclotomic import CycInt, euler_phi
+from mckaygraphs.cyclotomic import convolve, euler_phi, reduced
 from mckaygraphs.graphs import build_mckay_graph, graph_isomorphic
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -187,17 +188,24 @@ def test_criterion_8_normal_tower():
 
 
 def test_criterion_9_property_checks():
-    # cyclotomic ring axioms on 10^4 random triples
+    # cyclotomic ring axioms on 10^4 random triples of coefficient rows,
+    # multiplied by convolution and reduction, one batch per order
     rng = random.Random(424242)
     orders = [1, 2, 3, 4, 5, 6, 8, 12, 20]
+    drawn = {e: [] for e in orders}
     for _ in range(10_000):
         e = rng.choice(orders)
         phi = euler_phi(e)
-        a, b, c = (
-            CycInt(e, [rng.randint(-4, 4) for _ in range(phi)]) for _ in range(3)
-        )
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
+        drawn[e].append([[rng.randint(-4, 4) for _ in range(phi)] for _ in range(3)])
+    for e, triples in drawn.items():
+        a, b, c = np.array(triples, dtype=np.int64).transpose(1, 0, 2)
+
+        def mul(x, y, e=e):
+            return reduced(convolve(x, y, e), e)
+
+        assert np.array_equal(mul(a, b + c), mul(a, b) + mul(a, c))
+        assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
+        assert np.array_equal(mul(a, b), mul(b, a))
     # exact orthogonality on every fixture table
     for spec in IDENTITY_FIXTURES:
         assert verify_orthogonality(fixture(spec).ct), spec

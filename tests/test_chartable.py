@@ -1,6 +1,5 @@
 import random
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,7 +26,8 @@ from mckaygraphs.chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from mckaygraphs.cyclotomic import CycInt, _is_prime, _primitive_root, coefficient_rows
+from cycint import CycInt, as_coeffs, as_cycints, cyc_sum, table_values
+from mckaygraphs.cyclotomic import _is_prime, _primitive_root, convolve, reduced
 from mckaygraphs.groups import (
     BinaryDihedral,
     BinaryPoly,
@@ -43,7 +43,7 @@ from mckaygraphs.groups import (
     subgroup_from_elements,
 )
 from mckaygraphs.modp import simultaneous_split
-from mckaygraphs.verify import _exact_multiplicities
+from mckaygraphs.verify import SWEEP_SPECS, _exact_multiplicities, fixture
 
 
 def table(spec):
@@ -93,7 +93,9 @@ def test_table_does_not_depend_on_the_seed(monkeypatch, spec):
         chartable, "_split_matrices", lambda g, cd, p, rng: stream(g, cd, p, random.Random(12345))
     )
     tables.append(compute_character_table(g, cd))
-    assert tables[0].degrees == tables[1].degrees and tables[0].values == tables[1].values
+    assert tables[0].degrees == tables[1].degrees
+    assert np.array_equal(tables[0].rows, tables[1].rows)
+    assert np.array_equal(tables[0].index, tables[1].index)
     assert np.array_equal(tables[0].modular, tables[1].modular)
     # each combination is the exact sum of weighted class matrices, mod p
     mats = [_class_matrix(g, cd, i) for i in range(r)]
@@ -119,7 +121,7 @@ def test_cyclic_table_draws_one_matrix(monkeypatch):
 def test_trivial_group():
     g, cd, ct = table(Cyclic(1))
     assert ct.degrees == [1]
-    assert ct.values[0][0] == 1
+    assert table_values(ct)[0][0] == 1
     assert ct.trivial_index == 0
 
 
@@ -127,10 +129,10 @@ def test_s3_table():
     g, cd, ct = table(Dihedral(3))
     assert ct.degrees == [1, 1, 2]
     # ref values are (2, -1, 0) on (identity, rotations, reflections)
-    ref = ct.values[2]
-    vals = sorted(v.as_integer() for v in ref)
+    values = table_values(ct)
+    vals = sorted(v.as_integer() for v in values[2])
     assert vals == [-1, 0, 2]
-    assert ct.values[ct.trivial_index] == tuple(CycInt.one() for _ in range(3))
+    assert values[ct.trivial_index] == tuple(CycInt.one() for _ in range(3))
 
 
 def test_degree_fixtures():
@@ -161,7 +163,7 @@ def test_exact_orthogonality_small():
     for spec in (Dihedral(5), BinaryDihedral(3), BinaryPoly("T"), Cyclic(8)):
         _, _, ct = table(spec)
         for i in range(ct.r):
-            assert _exact_multiplicities(ct, ct.values[i]) == tuple(
+            assert _exact_multiplicities(ct, ct.rows[ct.index[i]], ct.exponent) == tuple(
                 int(i == j) for j in range(ct.r)
             )
 
@@ -173,7 +175,7 @@ def test_modular_round_trip():
     for i in range(ct.r):
         for k in range(ct.r):
             acc = 0
-            for t, c in enumerate(ct.values[i][k].coeffs):
+            for t, c in enumerate(ct.rows[ct.index[i, k]].tolist()):
                 acc = (acc + c * pow(xi, t, p)) % p
             assert acc == int(ct.modular[i, k])
 
@@ -182,7 +184,7 @@ def test_resolve_selectors():
     _, _, ct = table(Cyclic(2))
     sgn = 1 - ct.trivial_index
     rho = resolve_rho(ct, Irrep(sgn))
-    assert [v.as_integer() for v in rho.chi] in ([1, -1], [-1, 1])
+    assert [v.as_integer() for v in as_cycints(rho.chi, rho.order)] in ([1, -1], [-1, 1])
     with pytest.raises(Exception):
         resolve_rho(ct, Irrep(5))
     _, _, ct4 = table(ElemAb(2, 2))
@@ -198,7 +200,7 @@ def test_faithful_selfdual_min_on_bt():
     assert rho.dim == 2
     # the other two 2-dimensional rows are not self-dual
     two_dims = [i for i in range(ct.r) if ct.degrees[i] == 2]
-    self_dual = [i for i in two_dims if is_self_dual(ct, ct.values[i])]
+    self_dual = [i for i in two_dims if is_self_dual(ct, ct.index[i])]
     assert len(self_dual) == 1
 
 
@@ -231,23 +233,20 @@ def test_kernels():
     assert is_faithful(ct, rho.chi)
     # pullback along the projection of a product has the other factor as kernel
     gp, cdp, ctp = table(Product(BinaryPoly("T"), Cyclic(3)))
-    vals = []
-    for rep in cdp.reps:
-        a, _ = divmod(int(rep), 3)
-        vals.append(rho.chi[int(cd.class_of[a])])
-    rho_p = rho_from_class_function(ctp, tuple(vals))
+    chi = rho.chi[cd.class_of[np.asarray(cdp.reps) // 3]]
+    rho_p = rho_from_class_function(ctp, chi, rho.order)
     kern = kernel_of_character(ctp, rho_p.chi)
     assert kern.elements == (0, 1, 2)  # the cyclic factor
 
 
 def restrict(ct, sub, sub_ct, chi):
-    return tuple(chi[int(ct.conj.class_of[sub.to_parent(rep)])] for rep in sub_ct.conj.reps)
+    return chi[ct.conj.class_of[np.asarray(sub.elements)[sub_ct.conj.reps]]]
 
 
 def modular_restriction(ct, sub_ct, restricted):
-    """The restriction decomposed in the field of the larger group."""
-    row = residues(ct.prime, [restricted])
-    return tuple(multiplicities(sub_ct, row, [restricted[0].as_integer()], ct.prime)[0].tolist())
+    """The restriction, at ct's exponent, decomposed in the field of ct."""
+    row = residues(ct.prime, restricted, ct.exponent)[None]
+    return tuple(multiplicities(sub_ct, row, [int(restricted[0, 0])], ct.prime)[0].tolist())
 
 
 def test_restriction_q8():
@@ -258,16 +257,17 @@ def test_restriction_q8():
     assert sub.order == 4
     sub_ct = compute_character_table(sub.group)
     restricted = restrict(ct, sub, sub_ct, rho.chi)
-    mults = _exact_multiplicities(sub_ct, restricted)
+    mults = _exact_multiplicities(sub_ct, restricted, ct.exponent)
     assert sorted(mults) == [0, 0, 1, 1]
     assert modular_restriction(ct, sub_ct, restricted) == mults
     # oracle: inner products computed by hand over the cyclic subgroup C_4
+    values, sub_values = as_cycints(restricted, ct.exponent), table_values(sub_ct)
     for tau_index, m in enumerate(mults):
         acc = CycInt.zero()
         for c in range(sub_ct.r):
             size = sub_ct.conj.sizes[c]
             cinv = sub_ct.conj.inverse_class[c]
-            acc = acc + restricted[c] * sub_ct.values[tau_index][cinv] * size
+            acc = acc + values[c] * sub_values[tau_index][cinv] * size
         assert acc == 4 * m
 
 
@@ -282,12 +282,12 @@ def test_restriction_bo_to_bt_is_tautological():
     bt_ct = compute_character_table(bt_sub.group)
     restricted = restrict(cto, bt_sub, bt_ct, rho_o.chi)
     mults = modular_restriction(cto, bt_ct, restricted)
-    assert mults == _exact_multiplicities(bt_ct, restricted)
+    assert mults == _exact_multiplicities(bt_ct, restricted, cto.exponent)
     assert sum(mults) == 1
     idx = mults.index(1)
     assert bt_ct.degrees[idx] == 2
-    assert is_faithful(bt_ct, bt_ct.values[idx])
-    assert is_self_dual(bt_ct, bt_ct.values[idx])
+    assert is_faithful(bt_ct, bt_ct.rows[bt_ct.index[idx]])
+    assert is_self_dual(bt_ct, bt_ct.rows[bt_ct.index[idx]])
 
 
 def residues_oracle(p, rows):
@@ -310,16 +310,19 @@ def residues_oracle(p, rows):
 )
 def test_residues_match_the_per_value_oracle(spec):
     _, _, ct = table(spec)
-    assert np.array_equal(residues(ct.prime, ct.values), residues_oracle(ct.prime, ct.values))
-    assert np.array_equal(residues(ct.prime, ct.values), ct.modular)
+    values = table_values(ct)
+    at_prime = residues(ct.prime, ct.rows, ct.exponent)[ct.index]
+    assert np.array_equal(at_prime, residues_oracle(ct.prime, values))
+    assert np.array_equal(at_prime, ct.modular)
     # a larger prime of the same residue class mod the exponent
     p = next(q for q in range(ct.prime + ct.exponent, 10**5, ct.exponent) if _is_prime(q))
-    assert np.array_equal(residues(p, ct.values), residues_oracle(p, ct.values))
+    at_p = residues(p, ct.rows, ct.exponent)[ct.index]
+    assert np.array_equal(at_p, residues_oracle(p, values))
 
 
 def test_subgroup_residues_in_the_larger_field():
-    # binary:T has exponent 12 and binary:O exponent 24: the restriction of
-    # binary:O's rho and binary:T's own table meet in one row set
+    # binary:T has exponent 12 and binary:O exponent 24: binary:T's table and
+    # the restriction of binary:O's rho reduce into binary:O's field
     bo = build_group(BinaryPoly("O"))
     cdo = conjugacy(bo)
     cto = compute_character_table(bo, cdo)
@@ -329,32 +332,92 @@ def test_subgroup_residues_in_the_larger_field():
     bt_ct = compute_character_table(bt_sub.group)
     assert bt_ct.exponent != cto.exponent
     rho = resolve_rho(cto, FaithfulSelfDualMinDim())
-    rows = list(bt_ct.values) + [restrict(cto, bt_sub, bt_ct, rho.chi)]
-    assert np.array_equal(residues(cto.prime, rows), residues_oracle(cto.prime, rows))
+    p = cto.prime
+    own = residues(p, bt_ct.rows, bt_ct.exponent)[bt_ct.index]
+    assert np.array_equal(own, residues_oracle(p, table_values(bt_ct)))
+    restricted = restrict(cto, bt_sub, bt_ct, rho.chi)
+    want = residues_oracle(p, [as_cycints(restricted, cto.exponent)])
+    assert np.array_equal(residues(p, restricted, cto.exponent)[None], want)
+
+
+def class_rebuild(ct, k):
+    """Column k of the table, one CycInt per row, from the eigenvalue
+    multiplicities of the class representative g of order n: a DFT over <g>
+    in Python integers, then sum_j m_j zeta_n^j at the order n of g."""
+    cd, p = ct.conj, ct.prime
+    n, pc = cd.element_orders[cd.reps[k]], cd.power_classes(k)
+    xi_n = pow(_primitive_root(p), (p - 1) // n, p)
+    column = []
+    for i in range(ct.r):
+        terms = []
+        for j in range(n):
+            acc = sum(int(ct.modular[i, pc[t]]) * pow(xi_n, -j * t, p) for t in range(n))
+            terms.append(CycInt.root(n, j) * (acc * pow(n, -1, p) % p))
+        column.append(cyc_sum(terms))
+    return column
+
+
+small_or_huge = st.one_of(st.integers(0, 3), st.integers(2**63 - 2, 2**66))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SWEEP_SPECS), data=st.data())
+def test_layout_matches_the_cycint_oracle(spec, data):
+    ct = fixture(spec).ct
+    r, e, inv = ct.r, ct.exponent, ct.conj.inverse_class
+    values = table_values(ct)
+    # value equality is index equality
+    assert len(set(map(tuple, ct.rows.tolist()))) == len(ct.rows)
+    c = data.draw(st.integers(0, r - 1), label="class")
+    assert [row[c] for row in values] == class_rebuild(ct, c)
+
+    mults = data.draw(st.lists(small_or_huge, min_size=r, max_size=r).filter(any), label="mults")
+    rho = resolve_rho(ct, CharVector(tuple(mults)))
+    chi = tuple(
+        sum((values[i][k] * m for i, m in enumerate(mults) if m), CycInt.zero()) for k in range(r)
+    )
+    assert as_cycints(rho.chi, rho.order) == chi
+    assert is_self_dual(ct, rho.chi) == all(chi[k] == chi[inv[k]] for k in range(r))
+    assert is_faithful(ct, rho.chi) == all(chi[k] != chi[0] for k in range(1, r))
+    kernel = kernel_of_character(ct, rho.chi)
+    at_one = {k for k in range(r) if chi[k] == chi[0]}
+    assert set(ct.conj.class_of[list(kernel.elements)].tolist()) == at_one
+
+    # an irreducible by its index
+    i = data.draw(st.integers(0, r - 1), label="irreducible")
+    assert is_self_dual(ct, ct.index[i]) == all(values[i][k] == values[i][inv[k]] for k in range(r))
+    assert is_faithful(ct, ct.index[i]) == all(values[i][k] != values[i][0] for k in range(1, r))
+
+    p = next(q for q in range(ct.prime + e, 10**6, e) if _is_prime(q))
+    assert np.array_equal(residues(p, rho.chi, e), residues_oracle(p, [chi])[0])
+    assert np.array_equal(residues(p, ct.rows, e)[ct.index], residues_oracle(p, values))
 
 
 def test_table_layout_has_one_row_per_distinct_value():
-    # every value of cyclic:256 is one of its 256 roots of unity, shared by the lift
+    # every value of cyclic:256 is one of its 256 roots of unity
     _, _, ct = table(Cyclic(256))
-    rows, index, e = coefficient_rows(chain.from_iterable(ct.values))
-    assert rows.shape == (256, 256) and index.shape == (256 * 256,) and e == 256
+    assert ct.rows.shape == (256, 128) and ct.index.shape == (256, 256) and ct.exponent == 256
+    assert len(set(map(tuple, ct.rows.tolist()))) == 256
+    assert sorted(ct.rows.tolist()) == ct.rows.tolist()
 
 
 def test_self_dual_examples():
     _, _, ct = table(ElemAb(2, 3))
     for i in range(ct.r):
-        assert is_self_dual(ct, ct.values[i])  # all values are +-1
+        assert is_self_dual(ct, ct.index[i])  # all values are +-1
     _, _, ct5 = table(Cyclic(5))
     non_trivial = [i for i in range(5) if i != ct5.trivial_index]
-    assert all(not is_self_dual(ct5, ct5.values[i]) for i in non_trivial)
+    assert all(not is_self_dual(ct5, ct5.index[i]) for i in non_trivial)
 
 
 def test_decompose_character():
     _, _, ct = table(Dihedral(4))
     rho = resolve_rho(ct, FaithfulSelfDualMinDim())
-    sq = tuple(v * w for v, w in zip(rho.chi, rho.chi))
-    mults = rho_from_class_function(ct, sq).mults
-    assert mults == _exact_multiplicities(ct, sq)
+    sq = reduced(convolve(rho.chi, rho.chi, rho.order), rho.order)
+    chi = as_cycints(rho.chi, rho.order)
+    assert np.array_equal(sq, as_coeffs([v * v for v in chi], rho.order))
+    mults = rho_from_class_function(ct, sq, rho.order).mults
+    assert mults == _exact_multiplicities(ct, sq, rho.order)
     assert sum(m * d for m, d in zip(mults, ct.degrees)) == 4
     assert min(mults) >= 0
 
@@ -363,7 +426,7 @@ def test_deterministic_table():
     _, _, a = table(BinaryPoly("O"))
     _, _, b = table(BinaryPoly("O"))
     assert a.degrees == b.degrees
-    assert a.values == b.values
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.index, b.index)
     assert np.array_equal(a.modular, b.modular)
 
 
@@ -387,10 +450,12 @@ def cached_table(spec):
 
 
 def tensor_oracle(ct, rho, rows=None):
-    """Exact dim Hom(chi_i (x) rho, chi_j) for the rows i (all by default)."""
+    """Exact dim Hom(chi_i (x) rho, chi_j) for the rows i (all by default),
+    with each product chi_i rho taken value by value."""
     rows = range(ct.r) if rows is None else rows
+    values, chi, e = table_values(ct), as_cycints(rho.chi, rho.order), ct.exponent
     return [
-        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
+        list(_exact_multiplicities(ct, as_coeffs([a * b for a, b in zip(values[i], chi)], e), e))
         for i in rows
     ]
 
@@ -460,14 +525,13 @@ def test_multiplicities_reject_a_spoiled_row(k):
 )
 def test_kernels_match_closure_oracle(spec):
     g, cd, ct = table(spec)
-    for i in range(ct.r):
-        chi = ct.values[i]
-        kern = kernel_of_character(ct, chi)
+    for i, chi in enumerate(table_values(ct)):
+        kern = kernel_of_character(ct, ct.index[i])
         classes = [cd.classes[k] for k in range(ct.r) if chi[k] == chi[0]]
         closure = subgroup_from_elements(g, np.concatenate(classes))
         assert kern.elements == closure.elements
         assert kern.normal and closure.normal
-        assert is_faithful(ct, chi) == (kern.order == 1)
+        assert is_faithful(ct, ct.index[i]) == (kern.order == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +575,9 @@ def test_lift_matches_per_entry_dft(spec):
         tuple(lift_entry(ct.modular[i], ct.degrees[i], cd, k, p, xi) for k in range(ct.r))
         for i in range(ct.r)
     ]
-    assert oracle == ct.values
-    assert _lift(ct.modular, ct.degrees, cd, p) == ct.values
+    assert oracle == table_values(ct)
+    rows, index = _lift(ct.modular, ct.degrees, cd, p)
+    assert np.array_equal(rows, ct.rows) and np.array_equal(index, ct.index)
 
 
 # class 0 is the identity, which enters every DFT; class 6 of cyclic:12 has

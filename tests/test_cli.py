@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cycint import table_values
 from mckaygraphs.cli import (
     SpecParseError,
     chartab_document,
@@ -235,7 +236,7 @@ def per_entry_document(spec):
 
     doc = chartab_document(parse_group_spec(spec))
     ct = compute_character_table(build_group(parse_group_spec(spec)))
-    for row, values in zip(doc["irreducibles"], ct.values):
+    for row, values in zip(doc["irreducibles"], table_values(ct)):
         row["values"] = [{"order": v.order, "coeffs": list(v.coeffs)} for v in values]
     return doc
 

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycint import CycInt, as_coeffs, cyc_sum
 from mckaygraphs.cyclotomic import (
-    CycInt,
     _is_prime,
     _prime_divisors,
     _primitive_root,
-    coefficient_rows,
     convolve,
-    cyc_sum,
     cyclotomic_polynomial,
+    embed,
     euler_phi,
     gram,
     reduced,
@@ -171,10 +170,15 @@ def remainder_mod_cyclotomic(e, coeffs):
 @settings(max_examples=300, deadline=None)
 @given(small_orders, st.data())
 def test_coefficients_are_the_remainder(e, data):
-    # inputs shorter than phi(e) take the power-basis path, longer ones the
-    # row reduction; both must give the remainder mod Phi_e
+    # inputs shorter than phi(e) take the oracle's power-basis path, longer
+    # ones its row reduction; both, and `reduced` on the row folded by
+    # x^e = 1, must give the remainder mod Phi_e
     coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2 * e + 2))
-    assert CycInt(e, coeffs).coeffs == remainder_mod_cyclotomic(e, coeffs)
+    want = remainder_mod_cyclotomic(e, coeffs)
+    assert CycInt(e, coeffs).coeffs == want
+    folded = np.zeros(min(len(coeffs), e), dtype=np.int64)
+    np.add.at(folded, np.arange(len(coeffs)) % e, coeffs)
+    assert tuple(reduced(folded, e).tolist()) == want
 
 
 def test_cyc_sum():
@@ -186,14 +190,19 @@ def test_cyc_sum():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(cyc_values(), min_size=1, max_size=6))
 def test_cyc_sum_is_the_folded_sum_over_mixed_orders(values):
-    # one reduction at the lcm of the orders against one __add__ per value
-    total = cyc_sum(iter(values))
+    # each value embedded at the lcm of the orders and the rows added, against
+    # the oracle's layout sum, whose row for the first value counts it twice,
+    # and one __add__ per value
+    values = values + values[:1]
+    e = math.lcm(*(v.order for v in values))
+    total = sum(embed(np.array([v.coeffs]), v.order, e)[0] for v in values)
     folded = reduce(add, values)
-    assert (total.order, total.coeffs) == (folded.order, folded.coeffs)
+    assert e == folded.order == cyc_sum(iter(values)).order
+    assert tuple(total.tolist()) == folded.coeffs == cyc_sum(iter(values)).coeffs
 
 
 # ---------------------------------------------------------------------------
-# the coefficient-row layout against CycInt
+# coefficient rows against CycInt
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,16 +211,11 @@ def test_layout_sums_products_and_grams_match_cycint(data, m, l, n):
     a = [[data.draw(cyc_values()) for _ in range(n)] for _ in range(m)]
     b = [[data.draw(cyc_values()) for _ in range(n)] for _ in range(l)]
     h = data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
-    a[0][0] = b[0][-1]  # one value object twice: it gets one row
     flat = [v for row in a + b for v in row]
-    rows, index, e = coefficient_rows(flat)
-    assert len(rows) == len({id(v) for v in flat}) < len(flat)
-    assert e == math.lcm(*(v.order for v in flat))
-    canon = reduced(rows, e)
-    for i, v in enumerate(flat):
-        assert tuple(canon[index[i]].tolist()) == v.embed(e).coeffs
-    laid = rows[index]
-    la, lb = laid[: m * n].reshape(m, n, e), laid[m * n :].reshape(l, n, e)
+    e = math.lcm(*(v.order for v in flat))
+    laid = np.concatenate([embed(np.array([v.coeffs]), v.order, e) for v in flat])
+    assert np.array_equal(laid, as_coeffs(flat, e))
+    la, lb = laid[: m * n].reshape(m, n, -1), laid[m * n :].reshape(l, n, -1)
     products = reduced(convolve(la[0], lb[0], e), e)
     for k in range(n):
         assert tuple(products[k].tolist()) == (a[0][k] * b[0][k]).embed(e).coeffs
@@ -220,14 +224,15 @@ def test_layout_sums_products_and_grams_match_cycint(data, m, l, n):
         for j in range(l):
             want = cyc_sum(a[i][k] * b[j][k] * h[k] for k in range(n))
             assert tuple(grams[i, j].tolist()) == want.embed(e).coeffs
-    assert cyc_sum(flat) == reduce(add, flat)
+    assert tuple(laid.sum(axis=0).tolist()) == reduce(add, flat).embed(e).coeffs
 
 
 def test_layout_leaves_int64_past_two_to_the_63():
     big = CycInt(4, (2**62, -(2**62)))
-    rows, index, e = coefficient_rows([big, big])  # the sum's coefficients reach 2^63
-    assert rows.dtype == object and len(rows) == 1
-    square = reduced(convolve(rows[index], rows[index], e), e)
-    assert tuple(square[0]) == (big * big).coeffs and abs(square[0][1]) > 2**63
-    rows, _, _ = coefficient_rows([big])
+    rows = as_coeffs([big], 4)
     assert rows.dtype == np.int64
+    square = reduced(convolve(rows, rows, 4), 4)
+    assert tuple(square[0]) == (big * big).coeffs and abs(square[0][1]) > 2**63
+    doubled = as_coeffs([big + big], 4)  # its coefficients reach 2^63
+    assert doubled.dtype == object
+    assert tuple(embed(doubled, 4, 8)[0]) == (big + big).embed(8).coeffs

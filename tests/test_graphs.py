@@ -1,16 +1,18 @@
+import numpy as np
 import pytest
 
+from cycint import CycInt, as_coeffs, as_cycints, table_values
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
     Irrep,
+    Rho,
     compute_character_table,
     kernel_of_character,
     resolve_rho,
     rho_from_class_function,
 )
 from mckaygraphs.cli import parse_group_spec
-from mckaygraphs.cyclotomic import CycInt
 from mckaygraphs.graphs import (
     _push_down,
     _restrictions,
@@ -77,10 +79,8 @@ def test_complete_graph_from_cyclic_shift_representation():
     g = build_group(Cyclic(n))
     cd = conjugacy(g)
     ct = compute_character_table(g, cd)
-    chi = tuple(
-        CycInt.integer(n - 1 if cd.reps[k] == 0 else -1) for k in range(ct.r)
-    )
-    rho = rho_from_class_function(ct, chi)
+    chi = as_coeffs([CycInt.integer(n - 1 if cd.reps[k] == 0 else -1) for k in range(ct.r)], 1)
+    rho = rho_from_class_function(ct, chi, 1)
     graph = build_mckay_graph(ct, rho)
     assert graph.undirected and graph.loopless
     for i in range(n):
@@ -95,11 +95,8 @@ def test_cube_graph_from_coordinate_signs():
     cd = conjugacy(g)
     ct = compute_character_table(g, cd)
     vecs = g.payload
-    chi = tuple(
-        CycInt.integer(sum((-1) ** v[i] for i in range(n)))
-        for v in (vecs[rep] for rep in cd.reps)
-    )
-    rho = rho_from_class_function(ct, chi)
+    chi = np.array([[sum((-1) ** v[i] for i in range(n))] for v in (vecs[rep] for rep in cd.reps)])
+    rho = rho_from_class_function(ct, chi, 1)
     assert rho.dim == n
     graph = build_mckay_graph(ct, rho)
     cube = [[0] * 2**n for _ in range(2**n)]
@@ -119,8 +116,7 @@ def test_dual_checks():
     ct = compute_character_table(g)
     rho = resolve_rho(ct, Irrep(1))
     inv = ct.conj.inverse_class
-    dual_chi = tuple(rho.chi[inv[k]] for k in range(5))
-    dual = rho_from_class_function(ct, dual_chi)
+    dual = rho_from_class_function(ct, rho.chi[inv], rho.order)
     a = build_mckay_graph(ct, rho).adjacency
     b = build_mckay_graph(ct, dual).adjacency
     assert all(a[i][j] == b[j][i] for i in range(5) for j in range(5))
@@ -144,11 +140,8 @@ def test_product_with_cyclic_three_copies():
     g = build_group(spec)
     cd = conjugacy(g)
     ct = compute_character_table(g, cd)
-    vals = []
-    for rep in cd.reps:
-        a, _ = divmod(int(rep), 3)
-        vals.append(rho_base.chi[int(base_cd.class_of[a])])
-    rho = rho_from_class_function(ct, tuple(vals))
+    chi = rho_base.chi[base_cd.class_of[np.asarray(cd.reps) // 3]]
+    rho = rho_from_class_function(ct, chi, rho_base.order)
     graph = build_mckay_graph(ct, rho)
     decomp = decompose_components(graph)
     assert len(decomp.components) == 3
@@ -167,11 +160,8 @@ def test_semidirect_bo_c3_two_components():
     base_cd = conjugacy(base)
     base_ct = compute_character_table(base, base_cd)
     rho_base = resolve_rho(base_ct, FaithfulSelfDualMinDim())
-    vals = []
-    for rep in cd.reps:
-        a, _ = divmod(int(rep), 3)
-        vals.append(rho_base.chi[int(base_cd.class_of[a])])
-    rho = rho_from_class_function(ct, tuple(vals))
+    chi = rho_base.chi[base_cd.class_of[np.asarray(cd.reps) // 3]]
+    rho = rho_from_class_function(ct, chi, rho_base.order)
     graph = build_mckay_graph(ct, rho)
     decomp = decompose_components(graph)
     assert len(decomp.components) == 2
@@ -204,6 +194,19 @@ def test_row_dimension_sums_assert():
         assert total == graph.dims[i] * graph.rho.dim
 
 
+def test_trace_assert_refuses_a_character_sum_that_is_not_rational():
+    # a faithful linear character (1, w, w^2) of cyclic:3 with w added to its
+    # value at class 1: the sum over the classes is w, whose coefficient at 1
+    # is still 0, the trace of the graph, but whose coefficient at w is not 0
+    ct = compute_character_table(build_group(Cyclic(3)))
+    rho = resolve_rho(ct, Irrep((ct.trivial_index + 1) % 3))
+    chi = rho.chi.copy()
+    chi[1, 1] += 1
+    assert build_mckay_graph(ct, rho).matrix.trace() == 0 == chi.sum(axis=0)[0]
+    with pytest.raises(AssertionError, match="trace differs"):
+        build_mckay_graph(ct, Rho(chi=chi, order=rho.order, mults=rho.mults, dim=rho.dim))
+
+
 def test_undirected_iff_self_dual_and_connected_iff_faithful():
     from mckaygraphs.chartable import is_faithful, is_self_dual
     from mckaygraphs.groups import BinaryDihedral
@@ -214,9 +217,9 @@ def test_undirected_iff_self_dual_and_connected_iff_faithful():
         ct = compute_character_table(g, cd)
         for i in range(ct.r):
             graph = build_mckay_graph(ct, Irrep(i))
-            assert graph.undirected == is_self_dual(ct, ct.values[i])
+            assert graph.undirected == is_self_dual(ct, ct.index[i])
             connected = len(weak_components(graph.adjacency)) == 1
-            assert connected == is_faithful(ct, ct.values[i])
+            assert connected == is_faithful(ct, ct.index[i])
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +250,35 @@ def test_multiplicities_match_exact_oracle(spec_text, selector):
         rho_base = resolve_rho(base_ct, FaithfulSelfDualMinDim())
         nk = g.order // base.order
         rho = pullback_rho(ct, base_cd.class_of, nk, rho_base)
-        vals = tuple(rho_base.chi[int(base_cd.class_of[int(rep) // nk])] for rep in cd.reps)
-        assert rho.mults == _exact_multiplicities(ct, vals)
-        assert rho.chi == vals
+        vals = as_cycints(rho_base.chi, rho_base.order)
+        pulled = [vals[int(base_cd.class_of[int(rep) // nk])] for rep in cd.reps]
+        pulled = as_coeffs(pulled, ct.exponent)
+        assert rho.mults == _exact_multiplicities(ct, pulled, ct.exponent)
+        assert np.array_equal(rho.chi, pulled) and rho.order == ct.exponent
     else:
         rho = resolve_rho(ct, Irrep(int(selector.split(":")[1])))
     # the exact oracle is slow on the larger groups: one vertex of each degree
     sample = sorted({ct.degrees.index(d) for d in ct.degrees} | {ct.r - 1})
 
     graph = build_mckay_graph(ct, rho)
+    values, e = table_values(ct), ct.exponent
+    chi = as_cycints(rho.chi, rho.order)
     for i in sample:
-        product = tuple(a * b for a, b in zip(ct.values[i], rho.chi))
-        assert graph.adjacency[i] == _exact_multiplicities(ct, product)
+        product = as_coeffs([a * b for a, b in zip(values[i], chi)], e)
+        assert graph.adjacency[i] == _exact_multiplicities(ct, product, e)
 
     kernel = kernel_of_character(ct, rho.chi)
     ct_n = compute_character_table(kernel.group)
     restricted = _restrictions(ct, kernel, ct_n)
     for v in sample:
-        chi = tuple(
-            ct.values[v][int(cd.class_of[kernel.to_parent(rep)])] for rep in ct_n.conj.reps
-        )
-        assert tuple(restricted[v].tolist()) == _exact_multiplicities(ct_n, chi)
+        at_n = [values[v][int(cd.class_of[kernel.elements[rep]])] for rep in ct_n.conj.reps]
+        assert tuple(restricted[v].tolist()) == _exact_multiplicities(ct_n, as_coeffs(at_n, e), e)
 
     ct_q, rho_q = _push_down(ct, kernel, rho)
     _, coset_of = quotient_group(g, kernel)
     firsts = [next(x for x in range(g.order) if coset_of[x] == rep) for rep in ct_q.conj.reps]
-    chi_q = tuple(rho.chi[int(cd.class_of[x])] for x in firsts)
-    assert rho_q.mults == _exact_multiplicities(ct_q, chi_q)
+    chi_q = as_coeffs([chi[int(cd.class_of[x])] for x in firsts], e)
+    assert rho_q.mults == _exact_multiplicities(ct_q, chi_q, e)
     if selector == "pullback":
         assert ct_q.group.order == base.order and (ct_q.prime - 1) % ct.exponent != 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycint import as_coeffs, as_cycints, table_values
 from mckaygraphs.chartable import CharVector, Irrep, compute_character_table, resolve_rho
 from mckaygraphs.graphs import build_mckay_graph, graph_isomorphic
 from mckaygraphs.groups import BinaryPoly, Cyclic, Dihedral, ElemAb, Heisenberg, build_group
@@ -20,6 +21,15 @@ from mckaygraphs.shapes import (
     weak_components,
 )
 from mckaygraphs.verify import _exact_multiplicities
+
+
+def tensor_oracle(ct, rho):
+    """Exact dim Hom(chi_i (x) rho, chi_j), each product taken value by value."""
+    values, chi, e = table_values(ct), as_cycints(rho.chi, rho.order), ct.exponent
+    return [
+        list(_exact_multiplicities(ct, as_coeffs([a * b for a, b in zip(row, chi)], e), e))
+        for row in values
+    ]
 
 
 def adj_from_edges(n, edges, loops=()):
@@ -516,10 +526,7 @@ def test_huge_multiplicities_take_python_integers():
     rho = resolve_rho(ct, CharVector((10**20, 0, 1, 0)))
     graph = build_mckay_graph(ct, rho)
     assert graph.matrix.dtype == object
-    oracle = [
-        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
-        for i in range(ct.r)
-    ]
+    oracle = tensor_oracle(ct, rho)
     assert [list(row) for row in graph.adjacency] == oracle
     assert max(max(row) for row in oracle) > 2**63
     flags = (graph.undirected, graph.loopless, graph.simply_laced)
@@ -544,10 +551,7 @@ def test_multiplicities_near_the_int64_gate(spec, count):
     mults[ct.trivial_index] = count
     rho = resolve_rho(ct, CharVector(tuple(mults)))
     graph = build_mckay_graph(ct, rho)
-    oracle = [
-        list(_exact_multiplicities(ct, tuple(a * b for a, b in zip(ct.values[i], rho.chi))))
-        for i in range(ct.r)
-    ]
+    oracle = tensor_oracle(ct, rho)
     assert [list(row) for row in graph.adjacency] == oracle
     assert max(max(row) for row in oracle) < 2**63
     assert graph.matrix.dtype == (object if sum(ct.degrees) * count >= 2**63 else np.int64)

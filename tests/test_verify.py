@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cycint import CycInt, table_values
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -13,7 +14,6 @@ from mckaygraphs.chartable import (
     is_self_dual,
     resolve_rho,
 )
-from mckaygraphs.cyclotomic import CycInt
 from mckaygraphs.graphs import build_mckay_graph, decompose_components, graph_isomorphic
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -58,11 +58,12 @@ from mckaygraphs.verify import (
 def product_center_classes(ct, cd):
     """The oracle: classes k with chi(k) chi(k^-1) = deg^2 for every
     irreducible, by exact cyclotomic products."""
+    values = table_values(ct)
     return {
         k
         for k in range(ct.r)
         if all(
-            ct.values[i][k] * ct.values[i][cd.inverse_class[k]] == ct.degrees[i] ** 2
+            values[i][k] * values[i][cd.inverse_class[k]] == ct.degrees[i] ** 2
             for i in range(ct.r)
         )
     }
@@ -147,14 +148,14 @@ def test_exact_sums_match_per_value_cycint_loops(spec):
     product per value."""
     ctx = fixture(spec)
     ct, cd, g = ctx.ct, ctx.cd, ctx.group
-    for i in range(ct.r):
-        chi = ct.values[i]
+    for i, chi in enumerate(table_values(ct)):
         power, sums = chi, []
         for k in range(1, 5):
             if k > 1:
                 power = tuple(x * y for x, y in zip(power, chi))
             sums.append(sum(power, CycInt.zero()).as_integer())
-        assert _char_power_sums(chi, 4) == sums
+        coeffs = ct.rows[ct.index[i]]
+        assert _char_power_sums(coeffs, ct.exponent, 4) == sums
         dims = []
         for k in range(ct.r):
             cen = cd.centralizer(k)
@@ -164,15 +165,16 @@ def test_exact_sums_match_per_value_cycint_loops(spec):
             )
             assert total.as_integer() % len(cen) == 0
             dims.append(total.as_integer() // len(cen))
-        assert _centralizer_endo_dims(ctx, chi) == dims
+        assert _centralizer_endo_dims(ctx, coeffs) == dims
 
 
 def test_orthogonality_refuses_a_spoiled_table():
     ct = fixture(BinaryPoly("T")).ct
-    values = [list(row) for row in ct.values]
+    assert verify_orthogonality(ct)
+    index = ct.index.copy()
     i = next(i for i in range(ct.r) if ct.degrees[i] == 1 and i != ct.trivial_index)
-    values[i][1], values[i][2] = values[i][2], values[i][1]  # two classes of one row swapped
-    assert not verify_orthogonality(replace(ct, values=[tuple(row) for row in values]))
+    index[i, [1, 2]] = index[i, [2, 1]]  # two classes of one row swapped
+    assert not verify_orthogonality(replace(ct, index=index))
 
 
 def test_newton_spectrum_small():
@@ -216,7 +218,7 @@ def test_forest_theorem_on_matching():
         i
         for i in range(ct.r)
         if ct.degrees[i] == 1
-        and is_self_dual(ct, ct.values[i])
+        and is_self_dual(ct, ct.index[i])
         and i != ct.trivial_index
     )
     from mckaygraphs.chartable import Irrep
@@ -240,11 +242,10 @@ def test_reducible_self_dual_never_forest():
                 continue
             # symmetrize to keep the character self-dual
             chi = resolve_rho(ct, CharVector(tuple(mults))).chi
-            dual = tuple(chi[inv[k]] for k in range(ct.r))
-            sym = tuple(a + b for a, b in zip(chi, dual))
+            sym = chi + chi[inv]
             from mckaygraphs.chartable import rho_from_class_function
 
-            rho = rho_from_class_function(ct, sym)
+            rho = rho_from_class_function(ct, sym, ct.exponent)
             if rho.irreducible:
                 continue
             graph = build_mckay_graph(ct, rho)
