@@ -1,17 +1,21 @@
 """Exact character tables via the modular class-algebra method (Dixon, 1967).
 
-The table is computed over F_p for a prime p = 1 (mod exponent), p > 2|G|:
-the class algebra is split into its common eigenvectors (`modp`) by the
-class matrix of an element of largest order and then by seeded random
-combinations of all the class matrices (Schneider, 1990), degrees are
-recovered from the orthogonality relation, and the whole modular table is
-lifted to exact cyclotomic integers at once.  The lift runs one discrete
-Fourier transform over F_p, for all rows, per class whose element generates
-a maximal cyclic subgroup; every power class of that element takes its
-values by remapping the eigenvalue exponents.  The table holds each distinct
-value once, as a row of canonical coefficients (`cyclotomic`), and an r x r
-index of the rows, so equal values have equal indices.  A single character
-is an (r, phi(e)) coefficient array at a stated order e.  All arithmetic is
+The table is computed over F_p for a prime p = 1 (mod exponent), p > 2|G|.
+The linear characters are the characters of G/G' (Isaacs, Character Theory
+of Finite Groups, Cor. 2.23): zeta_e^lam(x G') for each homomorphism lam of
+G/G' into Z_e, built directly.  The other central characters sum to 0 over
+the classes of each coset of G', so the class algebra is split (`modp`) only
+on that subspace: by the class matrix of an element of largest order and
+then by seeded random combinations of all the class matrices (Schneider,
+1990).  Their degrees are recovered from the orthogonality relation, and
+their modular rows are lifted to exact cyclotomic integers at once.  The
+lift runs one discrete Fourier transform over F_p, for all rows, per class
+whose element generates a maximal cyclic subgroup, batched by element
+order; every power class of that element takes its values by remapping the
+eigenvalue exponents.  The table holds each distinct value once, as a row
+of canonical coefficients (`cyclotomic`), and an r x r index of the rows,
+so equal values have equal indices.  A single character is an
+(r, phi(e)) coefficient array at a stated order e.  All arithmetic is
 int64 with the overflow bound asserted next to each product, or Python
 integers; no floating point is involved anywhere.
 """
@@ -26,7 +30,16 @@ from typing import Optional, Union
 import numpy as np
 
 from .cyclotomic import _is_prime, _power_reductions, _primitive_root, euler_phi
-from .groups import ConjugacyData, FiniteGroup, Subgroup, conjugacy, subgroup_on
+from .groups import (
+    ConjugacyData,
+    FiniteGroup,
+    Subgroup,
+    abelian_homs,
+    commutator_subgroup,
+    conjugacy,
+    quotient_group,
+    subgroup_on,
+)
 from .modp import mul_mod, simultaneous_split
 
 
@@ -92,10 +105,10 @@ def _split_matrices(g: FiniteGroup, cd: ConjugacyData, p: int, rng: random.Rando
     """The matrices that split the class algebra, built as they are drawn.
 
     First the class matrix of an element of largest order, which alone
-    splits every cyclic group.  Then at most r random combinations
-    sum_i c_i C_i of all the class matrices (Schneider 1990); the
-    eigenvalues of one fail to separate two central characters with
-    probability 1/p.
+    splits the non-linear characters of a dihedral group.  Then at most r
+    random combinations sum_i c_i C_i of all the class matrices (Schneider
+    1990); the eigenvalues of one fail to separate two central characters
+    with probability 1/p.
     Each combination is one int64 scatter-add of the class weights over
     flat[x, k] = r class(x^-1 z_k) + k, made once for all of them.
     """
@@ -125,11 +138,25 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     h = np.array(cd.sizes, dtype=np.int64)
     invmap = cd.inverse_class
 
+    # the linear characters zeta_e^lam(x G'), one per homomorphism lam of G/G' to Z_e
+    quotient, coset_of = quotient_group(g, commutator_subgroup(g, cd))
+    coset = coset_of[cd.reps]
+    linear = abelian_homs(quotient, e)[:, coset]
+    # The other characters are orthogonal to the linear ones, which span the
+    # functions on G/G', so their central characters sum to 0 over the classes
+    # of each coset of G'.  Independent mod p, they span that subspace: the
+    # rows e_k - e_first(k), k a class after the first class of its coset
+    first = np.full(quotient.order, r)
+    np.minimum.at(first, coset, np.arange(r))
+    pivots = np.flatnonzero(first[coset] < np.arange(r))
+    basis = np.zeros((pivots.size, r), dtype=np.int64)
+    basis[np.arange(pivots.size), pivots] = 1
+    basis[np.arange(pivots.size), first[coset[pivots]]] = p - 1
     # seeded by p, so a group's table is computed the same way every time;
     # by the stdlib generator, since importing numpy.random alone adds 5.6 MB
     # of peak RSS
-    vectors = np.array(simultaneous_split(_split_matrices(g, cd, p, random.Random(p)), p, r))
-    assert len(vectors) == r
+    mats = _split_matrices(g, cd, p, random.Random(p))
+    vectors = simultaneous_split(mats, p, basis, pivots.tolist())
     assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"
 
     # central characters omega, normalized at the identity class
@@ -144,7 +171,18 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     assert np.all(hits.sum(axis=1) == 1), "degree not unique from d^2 mod p"
     degrees = ds[hits.argmax(axis=1)].tolist()
     modular = np.array(degrees, dtype=np.int64)[:, None] * omega % p * h_inv % p
-    rows, index = _lift(modular, degrees, cd, p)
+    lifted, index = _lift(modular, degrees, cd, p)
+
+    # the linear values zeta_e^s, as the coefficients of x^s mod Phi_e
+    used = np.flatnonzero(np.bincount(linear.ravel(), minlength=e))
+    red = _power_reductions(e)
+    values = np.array([red[s] for s in used.tolist()], dtype=np.int64).reshape(-1, lifted.shape[1])
+    slot = np.zeros(e, dtype=np.int64)
+    slot[used] = np.arange(used.size)
+    linear = slot[linear]
+    rows, index = _distinct(np.concatenate([lifted, values]), np.concatenate([index, len(lifted) + linear]))
+    modular = np.concatenate([modular, residues(p, values, e)[linear]])
+    degrees += [1] * len(linear)
 
     # by degree, then by the values in class order: the rows are sorted, so
     # their indices order the values as their coefficient tuples do
@@ -172,27 +210,41 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     )
 
 
+def _distinct(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of table in lexicographic order, and index, which
+    points into table, pointed into them."""
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank[index]
+
+
 def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
-    """Lift every modular character row to exact cyclotomic values.
+    """Lift modular character rows to exact cyclotomic values.
 
     For an element g of order n, xi_n = xi^(e/n) and the DFT over <g> gives,
     for every row at once, the multiplicity m_j of the eigenvalue zeta_n^j:
     m_j = (1/n) sum_t chi(g^t) xi_n^(-jt).  The class of g^t holds
     sum_j m_j zeta_n^(jt), so one DFT per maximal cyclic subgroup serves all
-    the classes of its elements.
+    the classes of its elements, and one product per element order runs the
+    DFTs of all those subgroups of that order.
 
     An entry is keyed by its (exponent, multiplicity) cells in exponent
     order, padded to the largest degree d (a row of degree d has at most d
-    cells).  Each class takes the distinct keys of its column, and only keys
-    that no earlier class had are reduced to coefficients, each checked once
-    against its residue.  Two keys can be one value (1 + zeta_2 = 0 =
-    1 + zeta_3 + zeta_3^2), so the reduced rows are deduplicated again.
-    Returns the distinct rows in lexicographic order and the (r, r) index of
-    each entry's row.
+    cells).  Only keys that no earlier order had are reduced to coefficients,
+    each checked once against its residue.  Two keys can be one value
+    (1 + zeta_2 = 0 = 1 + zeta_3 + zeta_3^2), so the reduced rows are
+    deduplicated again.  Returns the distinct rows in lexicographic order and
+    the (rows, classes) index of each entry's row.
     """
-    r = modular.shape[0]
+    nrows, r = modular.shape
     e = cd.exponent
     phi = euler_phi(e)
+    if not nrows:
+        return np.zeros((0, phi), dtype=np.int64), np.zeros((0, r), dtype=np.int64)
     xi = pow(_primitive_root(p), (p - 1) // e, p)
     xi_arr = np.array([pow(xi, s, p) for s in range(e)], dtype=np.int64)
     deg = np.array(degrees, dtype=np.int64)
@@ -203,70 +255,84 @@ def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
     assert phi * (p - 1) ** 2 < 2**63, "a value's residue overflows int64"
     key_type = np.dtype((np.void, 8 * width))
     row_of_key: dict[bytes, int] = {}
-    row_of_coeffs: dict[bytes, int] = {}
     rows: list[np.ndarray] = []
-    index = np.full((r, r), -1, dtype=np.int64)
+    index = np.empty((nrows, r), dtype=np.int64)
 
+    # class c is the class of g^power[c] for g in the class source[c], the
+    # first class by falling element order that has c among its powers
     order_of = [cd.element_orders[rep] for rep in cd.reps]
+    source, power = [-1] * r, [0] * r
     for k in sorted(range(r), key=lambda k: -order_of[k]):
-        if index[0, k] >= 0:
-            continue  # a power of an element already transformed
-        nk, pc = order_of[k], cd.power_classes(k)
+        if source[k] < 0:
+            for t, c in enumerate(cd.power_classes(k)):
+                if source[c] < 0:
+                    source[c], power[c] = k, t
+    all_tops = sorted(set(source))
+    source, power, order_of = np.array(source), np.array(power), np.array(order_of)
+    for nk in sorted(set(order_of[all_tops].tolist())):
+        tops = [k for k in all_tops if order_of[k] == nk]
+        served = np.flatnonzero(order_of[source] == nk)
+        slot = np.zeros(r, dtype=np.int64)
+        slot[tops] = np.arange(len(tops))
+        top, t = slot[source[served]], power[served]
         step = e // nk
         w = pow(pow(xi, step, p), p - 2, p)
         w_pow = np.array([pow(w, s, p) for s in range(nk)], dtype=np.int64)
         ts = np.arange(nk)
         dft = w_pow[np.outer(ts, ts) % nk] * pow(nk, p - 2, p) % p
-        mult = mul_mod(modular[:, pc], dft, p)
-        over = np.argwhere(mult > deg[:, None])
+        pcs = np.array([cd.power_classes(k) for k in tops])
+        mult = mul_mod(modular[:, pcs].reshape(-1, nk), dft, p).reshape(nrows, len(tops), nk)
+        over = np.argwhere(mult > deg[:, None, None])
         if over.size:
-            i, j = over[0]
-            raise LiftOutOfRange(f"Fourier coefficient {mult[i, j]} exceeds degree {degrees[i]}")
-        sums = mult.sum(axis=1)
-        if np.any(sums != deg):
-            i = int(np.argmax(sums != deg))
-            raise LiftOutOfRange(f"eigenvalue multiplicities sum to {sums[i]}, not {degrees[i]}")
-        nz_rows, js = np.nonzero(mult)
-        for t, c in enumerate(pc):
-            if index[0, c] >= 0:
-                continue
-            # g^t has the eigenvalues zeta_e^s, s = j t step; merge the j that meet
-            cells, where = np.unique(nz_rows * e + js * t % nk * step, return_inverse=True)
-            ms = np.zeros(cells.size, dtype=np.int64)
-            np.add.at(ms, where, mult[nz_rows, js])
-            cell_rows, expo = np.divmod(cells, e)
-            back = np.zeros(r, dtype=np.int64)
-            np.add.at(back, cell_rows, ms * xi_arr[expo] % p)
-            if not np.array_equal(back % p, modular[:, c]):
-                i = int(np.argmax(back % p != modular[:, c]))
-                raise LiftOutOfRange(f"eigenvalues of row {i} do not reduce back at class {c}")
-            keys = np.zeros((r, width), dtype=np.int64)
-            keys[cell_rows, np.arange(cells.size) - np.searchsorted(cell_rows, cell_rows)] = (
-                expo * radix + ms
-            )
-            distinct, inverse = np.unique(keys.view(key_type).ravel(), return_inverse=True)
-            ids = np.array([row_of_key.get(key, -1) for key in distinct.tolist()])
-            new = np.flatnonzero(ids < 0)
-            if new.size:
-                code = distinct[new].view(np.int64).reshape(-1, width)
-                coeffs = np.zeros((new.size, phi), dtype=np.int64)
-                residue = np.zeros(new.size, dtype=np.int64)
-                for s, m in zip(*np.divmod(code.T, radix)):
-                    coeffs += m[:, None] * red[s]
-                    residue += m * xi_arr[s] % p
-                # the reduced coefficients at zeta_e -> xi give the residue of the cells
-                at_xi = (coeffs % p) @ xi_arr[:phi] % p
-                assert np.array_equal(at_xi, residue % p), "lift does not reduce back"
-                for u, key, row in zip(new.tolist(), distinct[new].tolist(), coeffs):
-                    ids[u] = row_of_key[key] = row_of_coeffs.setdefault(row.tobytes(), len(rows))
-                    if ids[u] == len(rows):
-                        rows.append(row)
-            index[:, c] = ids[inverse]
-    table = np.array(rows)
-    order = np.lexsort(table.T[::-1])
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return table[order], rank[index]
+            i, k, j = over[0]
+            raise LiftOutOfRange(f"Fourier coefficient {mult[i, k, j]} exceeds degree {degrees[i]}")
+        sums = mult.sum(axis=2)
+        if np.any(sums != deg[:, None]):
+            i, k = np.argwhere(sums != deg[:, None])[0]
+            raise LiftOutOfRange(f"eigenvalue multiplicities sum to {sums[i, k]}, not {degrees[i]}")
+
+        # the cells of every served class: the nonzero multiplicities of its
+        # subgroup's DFT, at the eigenvalues zeta_e^s, s = j t step, of g^t
+        kz, iz, jz = np.nonzero(mult.transpose(1, 0, 2))  # by subgroup, then row
+        count = np.bincount(kz, minlength=len(tops))
+        lens = count[top]
+        owner = np.repeat(np.arange(served.size), lens)
+        at = (np.cumsum(count) - count)[top][owner] + np.arange(lens.sum())
+        at -= np.repeat(np.cumsum(lens) - lens, lens)
+        iz, jz = iz[at], jz[at]
+        # entry = owner nrows + row; merge the j that meet at one exponent
+        cells, where = np.unique(
+            (owner * nrows + iz) * e + jz * t[owner] % nk * step, return_inverse=True
+        )
+        ms = np.zeros(cells.size, dtype=np.int64)
+        np.add.at(ms, where, mult[iz, kz[at], jz])
+        entry, expo = np.divmod(cells, e)
+        back = np.zeros(served.size * nrows, dtype=np.int64)
+        np.add.at(back, entry, ms * xi_arr[expo] % p)
+        mismatch = np.flatnonzero(back % p != modular[:, served].T.ravel())
+        if mismatch.size:
+            c, i = divmod(int(mismatch[0]), nrows)
+            raise LiftOutOfRange(f"eigenvalues of row {i} do not reduce back at class {served[c]}")
+        keys = np.zeros((served.size * nrows, width), dtype=np.int64)
+        keys[entry, np.arange(cells.size) - np.searchsorted(entry, entry)] = expo * radix + ms
+        distinct, inverse = np.unique(keys.view(key_type).ravel(), return_inverse=True)
+        ids = np.array([row_of_key.get(key, -1) for key in distinct.tolist()])
+        new = np.flatnonzero(ids < 0)
+        if new.size:
+            code = distinct[new].view(np.int64).reshape(-1, width)
+            coeffs = np.zeros((new.size, phi), dtype=np.int64)
+            residue = np.zeros(new.size, dtype=np.int64)
+            for s, m in zip(*np.divmod(code.T, radix)):
+                coeffs += m[:, None] * red[s]
+                residue += m * xi_arr[s] % p
+            # the reduced coefficients at zeta_e -> xi give the residue of the cells
+            at_xi = (coeffs % p) @ xi_arr[:phi] % p
+            assert np.array_equal(at_xi, residue % p), "lift does not reduce back"
+            ids[new] = len(rows) + np.arange(new.size)
+            row_of_key.update(zip(distinct[new].tolist(), ids[new].tolist()))
+            rows.extend(coeffs)
+        index[:, served] = ids[inverse].reshape(served.size, nrows).T
+    return _distinct(np.array(rows), index)
 
 
 # ---------------------------------------------------------------------------

@@ -582,17 +582,23 @@ class Subgroup:
         return len(self.elements)
 
 
-def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
-    """The subgroup generated by elems: products of the member set with itself
-    until it stops growing (in a finite group that also closes inverses)."""
-    inside = np.zeros(g.order, dtype=bool)
+def _close(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
+    """The elements of the subgroup generated by the mask `inside`, which it
+    marks in place: products of the member set with itself until it stops
+    growing (in a finite group that also closes inverses)."""
     inside[0] = True
-    inside[np.asarray(elems, dtype=np.int64)] = True
     while True:
         arr = np.flatnonzero(inside)
         inside[g.mul[np.ix_(arr, arr)]] = True
         if inside.sum() == len(arr):
-            return subgroup_on(g, arr)
+            return arr
+
+
+def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
+    """The subgroup generated by elems."""
+    inside = np.zeros(g.order, dtype=bool)
+    inside[np.asarray(elems, dtype=np.int64)] = True
+    return subgroup_on(g, _close(g, inside))
 
 
 def subgroup_on(g: FiniteGroup, arr: np.ndarray) -> Subgroup:
@@ -638,13 +644,16 @@ def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
     return grp, coset_of
 
 
-def commutator_subgroup(g: FiniteGroup) -> Subgroup:
-    mul, inv = g.mul, g.inv
-    xy = mul
-    yx = mul.T
-    inside = np.zeros(g.order, dtype=bool)
-    inside[mul[xy, inv[yx]]] = True
-    return subgroup_from_elements(g, np.flatnonzero(inside))
+def commutator_subgroup(g: FiniteGroup, cd: ConjugacyData) -> Subgroup:
+    """G', generated by the classes of the products c y, for y a class
+    representative and c in the class of y^-1: c = x y^-1 x^-1 makes c y a
+    commutator, and every commutator is conjugate to one of them.  That is n
+    products where the commutators are n^2."""
+    # c lies in the class of y^-1 for y the representative of the class of c^-1
+    prods = g.mul[np.arange(g.order), np.asarray(cd.reps)[cd.class_of[g.inv]]]
+    hit = np.zeros(cd.r, dtype=bool)
+    hit[cd.class_of[prods]] = True
+    return subgroup_on(g, _close(g, hit[cd.class_of]))
 
 
 def normal_subgroups(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[Subgroup]:
@@ -718,13 +727,16 @@ def _build_extraspecial(n: int, variant: str) -> FiniteGroup:
 
 
 def _greedy_generators(g: FiniteGroup) -> list[int]:
+    """Each element, in index order, that the ones before it do not generate,
+    until they generate g."""
     gens: list[int] = []
-    span = {0}
+    span = np.zeros(g.order, dtype=bool)
+    span[0] = True
     for x in range(g.order):
-        if x not in span:
+        if not span[x]:
             gens.append(x)
-            span = set(int(e) for e in subgroup_from_elements(g, gens).elements)
-            if len(span) == g.order:
+            span[x] = True
+            if _close(g, span).size == g.order:
                 break
     return gens
 
@@ -749,19 +761,33 @@ def _extend_hom(a: FiniteGroup, gens: list[int], images, mul_t, ident) -> Option
     return [val[x] for x in range(a.order)]
 
 
-def _abelian_homs(a: FiniteGroup, m: int) -> list[np.ndarray]:
-    """All homomorphisms from the abelian group a to Z_m, as value arrays."""
-    gens = _greedy_generators(a)
-    cand = []
-    for x in gens:
-        o = int(a.element_orders[x])
-        cand.append([v for v in range(m) if (v * o) % m == 0])
-    homs = []
-    for choice in iproduct(*cand):
-        vals = _extend_hom(a, gens, choice, lambda u, v: (u + v) % m, 0)
-        if vals is not None:
-            homs.append(np.array(vals, dtype=np.int64))
-    return homs
+def abelian_homs(a: FiniteGroup, m: int) -> np.ndarray:
+    """Every homomorphism from the abelian group a to Z_m, one row of values
+    per homomorphism.  They extend along subgroups H < H<x>: for the least k
+    with x^k in H, a homomorphism lam of H extends by x -> b for exactly the b
+    with k b = lam(x^k) (mod m), and x^j h then takes j b + lam(h)."""
+    vals = np.zeros((1, a.order), dtype=np.int64)
+    inside = np.zeros(a.order, dtype=bool)
+    inside[0] = True
+    for x in range(a.order):
+        if inside[x]:
+            continue
+        powers, y = [0], x  # x^j for j < k, then y = x^k
+        while not inside[y]:
+            powers.append(y)
+            y = int(a.mul[y, x])
+        k = len(powers)
+        d, c = gcd(k, m), vals[:, y]
+        vals, c = vals[c % d == 0], c[c % d == 0]
+        # the d solutions b0 + t m/d of (k/d) b = c/d (mod m/d)
+        step = m // d
+        b = (c // d * pow(k // d, -1, step) % step)[:, None] + step * np.arange(d)
+        vals, b = np.repeat(vals, d, axis=0), b.ravel()
+        h = np.flatnonzero(inside)
+        cosets = a.mul[np.ix_(powers[1:], h)]  # x^j h for 0 < j < k
+        vals[:, cosets] = (np.arange(1, k)[:, None] * b[:, None, None] + vals[:, h][:, None]) % m
+        inside[cosets] = True
+    return vals
 
 
 def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> np.ndarray:
@@ -784,13 +810,12 @@ def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> 
             x = int(q.mul[x, gen])
             k += 1
         return val[coset_of]
-    comm = commutator_subgroup(g)
-    ab, proj = quotient_group(g, comm)
-    homs = [h for h in _abelian_homs(ab, m) if gcd(int(np.gcd.reduce(h)), m) == 1]
-    if not homs:
+    ab, proj = quotient_group(g, commutator_subgroup(g, conjugacy(g)))
+    homs = abelian_homs(ab, m)
+    onto = homs[np.gcd(np.gcd.reduce(homs, axis=1), m) == 1]
+    if not len(onto):
         raise InvalidAction(f"no surjection of {g.carrier} onto a cyclic group of order {m}")
-    best = min(homs, key=lambda h: tuple(h))
-    return best[proj]
+    return onto[np.lexsort(onto.T[::-1])[0]][proj]
 
 
 def derive_cyclic_action(

@@ -2,7 +2,8 @@
 
 Includes the simultaneous eigenspace splitting used by the modular
 character-table computation: a commuting family of matrices that is
-diagonalizable over F_p is split into r one-dimensional common eigenspaces.
+diagonalizable over F_p splits an invariant subspace into one-dimensional
+common eigenspaces.
 """
 
 from __future__ import annotations
@@ -188,9 +189,8 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
     basis is the identity on the columns `pivots`, and so is every piece.
     The pieces come in ascending order of eigenvalue."""
     m = basis.shape[0]
-    whole = m == mat.shape[0]  # the first subspace, whose basis is I
     # a[:, i] = coordinates of basis[i] @ mat.T, read on the pivot columns
-    a = mat % p if whole else mul_mod(mat[pivots], basis.T, p)
+    a = mul_mod(mat[pivots], basis.T, p)
     lam = int(a[0, 0])
     if np.array_equal(a, lam * np.eye(m, dtype=np.int64)):
         return None  # scalar action cannot split
@@ -202,7 +202,7 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
         x, which = _block_eigenvectors(h, roots, p)
         vecs = mul_mod(x, u.T, p)
         assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[which, None] * vecs % p)
-        vecs = _leading_one(vecs if whole else mul_mod(vecs, basis, p), p)
+        vecs = _leading_one(mul_mod(vecs, basis, p), p)
         for i in range(len(roots)):
             rows = vecs[which == i]
             if rows.shape[0] == 1:
@@ -215,7 +215,7 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
         ker, free = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
         # ker is the identity on its free columns and basis on pivots, so
         # their product is the identity on pivots[free]
-        sub = ker if whole else mul_mod(ker, basis, p)
+        sub = mul_mod(ker, basis, p)
         pieces.append((sub, [pivots[c] for c in free]))
         total += sub.shape[0]
     if total != m:
@@ -224,19 +224,22 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
     return pieces
 
 
-def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
-    """Common 1-dimensional eigenvectors of a commuting diagonalizable family.
+def simultaneous_split(mats, p: int, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Common 1-dimensional eigenvectors of a commuting diagonalizable family
+    on an invariant subspace of F_p^n.
 
-    `mats` may be any iterable of dim x dim int64 residue arrays mod p
-    (consumed lazily, and only while some joint subspace has dimension > 1,
-    so callers can stream matrices that are expensive to build).  Returns
-    `dim` vectors spanning F_p^dim, each normalized with leading coefficient
-    1.  Raises SplitIncomplete when some joint subspace of dimension > 1 is
-    not split by any input matrix.
+    The subspace is the row space of `basis`, which is the identity on the
+    columns `pivots`.  `mats` may be any iterable of n x n int64 residue
+    arrays mod p, acting on columns (consumed lazily, and only while some
+    joint subspace has dimension > 1, so callers can stream matrices that
+    are expensive to build; a subspace of dimension 0 or 1 draws none).
+    Returns one row per dimension of the subspace, spanning it, each
+    normalized with leading coefficient 1, in lexicographic order.  Raises
+    SplitIncomplete when some joint subspace of dimension > 1 is not split
+    by any input matrix.
     """
-    subspaces: list[tuple[np.ndarray, list[int]]] = [
-        (np.eye(dim, dtype=np.int64), list(range(dim)))
-    ]
+    n = basis.shape[1]
+    subspaces = [(basis, list(pivots))] if basis.shape[0] else []
     mats = iter(mats)
     while any(b.shape[0] > 1 for b, _ in subspaces):
         mat = next(mats, None)
@@ -244,17 +247,17 @@ def simultaneous_split(mats, p: int, dim: int) -> list[np.ndarray]:
             raise SplitIncomplete(
                 "a joint subspace of dimension > 1 remains; choose another prime"
             )
-        assert mat.shape == (dim, dim)
+        assert mat.shape == (n, n)
         nxt: list[tuple[np.ndarray, list[int]]] = []
-        for basis, pivots in subspaces:
-            if basis.shape[0] == 1:
-                nxt.append((basis, pivots))
+        for sub, sub_pivots in subspaces:
+            if sub.shape[0] == 1:
+                nxt.append((sub, sub_pivots))
                 continue
-            pieces = _split_subspace(basis, pivots, mat, p)
+            pieces = _split_subspace(sub, sub_pivots, mat, p)
             if pieces is None:
-                nxt.append((basis, pivots))
+                nxt.append((sub, sub_pivots))
             else:
                 nxt.extend(pieces)
         subspaces = nxt
-    vectors = _leading_one(np.array([b[0] for b, _ in subspaces]), p)
-    return sorted(vectors, key=lambda v: tuple(v))
+    vectors = _leading_one(np.array([b[0] for b, _ in subspaces], dtype=np.int64).reshape(-1, n), p)
+    return vectors[np.lexsort(vectors.T[::-1])]

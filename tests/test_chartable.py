@@ -60,6 +60,31 @@ def test_dixon_prime_choice():
     assert p > 240 and p % 60 == 1 and p == 241
 
 
+def whole_space_split(mats, p, r):
+    return simultaneous_split(mats, p, np.eye(r, dtype=np.int64), list(range(r)))
+
+
+def whole_space_table(g, cd):
+    """The table's (degrees, rows, index, modular, trivial_index) with every
+    central character from the split of the whole class algebra and every
+    row through the lift, linear ones included."""
+    n, r, e = g.order, cd.r, cd.exponent
+    p = dixon_prime(n, e)
+    h = np.array(cd.sizes, dtype=np.int64)
+    vectors = whole_space_split(chartable._split_matrices(g, cd, p, random.Random(p)), p, r)
+    omega = vectors * np.array([pow(int(v), -1, p) for v in vectors[:, 0]])[:, None] % p
+    h_inv = np.array([pow(int(x), -1, p) for x in h], dtype=np.int64)
+    total = (omega * omega[:, cd.inverse_class] % p * h_inv % p).sum(axis=1) % p
+    degrees = [next(d for d in range(1, n + 1) if d * d * t % p == n % p) for t in total.tolist()]
+    modular = np.array(degrees, dtype=np.int64)[:, None] * omega % p * h_inv % p
+    rows, index = _lift(modular, degrees, cd, p)
+    order = np.lexsort(np.vstack([index.T[::-1], [degrees]]))
+    index = index[order]
+    one = rows.tolist().index([1] + [0] * (rows.shape[1] - 1))
+    trivial = int(np.flatnonzero((index == one).all(axis=1))[0])
+    return [degrees[i] for i in order], rows, index, modular[order], trivial
+
+
 @pytest.mark.parametrize(
     "spec",
     [Dihedral(9), BinaryPoly("O"), Heisenberg(3, 1), Extraspecial2(2, "+"), ElemAb(2, 5)],
@@ -70,14 +95,19 @@ def test_split_does_not_depend_on_class_order(monkeypatch, spec):
     cd = conjugacy(g)
     p = dixon_prime(g.order, cd.exponent)
     mats = [_class_matrix(g, cd, i) for i in range(cd.r)]
-    by_index = np.array(simultaneous_split(mats[1:], p, cd.r))
-    by_reverse = np.array(simultaneous_split(mats[:0:-1], p, cd.r))
+    by_index = whole_space_split(mats[1:], p, cd.r)
+    by_reverse = whole_space_split(mats[:0:-1], p, cd.r)
     assert np.array_equal(by_index, by_reverse)
-    # the table's own stream of random combinations splits the same way
+    # the table's own stream splits the complement of the linear central
+    # characters omega = h chi into the rest of the same vectors
     split, got = chartable.simultaneous_split, []
     monkeypatch.setattr(chartable, "simultaneous_split", lambda *a: got.append(split(*a)) or got[-1])
-    compute_character_table(g, cd)
-    assert np.array_equal(np.array(got[0]), by_index)
+    ct = compute_character_table(g, cd)
+    h = np.array(cd.sizes, dtype=np.int64)
+    linear = {tuple(ct.modular[i] * h % p) for i in range(ct.r) if ct.degrees[i] == 1}
+    rest = [v for v in by_index if tuple(v) not in linear]
+    assert len(rest) == cd.r - len(linear)
+    assert np.array_equal(got[0], np.array(rest, dtype=np.int64).reshape(-1, cd.r))
 
 
 @pytest.mark.parametrize(
@@ -108,14 +138,57 @@ def test_table_does_not_depend_on_the_seed(monkeypatch, spec):
 
 
 def test_cyclic_table_draws_one_matrix(monkeypatch):
-    """The class of a generator has r distinct eigenvalues, so the split
-    stops before it builds the index of the random combinations."""
+    """An abelian group's characters are all linear, so its split draws no
+    matrix.  In dihedral:9 the class of a rotation of order 9 separates the
+    four characters of degree 2, so the split draws that class matrix alone
+    and stops before it builds the index of the random combinations."""
     split, drawn = chartable.simultaneous_split, []
     monkeypatch.setattr(
-        chartable, "simultaneous_split", lambda mats, p, dim: split((drawn.append(m) or m for m in mats), p, dim)
+        chartable, "simultaneous_split", lambda mats, *a: split((drawn.append(m) or m for m in mats), *a)
     )
     g, cd, ct = table(Cyclic(64))
-    assert len(drawn) == 1 and ct.r == 64
+    assert not drawn and ct.r == 64
+    g, cd, ct = table(Dihedral(9))
+    orders = [cd.element_orders[rep] for rep in cd.reps]
+    assert len(drawn) == 1 and ct.degrees.count(2) == 4
+    assert np.array_equal(drawn[0], _class_matrix(g, cd, orders.index(9)))
+
+
+# every group the benchmark ladders tabulate
+LADDER_SPECS = [
+    BinaryPoly("I"),  # perfect: G' = G, so only the trivial character is linear
+    Dihedral(32),
+    Extraspecial2(3, "+"),
+    Product(BinaryPoly("I"), Cyclic(4)),
+    ElemAb(2, 6),
+    Heisenberg(3, 2),
+    Cyclic(64),
+    ElemAb(2, 7),
+    Extraspecial2(4, "-"),
+    Product(BinaryPoly("I"), Cyclic(8)),
+    Dihedral(64),
+]
+
+
+@lru_cache(maxsize=None)
+def oracle_table(spec):
+    g = build_group(spec)
+    cd = conjugacy(g)
+    return g, cd, whole_space_table(g, cd)
+
+
+@pytest.mark.parametrize("spec", [*SWEEP_SPECS, *LADDER_SPECS, Cyclic(1)], ids=spec_text)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_table_matches_the_whole_space_oracle(spec, seed):
+    g, cd, (degrees, rows, index, modular, trivial) = oracle_table(spec)
+    stream = chartable._split_matrices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chartable, "_split_matrices", lambda g, cd, p, rng: stream(g, cd, p, random.Random(seed)))
+        ct = compute_character_table(g, cd)
+    assert ct.degrees == degrees and ct.trivial_index == trivial
+    assert np.array_equal(ct.rows, rows) and np.array_equal(ct.index, index)
+    assert np.array_equal(ct.modular, modular)
 
 
 def test_trivial_group():

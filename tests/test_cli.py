@@ -263,6 +263,7 @@ for argv in (
     ["graph", "extraspecial:+:3", "--rho", "faithful-selfdual-min", "--components"],
     ["graph", "semidirect(dihedral:3,cyclic:3)", "--rho", "irrep:1", "--components"],
     ["chartab", "semidirect(cyclic:4,cyclic:5)"],
+    ["chartab", "elemab:2:4"],  # abelian: every character linear, no split
 ):
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
 ct = compute_character_table(build_group(cli.parse_group_spec("dihedral:6")))

@@ -22,6 +22,9 @@ from mckaygraphs.groups import (
     OrderCapExceeded,
     Product,
     Semidirect,
+    _extend_hom,
+    _greedy_generators,
+    abelian_homs,
     build_group,
     build_product,
     build_semidirect,
@@ -272,7 +275,7 @@ def test_orders_classes_and_cosets_match_the_oracles(spec):
     # the center, the commutator subgroup and the normal closure of a class
     normals = [
         subgroup_from_elements(g, cd.center),
-        commutator_subgroup(g),
+        commutator_subgroup(g, cd),
         subgroup_from_elements(g, cd.classes[-1]),
     ]
     for sub in normals:
@@ -584,10 +587,80 @@ def test_explicit_action():
 
 def test_commutator_subgroup():
     s3 = build_group(Dihedral(3))
-    comm = commutator_subgroup(s3)
+    comm = commutator_subgroup(s3, conjugacy(s3))
     assert comm.order == 3 and comm.normal
     ab = build_group(Cyclic(6))
-    assert commutator_subgroup(ab).order == 1
+    assert commutator_subgroup(ab, conjugacy(ab)).order == 1
+
+
+def commutator_oracle(g):
+    """G' from all n^2 commutators x y x^-1 y^-1."""
+    inside = np.zeros(g.order, dtype=bool)
+    inside[g.mul[g.mul, g.inv[g.mul.T]]] = True
+    return subgroup_from_elements(g, np.flatnonzero(inside))
+
+
+def greedy_generators_oracle(g):
+    """The generators, each subgroup spanned as a set through a Subgroup."""
+    gens, span = [], {0}
+    for x in range(g.order):
+        if x not in span:
+            gens.append(x)
+            span = set(int(e) for e in subgroup_from_elements(g, gens).elements)
+            if len(span) == g.order:
+                break
+    return gens
+
+
+def abelian_homs_oracle(a, m):
+    """Every choice of generator images v with ord(x) v = 0 (mod m), kept
+    when it extends to a homomorphism."""
+    gens = greedy_generators_oracle(a)
+    cands = [[v for v in range(m) if v * int(a.element_orders[x]) % m == 0] for x in gens]
+    homs = []
+    for choice in iproduct(*cands):
+        vals = _extend_hom(a, gens, choice, lambda u, v: (u + v) % m, 0)
+        if vals is not None:
+            homs.append(tuple(vals))
+    return homs
+
+
+@pytest.mark.parametrize(
+    "spec", [*DIFFERENTIAL_SPECS, Cyclic(1), Dihedral(3), Extraspecial2(4, "-")], ids=spec_text
+)
+def test_commutators_and_generators_match_the_oracles(spec):
+    g = _group(spec)
+    assert commutator_subgroup(g, conjugacy(g)).elements == commutator_oracle(g).elements
+    assert _greedy_generators(g) == greedy_generators_oracle(g)
+
+
+def _abelianized(spec):
+    g = _group(spec)
+    return quotient_group(g, commutator_oracle(g))[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            Cyclic(1),
+            Cyclic(12),
+            ElemAb(2, 3),
+            ElemAb(3, 2),
+            Product(Cyclic(4), Cyclic(6)),
+            Product(Cyclic(2), Cyclic(8)),
+            Dihedral(8),  # G/G' = C2 x C2
+            BinaryPoly("T"),  # G/G' = C3
+        ]
+    ),
+    # m = 1, exponents, their multiples and values that the exponent does not divide
+    st.integers(1, 30),
+)
+def test_abelian_homs_match_the_enumeration(spec, m):
+    a = _abelianized(spec)
+    homs = abelian_homs(a, m)
+    assert homs.shape[1] == a.order
+    assert sorted(map(tuple, homs.tolist())) == sorted(abelian_homs_oracle(a, m))
 
 
 def test_spec_text_round_trip():

@@ -16,6 +16,11 @@ from mckaygraphs.modp import (
 )
 
 
+def whole_space(n):
+    """F_p^n as a start subspace: the identity basis and all its pivots."""
+    return np.eye(n, dtype=np.int64), list(range(n))
+
+
 def det_mod(a, p):
     a = a.copy() % p
     n = a.shape[0]
@@ -62,11 +67,11 @@ def test_rref_and_kernel():
 
 def test_split_identity_matrices_incomplete():
     with pytest.raises(SplitIncomplete):
-        simultaneous_split([np.eye(3, dtype=np.int64)], 7, 3)
+        simultaneous_split([np.eye(3, dtype=np.int64)], 7, *whole_space(3))
 
 
 def test_split_single_diagonal():
-    vs = simultaneous_split([np.diag([1, 2, 3])], 7, 3)
+    vs = simultaneous_split([np.diag([1, 2, 3])], 7, *whole_space(3))
     assert sorted(tuple(v) for v in vs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
@@ -94,7 +99,7 @@ def s3_class_matrices_bruteforce(p):
 def test_split_s3_class_matrices_mod_7():
     mats, cd = s3_class_matrices_bruteforce(7)
     mats = [m.T for m in mats]  # columns carry central characters
-    vs = simultaneous_split(mats[1:], 7, 3)
+    vs = simultaneous_split(mats[1:], 7, *whole_space(3))
     assert len(vs) == 3
     for v in vs:
         for m in mats:
@@ -133,7 +138,7 @@ def test_split_random_commuting_families():
         s, sinv = random_similarity(rng, n, p)
         mats = [(s @ np.diag(rng.integers(0, p, n)) @ sinv) % p for _ in range(3)]
         mats.append((s @ np.diag(np.arange(1, n + 1)) @ sinv) % p)
-        vs = simultaneous_split(mats, p, n)
+        vs = simultaneous_split(mats, p, *whole_space(n))
         assert len(vs) == n
         for v in vs:
             for m in mats:
