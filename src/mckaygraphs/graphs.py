@@ -26,6 +26,7 @@ from .chartable import (
     rho_from_class_function,
 )
 from .groups import FiniteGroup, Subgroup, quotient_group
+from .modp import mul_mod
 from .shapes import forest_bit, graph_flags, weak_components
 
 
@@ -96,6 +97,21 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
         components=components,
         forest=forest_bit(adj, flags, components),
     )
+
+
+def trace_and_total(ct: CharacterTable, ms) -> np.ndarray:
+    """(tr N_m, sum_ij N_m[i, j]) mod p for each irreducible m of the list,
+    N_m the McKay matrix of chi_m, as one product of their modular rows with
+    two weights per class (column orthogonality,
+    sum_i chi_i(k) chi_i(k*) = |G| / h_k):
+    tr N_m = sum_k chi_m(k), and
+    sum_ij N_m[i, j] = |G|^-1 sum_k h_k chi_m(k) S(k)^2 for S = sum_i chi_i,
+    which is real (S(k*) = S(k)) because complex conjugation permutes Irr(G)."""
+    p, table = ct.prime, ct.modular
+    h = np.array(ct.conj.sizes, dtype=np.int64)
+    s = table.sum(axis=0) % p
+    total = h * s % p * s % p * pow(ct.group.order, p - 2, p) % p
+    return mul_mod(table[ms], np.stack([np.ones_like(total), total], axis=1), p)
 
 
 def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:

@@ -456,32 +456,31 @@ def build_semidirect(
 ) -> FiniteGroup:
     """G acting on an abelian kernel K; action[x] is the permutation of K
     induced by conjugation with the element x of G.  A homomorphism into the
-    bijections of K sends the identity to the identity, so that needs no check."""
+    bijections of K sends the identity to the identity, so that needs no check.
+    Every image is checked at once: a bijection, then an automorphism, then
+    the homomorphism property on all pairs of acting elements."""
     ng, nk = g.order, k.order
     if len(action) != ng:
         raise InvalidAction("need one kernel automorphism per acting element")
     if not k.is_abelian():
         raise InvalidAction("kernel must be abelian")
-    kj = np.arange(nk)
-    for x in range(ng):
-        perm = np.asarray(action[x])
-        if not np.array_equal(np.sort(perm), kj):
-            raise InvalidAction("action image is not a bijection")
-        if not np.array_equal(perm[k.mul], k.mul[perm[:, None], perm[None, :]]):
-            raise InvalidAction("action image is not an automorphism")
-    for x in range(ng):
-        for y in range(ng):
-            if not np.array_equal(action[g.mul[x, y]], action[x][action[y]]):
-                raise InvalidAction("action is not a homomorphism")
+    if any(np.shape(perm) != (nk,) for perm in action):
+        raise InvalidAction("action image is not a bijection")
+    act = np.asarray(action)
+    if not (np.sort(act, axis=1) == np.arange(nk)).all():
+        raise InvalidAction("action image is not a bijection")
+    if not np.array_equal(act[:, k.mul], k.mul[act[:, :, None], act[:, None, :]]):
+        raise InvalidAction("action image is not an automorphism")
+    # (x, y, i) -> alpha_xy(i) against alpha_x(alpha_y(i))
+    if not np.array_equal(act[g.mul], act[np.arange(ng)[:, None, None], act[None]]):
+        raise InvalidAction("action is not a homomorphism")
 
     n = ng * nk
-    mul = np.empty((n, n), dtype=np.int32)
-    for b in range(ng):
-        twist = k.mul[action[g.inv[b]]]  # (i, j) -> alpha_{b^-1}(i) * j
-        cols = slice(b * nk, (b + 1) * nk)
-        gcol = g.mul[:, b].astype(np.int64) * nk
-        for a in range(ng):
-            mul[a * nk : (a + 1) * nk, cols] = gcol[a] + twist
+    # (a, i)(b, j) = (ab, alpha_{b^-1}(i) j): row block a, column block b
+    twist = k.mul[act[g.inv]].transpose(1, 0, 2)  # (i, b, j) -> alpha_{b^-1}(i) * j
+    mul = np.empty((ng, nk, ng, nk), dtype=np.int32)
+    np.add((g.mul.astype(np.int64) * nk)[:, None, :, None], twist[None], out=mul, casting="unsafe")
+    mul = mul.reshape(n, n)
     names = [f"({x};{y})" for x in g.element_names for y in k.element_names]
     return FiniteGroup(
         order=n,

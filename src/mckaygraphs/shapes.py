@@ -9,8 +9,7 @@ integer eigenvector) are kept as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -313,55 +312,45 @@ def circuit_count(adj, k: int) -> int:
     return sum(power[i][i] for i in range(n))
 
 
-def rational_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, pivoting in the first ncols columns;
-    returns the reduced rows and their pivot columns."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+def template_marking(adj) -> Optional[list[int]]:
+    """Positive integer vector with A*d = 2*d and gcd 1, when one exists.
+
+    The null space of A - 2I by fraction-free integer elimination: a row is
+    cleared at a pivot column as pivot * row - entry * pivot row, then divided
+    by the gcd of its entries.  With one free column f, pivot row i reads
+    a_i x_(p_i) + b_i x_f = 0, so x_f = lcm(a) gives an integer vector."""
+    n = len(adj)
+    rows = [[adj[i][j] - (2 if i == j else 0) for j in range(n)] for i in range(n)]
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i in range(n):
+            f = rows[i][col]
+            if i != r and f:
+                row = [top[col] * a - f * b for a, b in zip(rows[i], top)]
+                g = gcd(*row) or 1
+                rows[i] = [v // g for v in row]
         pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
-def template_marking(adj) -> Optional[list[int]]:
-    """Positive integer vector with A*d = 2*d and gcd 1, when one exists."""
-    n = len(adj)
-    # exact kernel of (A - 2I) over Q
-    rows, pivots = rational_rref(
-        [[adj[i][j] - (2 if i == j else 0) for j in range(n)] for i in range(n)], n
-    )
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
     fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
+    scale = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+    vec = [0] * n
+    vec[fc] = scale
     for i, pc in enumerate(pivots):
-        vec[pc] = -rows[i][fc]
+        vec[pc] = -rows[i][fc] * scale // rows[i][pc]
     if any(v <= 0 for v in vec):
         vec = [-v for v in vec]
     if any(v <= 0 for v in vec):
         return None
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints]
+    g = gcd(*vec)
+    return [v // g for v in vec]
 
 
 def pf_integer_vector_check(adj, dims, rho_dim: int, label: Optional[ShapeLabel] = None):

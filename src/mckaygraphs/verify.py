@@ -41,6 +41,7 @@ from .graphs import (
     disjoint_union,
     graph_isomorphic,
     principal_component_isomorphism_check,
+    trace_and_total,
 )
 from .groups import (
     BinaryDihedral,
@@ -471,10 +472,13 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
     quotient_order = ctx.group.order // kernel.order
     comps = graph.components
     labels = []
+    label_of: dict[tuple, ShapeLabel] = {}  # each distinct adjacency is classified once
     star_exp: Optional[int] = None
     for comp in comps:
         sub = graph.induced(comp)
-        label = classify_component(sub)
+        label = label_of.get(sub)
+        if label is None:
+            label = label_of[sub] = classify_component(sub)
         labels.append((comp, sub, label))
         if label.kind == "affine_e" or (label.kind == "affine_d" and not label.hedgehog_alias):
             continue
@@ -489,7 +493,8 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
     if star_exp is not None:
         first = labels[0][1]
         for comp, sub, label in labels[1:]:
-            if not graph_isomorphic(first, sub):
+            # equal adjacencies are isomorphic
+            if sub != first and not graph_isomorphic(first, sub):
                 raise ClassificationViolated(
                     f"{spec_text(ctx.spec)}: 4^{star_exp} star present but components differ"
                 )
@@ -971,15 +976,22 @@ def _case_tree_theorem(spec: GroupSpec) -> list[CheckRecord]:
     return [verify_tree_theorem(ctx, graph)]
 
 
-def _self_dual_irreps(ct: CharacterTable) -> list[int]:
-    return [i for i in range(ct.r) if is_self_dual(ct, ct.index[i])]
+def _forest_candidates(ct: CharacterTable) -> list[int]:
+    """The self-dual irreducibles whose McKay graph can be a forest.  A forest
+    on r vertices has trace 0 and 2|E| <= 2(r - 1) < p, since p > 2|G| >= 2r,
+    so its two residues from `trace_and_total` are those integers; an
+    irreducible whose residues are not cannot give a forest."""
+    ms = [i for i in range(ct.r) if is_self_dual(ct, ct.index[i])]
+    sums = trace_and_total(ct, ms)
+    bound = 2 * (ct.r - 1)
+    return [m for m, (trace, total) in zip(ms, sums.tolist()) if trace == 0 and total <= bound]
 
 
 def _case_sweep(spec: GroupSpec) -> list[CheckRecord]:
     records = _Recorder()
     ctx = fixture(spec)
     trees = forests = 0
-    for i in _self_dual_irreps(ctx.ct):
+    for i in _forest_candidates(ctx.ct):
         graph = build_mckay_graph(ctx.ct, Irrep(i))
         if not graph.forest:
             continue

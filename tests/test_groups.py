@@ -22,6 +22,7 @@ from mckaygraphs.groups import (
     OrderCapExceeded,
     Product,
     Semidirect,
+    _derive_action,
     _extend_hom,
     _greedy_generators,
     abelian_homs,
@@ -29,6 +30,8 @@ from mckaygraphs.groups import (
     build_product,
     build_semidirect,
     central_product,
+    derive_cyclic_action,
+    derive_elemab_action,
     commutator_subgroup,
     conjugacy,
     expanded_order,
@@ -39,6 +42,7 @@ from mckaygraphs.groups import (
     subgroup_from_elements,
     tables_isomorphic,
 )
+from mckaygraphs.verify import CONSTRUCTIONS, SWEEP_SPECS, designated_normal_subgroup, fixture
 
 
 def test_expanded_orders_and_build():
@@ -583,6 +587,60 @@ def test_explicit_action():
         build_semidirect(c4, c5, doubling[:2])
     with pytest.raises(InvalidAction, match="abelian"):
         build_semidirect(c2, build_group(Dihedral(3)), [np.arange(6)] * 2)
+
+
+def semidirect_oracle(g, k, action):
+    """mul and inv of G x| K, checked pair by pair and filled block by block:
+    (a, i)(b, j) = (ab, alpha_{b^-1}(i) j), so (a, i)^-1 = (a^-1, alpha_a(i)^-1)."""
+    ng, nk = g.order, k.order
+    kj = np.arange(nk)
+    for x in range(ng):
+        perm = np.asarray(action[x])
+        if not np.array_equal(np.sort(perm), kj):
+            raise InvalidAction("action image is not a bijection")
+        if not np.array_equal(perm[k.mul], k.mul[perm[:, None], perm[None, :]]):
+            raise InvalidAction("action image is not an automorphism")
+    for x in range(ng):
+        for y in range(ng):
+            if not np.array_equal(action[g.mul[x, y]], action[x][action[y]]):
+                raise InvalidAction("action is not a homomorphism")
+    n = ng * nk
+    mul = np.empty((n, n), dtype=np.int32)
+    for b in range(ng):
+        twist = k.mul[action[g.inv[b]]]
+        cols = slice(b * nk, (b + 1) * nk)
+        gcol = g.mul[:, b].astype(np.int64) * nk
+        for a in range(ng):
+            mul[a * nk : (a + 1) * nk, cols] = gcol[a] + twist
+    inv = np.array([g.inv[a] * nk + k.inv[action[a][i]] for a in range(ng) for i in range(nk)])
+    return mul, inv
+
+
+def construction_action(fx):
+    """The action `verify.build_construction` derives through the designated H."""
+    ctx = fixture(fx.gspec)
+    h = designated_normal_subgroup(ctx.group, ctx.cd, fx.h_order, fx.h_nonabelian)
+    if isinstance(fx.kernel, Cyclic):
+        return ctx.group, derive_cyclic_action(ctx.group, fx.kernel.n, h)
+    return ctx.group, derive_elemab_action(ctx.group, fx.kernel.p, fx.kernel.n, h)
+
+
+SEMIDIRECT_CASES = [
+    pytest.param(spec, id=spec_text(spec)) for spec in SWEEP_SPECS if isinstance(spec, Semidirect)
+] + [pytest.param(fx, id=fx.name) for fx in CONSTRUCTIONS]
+
+
+@pytest.mark.parametrize("case", SEMIDIRECT_CASES)
+def test_semidirect_matches_the_per_pair_oracle(case):
+    if isinstance(case, Semidirect):
+        g, k = build_group(case.group), build_group(case.kernel)
+        action = _derive_action(g, case.kernel, k)
+    else:
+        (g, action), k = construction_action(case), build_group(case.kernel)
+    sd = build_semidirect(g, k, action)
+    mul, inv = semidirect_oracle(g, k, action)
+    assert sd.mul.dtype == mul.dtype and np.array_equal(sd.mul, mul)
+    assert np.array_equal(sd.inv, inv)
 
 
 def test_commutator_subgroup():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -192,6 +194,95 @@ def test_pf_vector_check():
     # single vertex, radius 0
     ok, a = pf_integer_vector_check(((0,),), (1,), 0, None)
     assert ok and a is None
+
+
+# ---------------------------------------------------------------------------
+# template markings against elimination over Q (oracle)
+
+
+def rational_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, pivoting in the first ncols columns;
+    returns the reduced rows and their pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def template_marking_oracle(adj):
+    """The positive primitive null vector of A - 2I, from the rational rref."""
+    n = len(adj)
+    rows, pivots = rational_rref(
+        [[adj[i][j] - (2 if i == j else 0) for j in range(n)] for i in range(n)], n
+    )
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    fc = free[0]
+    vec = [Fraction(0)] * n
+    vec[fc] = Fraction(1)
+    for i, pc in enumerate(pivots):
+        vec[pc] = -rows[i][fc]
+    if any(v <= 0 for v in vec):
+        vec = [-v for v in vec]
+    if any(v <= 0 for v in vec):
+        return None
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return [v // g for v in ints]
+
+
+def relabelled(adj, order):
+    return tuple(tuple(adj[i][j] for j in order) for i in order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([affine_d(n) for n in range(4, 21)] + [affine_e(k) for k in (6, 7, 8)]),
+       st.randoms(use_true_random=False))
+def test_markings_match_the_rational_oracle_on_ade_graphs(adj, rng):
+    order = list(range(len(adj)))
+    rng.shuffle(order)
+    adj = relabelled(adj, order)
+    marking = template_marking(adj)
+    assert marking is not None
+    assert marking == template_marking_oracle(adj)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A symmetric matrix on 1-7 vertices, entries 0-2 off the diagonal and
+    0-3 on it."""
+    n = draw(st.integers(1, 7))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.integers(0, 3))
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(st.integers(0, 2))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_graphs())
+def test_markings_match_the_rational_oracle_on_random_graphs(adj):
+    assert template_marking(adj) == template_marking_oracle(adj)
 
 
 # ---------------------------------------------------------------------------

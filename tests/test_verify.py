@@ -7,14 +7,21 @@ import numpy as np
 import pytest
 
 from cycint import CycInt, table_values
+from test_chartable import LADDER_SPECS
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
+    Irrep,
     compute_character_table,
     is_self_dual,
     resolve_rho,
 )
-from mckaygraphs.graphs import build_mckay_graph, decompose_components, graph_isomorphic
+from mckaygraphs.graphs import (
+    build_mckay_graph,
+    decompose_components,
+    graph_isomorphic,
+    trace_and_total,
+)
 from mckaygraphs.groups import (
     BinaryDihedral,
     BinaryPoly,
@@ -36,7 +43,9 @@ from mckaygraphs.verify import (
     _power_traces,
     ClassificationViolated,
     PreconditionViolated,
+    SWEEP_SPECS,
     _case_identities,
+    _forest_candidates,
     _case_product_copies,
     center_criterion_holds,
     fixture,
@@ -405,3 +414,19 @@ def test_construction_kernel_and_scaled_marking():
     label = classify_component(d4.adjacency)
     ok, a = pf_integer_vector_check(d4.adjacency, d4.dims, graph.rho.dim, label)
     assert ok and a == 3
+
+
+@pytest.mark.parametrize("spec", [*SWEEP_SPECS, *LADDER_SPECS, Cyclic(1)], ids=spec_text)
+def test_forest_screen_is_sound(spec):
+    """The screen's residues are the trace and the entry sum of every fully
+    built McKay matrix, mod p, and every self-dual irreducible it drops has a
+    graph that is not a forest."""
+    ct = fixture(spec).ct
+    sums = trace_and_total(ct, list(range(ct.r)))
+    candidates = set(_forest_candidates(ct))
+    for m in range(ct.r):
+        graph = build_mckay_graph(ct, Irrep(m))
+        p = ct.prime
+        assert sums[m].tolist() == [int(np.trace(graph.matrix)) % p, int(graph.matrix.sum()) % p]
+        if is_self_dual(ct, ct.index[m]) and m not in candidates:
+            assert not graph.forest
