@@ -13,6 +13,8 @@ from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Optional
 
+import numpy as np
+
 from .chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -41,7 +43,6 @@ from .groups import (
     order_cap,
     spec_text,
 )
-from .shapes import classify_component
 from .verify import SUITES, run_suite
 
 
@@ -149,23 +150,23 @@ def parse_rho_selector(text: str) -> RhoSelector:
 # documents
 
 
-def _edge_entries(adj) -> list[dict]:
-    n = len(adj)
+def _edge_entries(a: np.ndarray) -> list[dict]:
+    """One entry per vertex pair i <= j joined either way, in row-major order:
+    an undirected edge for a loop or for equal multiplicities both ways, else
+    an arc for each nonzero direction, i -> j first."""
+    support = a != 0
+    us, ws = np.nonzero(np.triu(support | support.T))
     edges = []
-    for i in range(n):
-        for j in range(i, n):
-            forward, backward = adj[i][j], adj[j][i]
-            if i == j:
-                if forward:
-                    edges.append({"from": i, "to": j, "mult": forward, "undirected": True})
-                continue
-            if forward and forward == backward:
-                edges.append({"from": i, "to": j, "mult": forward, "undirected": True})
-            else:
-                if forward:
-                    edges.append({"from": i, "to": j, "mult": forward, "undirected": False})
-                if backward:
-                    edges.append({"from": j, "to": i, "mult": backward, "undirected": False})
+    for i, j, forward, backward in zip(
+        us.tolist(), ws.tolist(), a[us, ws].tolist(), a[ws, us].tolist()
+    ):
+        if i == j or forward == backward:
+            edges.append({"from": i, "to": j, "mult": forward, "undirected": True})
+            continue
+        if forward:
+            edges.append({"from": i, "to": j, "mult": forward, "undirected": False})
+        if backward:
+            edges.append({"from": j, "to": i, "mult": backward, "undirected": False})
     return edges
 
 
@@ -184,7 +185,7 @@ def graph_document(spec: GroupSpec, selector_text: str, with_components: bool) -
             {"id": i, "dim": graph.dims[i], "trivial": i == graph.trivial_vertex}
             for i in range(graph.n_vertices)
         ],
-        "edges": _edge_entries(graph.adjacency),
+        "edges": _edge_entries(graph.matrix),
         "flags": {
             "undirected": graph.undirected,
             "loopless": graph.loopless,
@@ -197,7 +198,7 @@ def graph_document(spec: GroupSpec, selector_text: str, with_components: bool) -
             {
                 "vertices": list(c.vertices),
                 "principal": c.principal,
-                "shape": classify_component(c.adjacency).short(),
+                "shape": c.shape.short(),
                 "orbit_size": c.orbit_size,
                 "orbit_rep_degree": c.orbit_rep_degree,
             }

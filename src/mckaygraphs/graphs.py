@@ -27,7 +27,7 @@ from .chartable import (
 )
 from .groups import FiniteGroup, Subgroup, quotient_group
 from .modp import mul_mod
-from .shapes import forest_bit, graph_flags, weak_components
+from .shapes import OTHER, ShapeLabel, classify_component, forest_bit, graph_flags, weak_components
 
 
 class OrbitMismatch(Exception):
@@ -37,9 +37,11 @@ class OrbitMismatch(Exception):
 @dataclass
 class McKayGraph:
     """The multiplicity matrix is stored once, as the array `matrix`, which
-    numpy readers take; `adjacency` is the same matrix as nested tuples of
-    Python integers for the pure-Python graph routines, built on first read.
-    Equality skips `matrix`, which ct and rho determine."""
+    every graph routine reads: int64, or Python integers (dtype object) once
+    sum d * dim rho reaches 2^63.  The flags, weak components and forest bit
+    are computed when the graph is built; `component_shapes` labels the
+    components on first read.  Equality skips `matrix`, which ct and rho
+    determine."""
 
     ct: CharacterTable
     rho: Rho
@@ -51,10 +53,6 @@ class McKayGraph:
     simply_laced: bool
     components: list[list[int]]  # `weak_components` of the adjacency
     forest: bool
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.matrix.tolist()))
 
     @property
     def n_vertices(self) -> int:
@@ -68,9 +66,29 @@ class McKayGraph:
         """Sum of all off-diagonal entries: 2 * #edges for undirected graphs."""
         return int(self.matrix.sum() - np.trace(self.matrix))
 
-    def induced(self, vertices) -> tuple[tuple[int, ...], ...]:
+    def induced(self, vertices) -> np.ndarray:
         """Adjacency of the subgraph on the given vertices, in their order."""
-        return tuple(map(tuple, self.matrix[np.ix_(vertices, vertices)].tolist()))
+        return self.matrix[np.ix_(vertices, vertices)]
+
+    @cached_property
+    def component_shapes(self) -> list[ShapeLabel]:
+        """The shape of each component, in the order of `components`.  Each
+        distinct induced block is classified once, keyed by its values: the
+        bytes of an object array would be pointers."""
+        label_of: dict[tuple, ShapeLabel] = {}
+        shapes = []
+        for comp in self.components:
+            block = self.induced(comp)
+            key = tuple(block.ravel().tolist())  # n^2 values fix n
+            if key not in label_of:
+                label_of[key] = classify_component(block)
+            shapes.append(label_of[key])
+        return shapes
+
+    @property
+    def shape(self) -> ShapeLabel:
+        """The shape of a connected graph; several components have none."""
+        return self.component_shapes[0] if len(self.components) == 1 else OTHER
 
 
 def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
@@ -130,8 +148,9 @@ def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
 @dataclass
 class Component:
     vertices: tuple[int, ...]  # irreducible indices of the parent table
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: np.ndarray  # the block of the graph's matrix
     dims: tuple[int, ...]
+    shape: ShapeLabel  # read from the graph's component_shapes
     principal: bool
     orbit_index: int
     orbit_size: int
@@ -194,7 +213,7 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
             orbit_of_irrN[t] = oi
     restricted = _restrictions(ct, kernel, ct_n)
     components = []
-    for comp in comps:
+    for comp, shape in zip(comps, graph.component_shapes):
         orbit_indices = set()
         for v in comp:
             support = set(np.flatnonzero(restricted[v]).tolist())
@@ -217,6 +236,7 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
                 vertices=tuple(comp),
                 adjacency=graph.induced(comp),
                 dims=tuple(graph.dims[v] for v in comp),
+                shape=shape,
                 principal=graph.trivial_vertex in comp,
                 orbit_index=oi,
                 orbit_size=len(orbits[oi]),
@@ -256,7 +276,7 @@ def principal_component_isomorphism_check(decomp: ComponentDecomposition) -> boo
     ct_q, rho_q = _push_down(decomp.graph.ct, decomp.kernel, decomp.graph.rho)
     graph_q = build_mckay_graph(ct_q, rho_q)
     principal = decomp.principal
-    if not graph_isomorphic(graph_q.adjacency, principal.adjacency):
+    if not graph_isomorphic(graph_q.matrix, principal.adjacency):
         return False
     for comp in decomp.components:
         if comp is principal:
@@ -270,14 +290,27 @@ def principal_component_isomorphism_check(decomp: ComponentDecomposition) -> boo
 # graph isomorphism (multidigraphs, refinement + backtracking)
 
 
-def _refine_colors(adj, colors):
-    n = len(adj)
+def _arcs(a: np.ndarray) -> tuple[list, list]:
+    """Per vertex, the (vertex, multiplicity) pairs of its out-edges and of its
+    in-edges, loops included, in index order."""
+    out, inn = [[] for _ in a], [[] for _ in a]
+    src, dst = np.nonzero(a)
+    for v, w, m in zip(src.tolist(), dst.tolist(), a[src, dst].tolist()):
+        out[v].append((w, m))
+        inn[w].append((v, m))
+    return out, inn
+
+
+def _refine_colors(out, inn, colors):
     while True:
-        sigs = []
-        for v in range(n):
-            out = sorted((colors[w], adj[v][w]) for w in range(n) if adj[v][w])
-            inn = sorted((colors[w], adj[w][v]) for w in range(n) if adj[w][v])
-            sigs.append((colors[v], tuple(out), tuple(inn)))
+        sigs = [
+            (
+                colors[v],
+                tuple(sorted((colors[w], m) for w, m in out[v])),
+                tuple(sorted((colors[w], m) for w, m in inn[v])),
+            )
+            for v in range(len(colors))
+        ]
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == colors:
@@ -285,18 +318,19 @@ def _refine_colors(adj, colors):
         colors = new
 
 
-def graph_isomorphic(a, b) -> bool:
-    """Exact isomorphism of directed multigraphs given as adjacency matrices."""
+def graph_isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
+    """Exact isomorphism of directed multigraphs given as adjacency arrays."""
     n = len(a)
     if len(b) != n:
         return False
     if n == 0:
         return True
-    ca = _refine_colors(a, [0] * n)
-    cb = _refine_colors(b, [0] * n)
+    ca = _refine_colors(*_arcs(a), [0] * n)
+    cb = _refine_colors(*_arcs(b), [0] * n)
     if sorted(ca) != sorted(cb):
         return False
     order = sorted(range(n), key=lambda v: (ca.count(ca[v]), ca[v], v))
+    ra, rb = a.tolist(), b.tolist()
     mapping: dict[int, int] = {}
     used = set()
 
@@ -304,9 +338,9 @@ def graph_isomorphic(a, b) -> bool:
         if ca[v] != cb[w]:
             return False
         for v2, w2 in mapping.items():
-            if a[v][v2] != b[w][w2] or a[v2][v] != b[w2][w]:
+            if ra[v][v2] != rb[w][w2] or ra[v2][v] != rb[w2][w]:
                 return False
-        return a[v][v] == b[w][w]
+        return ra[v][v] == rb[w][w]
 
     def backtrack(idx: int) -> bool:
         if idx == n:
@@ -325,14 +359,10 @@ def graph_isomorphic(a, b) -> bool:
     return backtrack(0)
 
 
-def disjoint_union(adjs) -> tuple[tuple[int, ...], ...]:
-    total = sum(len(a) for a in adjs)
-    out = [[0] * total for _ in range(total)]
-    offset = 0
-    for a in adjs:
-        m = len(a)
-        for i in range(m):
-            for j in range(m):
-                out[offset + i][offset + j] = a[i][j]
-        offset += m
-    return tuple(tuple(row) for row in out)
+def disjoint_union(blocks) -> np.ndarray:
+    """The block-diagonal adjacency of the given adjacency arrays."""
+    sizes = [len(b) for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)), dtype=np.result_type(*blocks))
+    for block, start in zip(blocks, np.cumsum([0] + sizes).tolist()):
+        out[start : start + len(block), start : start + len(block)] = block
+    return out

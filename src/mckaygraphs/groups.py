@@ -506,22 +506,11 @@ class ConjugacyData:
     element_orders: list[int]
     exponent: int
     center: list[int]
-    _centralizers: dict = field(default_factory=dict, repr=False)
     _power_classes: dict = field(default_factory=dict, repr=False)
 
     @property
     def r(self) -> int:
         return len(self.classes)
-
-    def centralizer(self, class_index: int) -> list[int]:
-        cached = self._centralizers.get(class_index)
-        if cached is None:
-            g = self.group
-            rep = self.reps[class_index]
-            mask = g.mul[:, rep] == g.mul[rep, :]
-            cached = [int(x) for x in np.nonzero(mask)[0]]
-            self._centralizers[class_index] = cached
-        return cached
 
     def power_classes(self, class_index: int) -> list[int]:
         """Classes of rep^t for t in [0, order of rep)."""

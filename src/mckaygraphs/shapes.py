@@ -4,6 +4,12 @@ Recognizes cycles, stars ("hedgehogs"), the two-fork affine D strings, the
 three exceptional affine E trees, and the odd-dihedral path with a terminal
 loop.  Recognition is purely structural; spectral facts (radius 2, positive
 integer eigenvector) are kept as an independent cross-check.
+
+Every routine reads an adjacency as one n x n numpy array, int64 or, past
+int64, Python integers of dtype object.  Degrees, loops, symmetry and edge
+counts are array expressions; the walks read each vertex's neighbour list,
+taken from the array once.  `McKayGraph.component_shapes` keeps the label of
+each component, so a graph's components are classified once.
 """
 
 from __future__ import annotations
@@ -39,40 +45,41 @@ class ShapeLabel:
 OTHER = ShapeLabel(kind="other")
 
 
-def _degrees(adj) -> list[int]:
-    """Undirected degree with loops counted twice."""
-    n = len(adj)
-    return [sum(adj[v][w] for w in range(n)) + adj[v][v] for v in range(n)]
+def _square(adj) -> np.ndarray:
+    """The adjacency as an n x n array, n = 0 included."""
+    a = np.asarray(adj)
+    return a.reshape(len(a), len(a))
 
 
-def _simple_neighbors(adj, v) -> list[int]:
-    return [w for w in range(len(adj)) if w != v and adj[v][w]]
+def _neighbors(a: np.ndarray) -> list[list[int]]:
+    """Each vertex's neighbours other than itself, in index order."""
+    support = a != 0
+    np.fill_diagonal(support, False)
+    return [np.flatnonzero(row).tolist() for row in support]
 
 
 def classify_component(adj) -> ShapeLabel:
     """Classify one connected component given by its adjacency matrix."""
-    n = len(adj)
-    if n == 0:
-        return OTHER
-    if list(zip(*adj)) != list(map(tuple, adj)):
-        return OTHER  # not symmetric
-    loops = [v for v in range(n) if adj[v][v]]
-    degs = _degrees(adj)
+    a = _square(adj)
+    n = len(a)
+    if n == 0 or not (a == a.T).all():
+        return OTHER  # empty or not symmetric
+    loops = a.diagonal()
+    degs = (a.sum(axis=1) + loops).tolist()  # undirected degree, loops counted twice
     # cycles (multigraph sense): every vertex of undirected degree 2
-    if all(d == 2 for d in degs) and not any(adj[v][w] > 2 for v in range(n) for w in range(n)):
+    if all(d == 2 for d in degs) and not (a > 2).any():
         # includes the loop vertex (n=1) and the doubled edge (n=2)
         return ShapeLabel(kind="affine_a", index=n - 1)
-    if any(adj[v][w] > 1 for v in range(n) for w in range(n) if v != w):
+    if ((a > 1) & ~np.eye(n, dtype=bool)).any():
         return OTHER
-
-    if len(loops) == 1 and adj[loops[0]][loops[0]] == 1:
-        return _classify_odd_tail(adj, loops[0])
-    if loops:
+    looped = np.flatnonzero(loops).tolist()
+    if len(looped) == 1 and loops[looped[0]] == 1:
+        return _classify_odd_tail(_neighbors(a), degs, looped[0])
+    if looped:
         return OTHER
 
     # loop-free simply-laced: tree shapes
-    edge_count = sum(adj[v][w] for v in range(n) for w in range(n)) // 2
-    if edge_count != n - 1:
+    if sum(degs) // 2 != n - 1:
         return OTHER  # has a circuit but is not a plain cycle
     deg3 = [v for v in range(n) if degs[v] >= 3]
     if not deg3:
@@ -93,7 +100,7 @@ def classify_component(adj) -> ShapeLabel:
                 )
             return ShapeLabel(kind="hedgehog", index=m)
         if degs[center] == 3:
-            arms = sorted(_arm_lengths(adj, center))
+            arms = sorted(_arm_lengths(_neighbors(a), center))
             if arms == [2, 2, 2] and n == 7:
                 return ShapeLabel(kind="affine_e", index=6, dynkin_group_order=24)
             if arms == [1, 3, 3] and n == 8:
@@ -102,11 +109,12 @@ def classify_component(adj) -> ShapeLabel:
                 return ShapeLabel(kind="affine_e", index=8, dynkin_group_order=120)
         return OTHER
     if len(deg3) == 2:
-        a, b = deg3
-        if degs[a] == degs[b] == 3:
-            leaves_a = [w for w in _simple_neighbors(adj, a) if degs[w] == 1]
-            leaves_b = [w for w in _simple_neighbors(adj, b) if degs[w] == 1]
-            if len(leaves_a) == 2 and len(leaves_b) == 2 and _is_path_between(adj, a, b, degs):
+        u, w = deg3
+        if degs[u] == degs[w] == 3:
+            nbrs = _neighbors(a)
+            leaves_u = [x for x in nbrs[u] if degs[x] == 1]
+            leaves_w = [x for x in nbrs[w] if degs[x] == 1]
+            if len(leaves_u) == 2 and len(leaves_w) == 2 and _is_path_between(nbrs, u, w, degs):
                 return ShapeLabel(
                     kind="affine_d", index=n - 1, dynkin_group_order=4 * (n - 3)
                 )
@@ -114,13 +122,13 @@ def classify_component(adj) -> ShapeLabel:
     return OTHER
 
 
-def _arm_lengths(adj, center) -> list[int]:
+def _arm_lengths(nbrs, center) -> list[int]:
     lengths = []
-    for start in _simple_neighbors(adj, center):
+    for start in nbrs[center]:
         length = 1
         prev, cur = center, start
         while True:
-            nxt = [w for w in _simple_neighbors(adj, cur) if w != prev]
+            nxt = [w for w in nbrs[cur] if w != prev]
             if not nxt:
                 break
             if len(nxt) > 1:
@@ -131,17 +139,11 @@ def _arm_lengths(adj, center) -> list[int]:
     return lengths
 
 
-def _is_path_between(adj, a, b, degs) -> bool:
+def _is_path_between(nbrs, a, b, degs) -> bool:
     """All vertices outside the two forks form a simple a--b path of 2-degree vertices."""
     prev, cur = None, a
     while True:
-        nxt = [
-            w
-            for w in _simple_neighbors(adj, cur)
-            if w != prev and (degs[w] == 2 or w == b)
-        ]
-        if cur == a:
-            nxt = [w for w in nxt if degs[w] == 2 or w == b]
+        nxt = [w for w in nbrs[cur] if w != prev and (degs[w] == 2 or w == b)]
         if b in nxt:
             return True
         if len(nxt) != 1:
@@ -151,10 +153,9 @@ def _is_path_between(adj, a, b, degs) -> bool:
             return False
 
 
-def _classify_odd_tail(adj, loop_vertex) -> ShapeLabel:
+def _classify_odd_tail(nbrs, degs, loop_vertex) -> ShapeLabel:
     """A path of 2s ending in a loop, with two leaves at the far end."""
-    n = len(adj)
-    degs = _degrees(adj)
+    n = len(nbrs)
     leaves = [v for v in range(n) if degs[v] == 1]
     if len(leaves) != 2:
         return OTHER
@@ -162,7 +163,7 @@ def _classify_odd_tail(adj, loop_vertex) -> ShapeLabel:
     prev, cur = None, loop_vertex
     visited = {loop_vertex}
     while True:
-        nxt = [w for w in _simple_neighbors(adj, cur) if w != prev]
+        nxt = [w for w in nbrs[cur] if w != prev]
         if len(nxt) == 2 and sorted(nxt) == sorted(leaves):
             if len(visited) + 2 == n:
                 return ShapeLabel(kind="dihedral_odd_tail", index=n)
@@ -177,12 +178,6 @@ def _classify_odd_tail(adj, loop_vertex) -> ShapeLabel:
 
 # ---------------------------------------------------------------------------
 # forests, bipartitions, circuits
-
-
-def _square(adj) -> np.ndarray:
-    """The adjacency as an n x n array, n = 0 included."""
-    a = np.asarray(adj)
-    return a.reshape(len(a), len(a))
 
 
 def graph_flags(adj) -> tuple[bool, bool, bool]:
@@ -264,33 +259,21 @@ def forest_bit(a: np.ndarray, flags, components) -> bool:
     return acyclic
 
 
-def is_forest(adj) -> bool:
-    a = _square(adj)
-    return forest_bit(a, graph_flags(a), weak_components(a))
-
-
-def is_tree(adj) -> bool:
-    a = _square(adj)
-    components = weak_components(a)
-    return len(components) == 1 and forest_bit(a, graph_flags(a), components)
-
-
 def bipartition(adj) -> Optional[list[int]]:
-    """BFS 2-coloring of the undirected support, or None."""
-    n = len(adj)
-    if any(adj[v][v] for v in range(n)):
+    """DFS 2-coloring of the undirected support, or None."""
+    a = _square(adj)
+    if a.diagonal().any():
         return None
-    color = [-1] * n
-    for s in range(n):
+    nbrs = _neighbors((a != 0) | (a.T != 0))
+    color = [-1] * len(a)
+    for s in range(len(a)):
         if color[s] >= 0:
             continue
         color[s] = 0
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in range(n):
-                if not (adj[v][w] or adj[w][v]):
-                    continue
+            for w in nbrs[v]:
                 if color[w] < 0:
                     color[w] = 1 - color[v]
                     stack.append(w)
@@ -300,16 +283,9 @@ def bipartition(adj) -> Optional[list[int]]:
 
 
 def circuit_count(adj, k: int) -> int:
-    """tr(A^k) by exact integer matrix power."""
+    """tr(A^k) by repeated squaring over Python integers."""
     assert k >= 1
-    n = len(adj)
-    power = [row[:] for row in adj]
-    for _ in range(k - 1):
-        power = [
-            [sum(power[i][t] * adj[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return sum(power[i][i] for i in range(n))
+    return int(np.trace(np.linalg.matrix_power(_square(adj).astype(object), k)))
 
 
 def template_marking(adj) -> Optional[list[int]]:
@@ -319,8 +295,9 @@ def template_marking(adj) -> Optional[list[int]]:
     cleared at a pivot column as pivot * row - entry * pivot row, then divided
     by the gcd of its entries.  With one free column f, pivot row i reads
     a_i x_(p_i) + b_i x_f = 0, so x_f = lcm(a) gives an integer vector."""
-    n = len(adj)
-    rows = [[adj[i][j] - (2 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = _square(adj)
+    n = len(a)
+    rows = (a - 2 * np.eye(n, dtype=np.int64)).tolist()
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
@@ -332,7 +309,7 @@ def template_marking(adj) -> Optional[list[int]]:
         for i in range(n):
             f = rows[i][col]
             if i != r and f:
-                row = [top[col] * a - f * b for a, b in zip(rows[i], top)]
+                row = [top[col] * x - f * y for x, y in zip(rows[i], top)]
                 g = gcd(*row) or 1
                 rows[i] = [v // g for v in row]
         pivots.append(col)
@@ -359,19 +336,17 @@ def pf_integer_vector_check(adj, dims, rho_dim: int, label: Optional[ShapeLabel]
 
     Returns (ok, a) with a = None when no marking applies.
     """
-    n = len(adj)
-    ok = all(
-        sum(adj[i][j] * dims[j] for j in range(n)) == rho_dim * dims[i]
-        for i in range(n)
-    )
-    a = None
+    a = _square(adj)
+    d = np.array(dims, dtype=object)
+    ok = bool((a @ d == rho_dim * d).all())
+    scale = None
     if label is not None and label.kind in ("affine_d", "affine_e"):
-        marking = template_marking(adj)
+        marking = template_marking(a)
         if marking is None:
             return False, None
-        unit = next((i for i in range(n) if marking[i] == 1), None)
+        unit = next((i for i, m in enumerate(marking) if m == 1), None)
         if unit is None:
             return False, None
-        a = dims[unit]
-        ok = ok and all(dims[i] == a * marking[i] for i in range(n))
-    return ok, a
+        scale = dims[unit]
+        ok = ok and all(d == scale * m for d, m in zip(dims, marking))
+    return ok, scale

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional
 
@@ -29,7 +29,6 @@ from .chartable import (
     is_faithful,
     is_self_dual,
     kernel_of_character,
-    resolve_rho,
     rho_from_class_function,
 )
 from .cyclotomic import convolve, embed, gram, reduced
@@ -73,7 +72,6 @@ from .shapes import (
     ShapeLabel,
     bipartition,
     circuit_count,
-    classify_component,
     components_strongly_connected,
     pf_integer_vector_check,
 )
@@ -174,6 +172,12 @@ class FixtureContext:
     ct: CharacterTable
     table_seconds: float  # build + conjugacy + table, measured once
 
+    @cached_property
+    def graph(self) -> McKayGraph:
+        """The tautological graph, of the least faithful self-dual irreducible,
+        built once and shared with its component labels by every case."""
+        return build_mckay_graph(self.ct, FaithfulSelfDualMinDim())
+
 
 _CACHE: dict[str, FixtureContext] = {}
 
@@ -190,10 +194,6 @@ def fixture(spec: GroupSpec) -> FixtureContext:
         ctx = FixtureContext(spec=spec, group=group, cd=cd, ct=ct, table_seconds=dt)
         _CACHE[key] = ctx
     return ctx
-
-
-def tautological_graph(ctx: FixtureContext) -> McKayGraph:
-    return build_mckay_graph(ctx.ct, FaithfulSelfDualMinDim())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def verify_trace_identity(ctx: FixtureContext, graph: McKayGraph, kmax: int) -> 
     small = graph.n_vertices <= 40
     expected = _char_power_sums(graph.rho.chi, graph.rho.order, kmax)
     observed = [
-        (t, circuit_count(graph.adjacency, k) if small else t)
+        (t, circuit_count(graph.matrix, k) if small else t)
         for k, t in enumerate(_power_traces(graph.matrix, kmax), 1)
     ]
     ok = all(s == t == c for s, (t, c) in zip(expected, observed))
@@ -369,7 +369,7 @@ def verify_bipartite_criterion(ctx: FixtureContext, graph: McKayGraph) -> CheckR
     if not (rho.irreducible and is_faithful(ctx.ct, rho.chi) and is_self_dual(ctx.ct, rho.chi)):
         raise PreconditionViolated("bipartite criterion needs irreducible faithful self-dual rho")
     z = len(ctx.cd.center)
-    bip = bipartition(graph.adjacency) is not None
+    bip = bipartition(graph.matrix) is not None
     ok = z <= 2 and (bip == (z == 2))
     return records.add(
         check_id=f"bipartite[{spec_text(ctx.spec)}]",
@@ -430,10 +430,10 @@ def verify_tree_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord:
         raise ClassificationViolated(
             f"{spec_text(ctx.spec)}: tree graph with rho not irreducible faithful self-dual"
         )
-    label = classify_component(graph.adjacency)
+    label = graph.shape
     case = None
     if rho.dim == 2 and label.kind in ("affine_d", "affine_e"):
-        ok, a = pf_integer_vector_check(graph.adjacency, graph.dims, rho.dim, label)
+        ok, a = pf_integer_vector_check(graph.matrix, graph.dims, rho.dim, label)
         if ok and a == 1 and g.order == label.dynkin_group_order:
             case = f"dim-2 {label.short()}"
     if case is None:
@@ -470,16 +470,9 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         )
     kernel = kernel_of_character(ct, rho.chi)
     quotient_order = ctx.group.order // kernel.order
-    comps = graph.components
-    labels = []
-    label_of: dict[tuple, ShapeLabel] = {}  # each distinct adjacency is classified once
+    comps, labels = graph.components, graph.component_shapes
     star_exp: Optional[int] = None
-    for comp in comps:
-        sub = graph.induced(comp)
-        label = label_of.get(sub)
-        if label is None:
-            label = label_of[sub] = classify_component(sub)
-        labels.append((comp, sub, label))
+    for label in labels:
         if label.kind == "affine_e" or (label.kind == "affine_d" and not label.hedgehog_alias):
             continue
         n = _star_exponent(label)
@@ -491,14 +484,15 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         if n != 1:
             star_exp = n
     if star_exp is not None:
-        first = labels[0][1]
-        for comp, sub, label in labels[1:]:
+        first = graph.induced(comps[0])
+        for comp in comps[1:]:
+            sub = graph.induced(comp)
             # equal adjacencies are isomorphic
-            if sub != first and not graph_isomorphic(first, sub):
+            if not np.array_equal(sub, first) and not graph_isomorphic(first, sub):
                 raise ClassificationViolated(
                     f"{spec_text(ctx.spec)}: 4^{star_exp} star present but components differ"
                 )
-    for comp, sub, label in labels:
+    for label in labels:
         if label.kind in ("affine_d", "affine_e"):
             if quotient_order % label.dynkin_group_order:
                 raise ClassificationViolated(
@@ -511,7 +505,7 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         "|G/N| divisible by each matched group order",
         inputs=f"{spec_text(ctx.spec)}, components={len(comps)}",
         expected="no classification escape",
-        observed=",".join(label.short() for _, _, label in labels),
+        observed=",".join(label.short() for label in labels),
         passed=True,
     )
 
@@ -653,7 +647,7 @@ def dual_vector_stabilizer(
 def build_construction(fx: ConstructionFixture):
     """Assemble G' = G x| K for a designated normal H, with S(rho) resolved."""
     ctx = fixture(fx.gspec)
-    rho = resolve_rho(ctx.ct, FaithfulSelfDualMinDim())
+    rho = ctx.graph.rho
     H = designated_normal_subgroup(ctx.group, ctx.cd, fx.h_order, fx.h_nonabelian)
     if isinstance(fx.kernel, Cyclic):
         action = derive_cyclic_action(ctx.group, fx.kernel.n, H)
@@ -684,10 +678,9 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
     )
 
     stab = dual_vector_stabilizer(ctx.group, K, action)
-    g_graph = build_mckay_graph(ctx.ct, rho)
     s_graph, _ = restricted_graph(ctx.ct, stab, rho)
-    target = disjoint_union([g_graph.adjacency, s_graph.adjacency])
-    iso = graph_isomorphic(graph.adjacency, target)
+    target = disjoint_union([ctx.graph.matrix, s_graph.matrix])
+    iso = graph_isomorphic(graph.matrix, target)
     records.add(
         check_id=f"construction[{fx.name}]:union",
         claim="twisted-product graph equals the disjoint union over G and the "
@@ -708,9 +701,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
         passed=stab.order == fx.stabilizer_order,
     )
 
-    shapes = tuple(
-        sorted(classify_component(c.adjacency).short() for c in decomp.components)
-    )
+    shapes = tuple(sorted(c.shape.short() for c in decomp.components))
     counts = tuple(sorted(len(c.vertices) for c in decomp.components))
     records.add(
         check_id=f"construction[{fx.name}]:shapes",
@@ -725,8 +716,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
 
     quotient_order = gp.order // decomp.kernel.order
     bad_div = []
-    for c in decomp.components:
-        label = classify_component(c.adjacency)
+    for label in graph.component_shapes:
         if label.kind in ("affine_d", "affine_e"):
             if quotient_order % label.dynkin_group_order:
                 bad_div.append((label.short(), label.dynkin_group_order))
@@ -814,7 +804,7 @@ def verify_normal_tower() -> list[CheckRecord]:
 
 def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
     ctx = fixture(spec)
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     records = _Recorder()
     records.append(verify_trace_identity(ctx, graph, min(ctx.ct.r, 6)))
     if graph.undirected and graph.loopless:
@@ -856,8 +846,8 @@ def _case_identities(spec: GroupSpec) -> list[CheckRecord]:
 def _case_ade(spec: GroupSpec, expected_index: int, expected_order: int) -> list[CheckRecord]:
     ctx = fixture(spec)
     records = _Recorder()
-    graph = tautological_graph(ctx)
-    label = classify_component(graph.adjacency)
+    graph = ctx.graph
+    label = graph.shape
     kind = "affine_d" if isinstance(spec, BinaryDihedral) else "affine_e"
     ok = (
         label.kind == kind
@@ -866,7 +856,7 @@ def _case_ade(spec: GroupSpec, expected_index: int, expected_order: int) -> list
         and label.dynkin_group_order == expected_order
         and graph.tree
     )
-    okpf, a = pf_integer_vector_check(graph.adjacency, graph.dims, graph.rho.dim, label)
+    okpf, a = pf_integer_vector_check(graph.matrix, graph.dims, graph.rho.dim, label)
     ok = ok and okpf and a == 1
     records.add(
         check_id=f"ade[{spec_text(spec)}]",
@@ -899,7 +889,7 @@ def _case_exceptional_labels(kind: str) -> list[CheckRecord]:
     records = _Recorder()
     idx, order, dims = _E_LABELS[kind]
     ctx = fixture(BinaryPoly(kind))
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     records.add(
         check_id=f"labels[binary:{kind}]",
         claim="vertex dimensions match the affine diagram markings",
@@ -914,15 +904,15 @@ def _case_exceptional_labels(kind: str) -> list[CheckRecord]:
 def _case_dihedral(spec: Dihedral) -> list[CheckRecord]:
     ctx = fixture(spec)
     records = _Recorder()
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     n = spec.n
     if n % 2 == 0:
         want_vertices = n // 2 + 3
-        label_ok = classify_component(graph.adjacency).kind == "affine_d"
+        label_ok = graph.shape.kind == "affine_d"
         loops = 0
     else:
         want_vertices = (n + 3) // 2
-        label_ok = classify_component(graph.adjacency).kind == "dihedral_odd_tail"
+        label_ok = graph.shape.kind == "dihedral_odd_tail"
         loops = 1
     have_loops = int(np.trace(graph.matrix))
     records.add(
@@ -939,9 +929,9 @@ def _case_dihedral(spec: Dihedral) -> list[CheckRecord]:
 def _case_hedgehog(spec: Extraspecial2) -> list[CheckRecord]:
     ctx = fixture(spec)
     records = _Recorder()
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     n = spec.n
-    label = classify_component(graph.adjacency)
+    label = graph.shape
     star = _star_exponent(label)
     center_dim = max(graph.dims)
     records.add(
@@ -966,13 +956,13 @@ def _case_hedgehog(spec: Extraspecial2) -> list[CheckRecord]:
 
 def _case_bipartite(spec: GroupSpec) -> list[CheckRecord]:
     ctx = fixture(spec)
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     return [verify_bipartite_criterion(ctx, graph)]
 
 
 def _case_tree_theorem(spec: GroupSpec) -> list[CheckRecord]:
     ctx = fixture(spec)
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     return [verify_tree_theorem(ctx, graph)]
 
 
@@ -1016,8 +1006,7 @@ def _case_product_copies(base: GroupSpec, n_copies: int) -> list[CheckRecord]:
     spec = Product(base, Cyclic(n_copies))
     ctx = fixture(spec)
     base_ctx = fixture(base)
-    rho_base = resolve_rho(base_ctx.ct, FaithfulSelfDualMinDim())
-    rho = pullback_rho(ctx.ct, base_ctx.cd.class_of, n_copies, rho_base)
+    rho = pullback_rho(ctx.ct, base_ctx.cd.class_of, n_copies, base_ctx.graph.rho)
     graph = build_mckay_graph(ctx.ct, rho)
     decomp = decompose_components(graph)
     iso_all = all(
@@ -1045,13 +1034,11 @@ def _case_principal_semidirect() -> list[CheckRecord]:
     spec = Semidirect(Dihedral(8), Cyclic(3))
     ctx = fixture(spec)
     base = fixture(Dihedral(8))
-    rho_base = resolve_rho(base.ct, FaithfulSelfDualMinDim())
-    rho = pullback_rho(ctx.ct, base.cd.class_of, 3, rho_base)
+    rho = pullback_rho(ctx.ct, base.cd.class_of, 3, base.graph.rho)
     graph = build_mckay_graph(ctx.ct, rho)
     decomp = decompose_components(graph)
     ok = principal_component_isomorphism_check(decomp)
-    base_graph = build_mckay_graph(base.ct, rho_base)
-    ok = ok and graph_isomorphic(decomp.principal.adjacency, base_graph.adjacency)
+    ok = ok and graph_isomorphic(decomp.principal.adjacency, base.graph.matrix)
     records.add(
         check_id="principal[semidirect(dihedral:8,cyclic:3)]",
         claim="principal component is the graph of the untwisted quotient pair",
@@ -1181,6 +1168,9 @@ def run_suite(suite: str, jobs: int = 1) -> VerificationReport:
         for case in cases:
             records.extend(_run_case(case))
     else:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             args = [(suite, i) for i in range(len(cases))]
             for result in pool.map(_run_case_by_name, args):

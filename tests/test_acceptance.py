@@ -30,7 +30,7 @@ from mckaygraphs.groups import (
     conjugacy,
     quotient_group,
 )
-from mckaygraphs.shapes import classify_component, is_forest, is_tree
+from mckaygraphs.shapes import classify_component
 from mckaygraphs.verify import (
     CONSTRUCTIONS,
     IDENTITY_FIXTURES,
@@ -38,7 +38,6 @@ from mckaygraphs.verify import (
     _case_identities,
     _case_sweep,
     fixture,
-    tautological_graph,
     verify_bipartite_criterion,
     verify_construction_531,
     verify_normal_tower,
@@ -55,8 +54,8 @@ def test_criterion_1_ade_fixtures():
     t0 = time.perf_counter()
     for n in range(2, 7):
         ctx = fixture(BinaryDihedral(n))
-        graph = tautological_graph(ctx)
-        label = classify_component(graph.adjacency)
+        graph = ctx.graph
+        label = classify_component(graph.matrix)
         assert label.kind == "affine_d" and label.index == n + 2
         assert ctx.group.order == 4 * n == label.dynkin_group_order
     expected = {
@@ -66,8 +65,8 @@ def test_criterion_1_ade_fixtures():
     }
     for kind, (idx, order, dims) in expected.items():
         ctx = fixture(BinaryPoly(kind))
-        graph = tautological_graph(ctx)
-        label = classify_component(graph.adjacency)
+        graph = ctx.graph
+        label = classify_component(graph.matrix)
         assert label.kind == "affine_e" and label.index == idx
         assert ctx.group.order == order
         assert sorted(graph.dims) == sorted(dims)
@@ -83,14 +82,14 @@ def test_criterion_1_ade_fixtures():
 def test_criterion_2_dihedral_fixtures():
     for n in (4, 6, 8, 10, 12):
         ctx = fixture(Dihedral(n))
-        graph = tautological_graph(ctx)
+        graph = ctx.graph
         assert graph.n_vertices == n // 2 + 3
-        assert sum(graph.adjacency[i][i] for i in range(graph.n_vertices)) == 0
+        assert int(np.trace(graph.matrix)) == 0
     for n in (3, 5, 7, 9):
         ctx = fixture(Dihedral(n))
-        graph = tautological_graph(ctx)
+        graph = ctx.graph
         assert graph.n_vertices == (n + 3) // 2
-        loops = sum(graph.adjacency[i][i] for i in range(graph.n_vertices))
+        loops = int(np.trace(graph.matrix))
         assert loops == 1
     report("criterion-2 dihedral fixtures", True)
 
@@ -99,8 +98,8 @@ def test_criterion_3_hedgehog_fixtures():
     for n in range(0, 5):
         for variant in "+-":
             ctx = fixture(Extraspecial2(n, variant))
-            graph = tautological_graph(ctx)
-            label = classify_component(graph.adjacency)
+            graph = ctx.graph
+            label = classify_component(graph.matrix)
             if n == 1:
                 assert label.kind == "affine_d" and label.hedgehog_alias
             else:
@@ -149,7 +148,7 @@ def test_criterion_6_bipartite_criterion():
     checked = 0
     for spec in IDENTITY_FIXTURES:
         ctx = fixture(spec)
-        graph = tautological_graph(ctx)
+        graph = ctx.graph
         rho = graph.rho
         if not (
             rho.irreducible

@@ -27,6 +27,7 @@ from mckaygraphs.chartable import (
     rho_from_class_function,
 )
 from cycint import CycInt, as_coeffs, as_cycints, cyc_sum, table_values
+from tuplegraphs import centralizer
 from mckaygraphs.cyclotomic import _is_prime, _primitive_root, convolve, reduced
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -326,7 +327,7 @@ def test_restriction_q8():
     g, cd, ct = table(BinaryDihedral(2))
     rho = resolve_rho(ct, FaithfulSelfDualMinDim())
     k = next(i for i in range(ct.r) if cd.sizes[i] == 2)
-    sub = subgroup_from_elements(g, cd.centralizer(k))
+    sub = subgroup_from_elements(g, centralizer(cd, k))
     assert sub.order == 4
     sub_ct = compute_character_table(sub.group)
     restricted = restrict(ct, sub, sub_ct, rho.chi)

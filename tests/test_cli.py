@@ -282,3 +282,28 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+NO_PROCESS_POOL = """
+import sys
+from mckaygraphs import cli
+
+for argv in (
+    ["graph", "binary:T", "--components"],
+    ["chartab", "dihedral:6"],
+    ["verify", "--suite", "trees"],
+):
+    assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_the_process_pool(tmp_path):
+    # concurrent.futures loads multiprocessing; only `verify --jobs N` needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_PROCESS_POOL, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

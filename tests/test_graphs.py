@@ -49,7 +49,7 @@ def test_c2_sign_single_edge():
     g, cd, ct, _ = graph_for(Cyclic(2), Irrep(0))
     sgn = 1 - ct.trivial_index
     graph = build_mckay_graph(ct, Irrep(sgn))
-    assert graph.adjacency == ((0, 1), (1, 0))
+    assert graph.matrix.tolist() == [[0, 1], [1, 0]]
     assert graph.undirected and graph.loopless and graph.simply_laced
 
 
@@ -58,9 +58,9 @@ def test_cyclic_nontrivial_directed_cycle():
     graph = build_mckay_graph(ct, Irrep(1))
     assert not graph.undirected
     n = graph.n_vertices
-    assert all(sum(graph.adjacency[i]) == 1 for i in range(n))
-    assert all(graph.adjacency[i][i] == 0 for i in range(n))
-    assert len(weak_components(graph.adjacency)) == 1
+    assert all(sum(graph.matrix[i]) == 1 for i in range(n))
+    assert all(graph.matrix[i][i] == 0 for i in range(n))
+    assert len(weak_components(graph.matrix)) == 1
 
 
 def test_dihedral4_star():
@@ -69,8 +69,8 @@ def test_dihedral4_star():
     assert graph.dims[center] == 2
     for v in range(graph.n_vertices):
         if v != center:
-            assert graph.adjacency[v][center] == 1
-            assert sum(graph.adjacency[v]) == 1
+            assert graph.matrix[v][center] == 1
+            assert sum(graph.matrix[v]) == 1
 
 
 def test_complete_graph_from_cyclic_shift_representation():
@@ -85,7 +85,7 @@ def test_complete_graph_from_cyclic_shift_representation():
     assert graph.undirected and graph.loopless
     for i in range(n):
         for j in range(n):
-            assert graph.adjacency[i][j] == (0 if i == j else 1)
+            assert graph.matrix[i][j] == (0 if i == j else 1)
 
 
 def test_cube_graph_from_coordinate_signs():
@@ -103,7 +103,7 @@ def test_cube_graph_from_coordinate_signs():
     for a in range(2**n):
         for bit in range(n):
             cube[a][a ^ (1 << bit)] = 1
-    assert graph_isomorphic(graph.adjacency, tuple(tuple(r) for r in cube))
+    assert graph_isomorphic(graph.matrix, np.array(cube))
 
 
 def test_dual_checks():
@@ -117,8 +117,8 @@ def test_dual_checks():
     rho = resolve_rho(ct, Irrep(1))
     inv = ct.conj.inverse_class
     dual = rho_from_class_function(ct, rho.chi[inv], rho.order)
-    a = build_mckay_graph(ct, rho).adjacency
-    b = build_mckay_graph(ct, dual).adjacency
+    a = build_mckay_graph(ct, rho).matrix
+    b = build_mckay_graph(ct, dual).matrix
     assert all(a[i][j] == b[j][i] for i in range(5) for j in range(5))
 
 
@@ -170,15 +170,11 @@ def test_semidirect_bo_c3_two_components():
 
 
 def test_graph_isomorphism_basics():
-    path3 = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
-    star3 = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    star3 = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     assert graph_isomorphic(path3, star3)  # same unlabeled tree
-    cycle4 = tuple(
-        tuple(1 if abs(i - j) in (1, 3) else 0 for j in range(4)) for i in range(4)
-    )
-    path4 = tuple(
-        tuple(1 if abs(i - j) == 1 else 0 for j in range(4)) for i in range(4)
-    )
+    cycle4 = np.array([[1 if abs(i - j) in (1, 3) else 0 for j in range(4)] for i in range(4)])
+    path4 = np.array([[1 if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)])
     assert not graph_isomorphic(cycle4, path4)
     du = disjoint_union([path3, path3])
     assert len(du) == 6
@@ -189,7 +185,7 @@ def test_row_dimension_sums_assert():
     g, cd, ct, graph = graph_for(BinaryPoly("O"))
     for i in range(graph.n_vertices):
         total = sum(
-            graph.adjacency[i][j] * graph.dims[j] for j in range(graph.n_vertices)
+            graph.matrix[i][j] * graph.dims[j] for j in range(graph.n_vertices)
         )
         assert total == graph.dims[i] * graph.rho.dim
 
@@ -218,7 +214,7 @@ def test_undirected_iff_self_dual_and_connected_iff_faithful():
         for i in range(ct.r):
             graph = build_mckay_graph(ct, Irrep(i))
             assert graph.undirected == is_self_dual(ct, ct.index[i])
-            connected = len(weak_components(graph.adjacency)) == 1
+            connected = len(weak_components(graph.matrix)) == 1
             assert connected == is_faithful(ct, ct.index[i])
 
 
@@ -265,7 +261,7 @@ def test_multiplicities_match_exact_oracle(spec_text, selector):
     chi = as_cycints(rho.chi, rho.order)
     for i in sample:
         product = as_coeffs([a * b for a, b in zip(values[i], chi)], e)
-        assert graph.adjacency[i] == _exact_multiplicities(ct, product, e)
+        assert tuple(graph.matrix[i].tolist()) == _exact_multiplicities(ct, product, e)
 
     kernel = kernel_of_character(ct, rho.chi)
     ct_n = compute_character_table(kernel.group)

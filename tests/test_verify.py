@@ -8,6 +8,7 @@ import pytest
 
 from cycint import CycInt, table_values
 from test_chartable import LADDER_SPECS
+from tuplegraphs import centralizer, is_forest
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -35,7 +36,7 @@ from mckaygraphs.groups import (
     spec_text,
     tables_isomorphic,
 )
-from mckaygraphs.shapes import circuit_count, is_forest
+from mckaygraphs.shapes import circuit_count
 from mckaygraphs.verify import (
     CONSTRUCTIONS,
     _centralizer_endo_dims,
@@ -49,7 +50,6 @@ from mckaygraphs.verify import (
     _case_product_copies,
     center_criterion_holds,
     fixture,
-    tautological_graph,
     verify_bipartite_criterion,
     verify_centralizer_endo,
     verify_construction_531,
@@ -102,7 +102,7 @@ def test_center_criterion_matches_the_product_oracle(spec):
 
 def test_trace_identity_values():
     ctx = fixture(Dihedral(3))
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     rec = verify_trace_identity(ctx, graph, 3)
     assert rec.passed
     # frozen: chi_ref = (2, -1, 0) over classes; power sums 1, 5, 7
@@ -111,7 +111,7 @@ def test_trace_identity_values():
 
 def test_trace_identity_bt_cubes_vanish():
     ctx = fixture(BinaryPoly("T"))
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     rec = verify_trace_identity(ctx, graph, 3)
     assert rec.passed
     assert rec.expected == "[0, 12, 0]"  # bipartite: odd traces vanish
@@ -127,24 +127,24 @@ def test_power_traces_continue_exactly_past_the_int64_guard():
 
 def test_edge_count_q8_and_bt():
     ctx = fixture(BinaryDihedral(2))
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     rec = verify_edge_count_identity(ctx, graph)
     assert rec.passed and rec.observed == "[8, 8, 8]"
     ctx = fixture(BinaryPoly("T"))
-    rec = verify_edge_count_identity(ctx, tautological_graph(ctx))
+    rec = verify_edge_count_identity(ctx, ctx.graph)
     assert rec.passed and rec.observed == "[12, 12, 12]"
 
 
 def test_edge_count_precondition():
     ctx = fixture(Dihedral(3))  # has a loop
-    graph = tautological_graph(ctx)
+    graph = ctx.graph
     with pytest.raises(PreconditionViolated):
         verify_edge_count_identity(ctx, graph)
 
 
 def test_centralizer_endo_q8():
     ctx = fixture(BinaryDihedral(2))
-    rec = verify_centralizer_endo(ctx, tautological_graph(ctx))
+    rec = verify_centralizer_endo(ctx, ctx.graph)
     assert rec.passed
 
 
@@ -167,7 +167,7 @@ def test_exact_sums_match_per_value_cycint_loops(spec):
         assert _char_power_sums(coeffs, ct.exponent, 4) == sums
         dims = []
         for k in range(ct.r):
-            cen = cd.centralizer(k)
+            cen = centralizer(cd, k)
             total = sum(
                 (chi[int(cd.class_of[x])] * chi[int(cd.class_of[g.inv[x]])] for x in cen),
                 CycInt.zero(),
@@ -189,7 +189,7 @@ def test_orthogonality_refuses_a_spoiled_table():
 def test_newton_spectrum_small():
     for spec in (BinaryPoly("T"), Dihedral(5), BinaryDihedral(4)):
         ctx = fixture(spec)
-        rec = verify_newton_spectrum(ctx, tautological_graph(ctx))
+        rec = verify_newton_spectrum(ctx, ctx.graph)
         assert rec.passed
 
 
@@ -200,7 +200,7 @@ def test_bipartite_criterion_records():
         (BinaryPoly("I"), 2, True),
     ]:
         ctx = fixture(spec)
-        rec = verify_bipartite_criterion(ctx, tautological_graph(ctx))
+        rec = verify_bipartite_criterion(ctx, ctx.graph)
         assert rec.passed
         assert rec.observed == f"|Z|={z}, bipartite={bip}"
 
@@ -208,15 +208,15 @@ def test_bipartite_criterion_records():
 def test_tree_theorem_cases():
     for spec in (Dihedral(8), BinaryPoly("O"), Extraspecial2(3, "+")):
         ctx = fixture(spec)
-        rec = verify_tree_theorem(ctx, tautological_graph(ctx))
+        rec = verify_tree_theorem(ctx, ctx.graph)
         assert rec.passed
     ctx = fixture(Extraspecial2(3, "+"))
-    rec = verify_tree_theorem(ctx, tautological_graph(ctx))
+    rec = verify_tree_theorem(ctx, ctx.graph)
     assert "4^3" in rec.observed
     # not a tree: precondition
     ctx = fixture(Dihedral(3))
     with pytest.raises(PreconditionViolated):
-        verify_tree_theorem(ctx, tautological_graph(ctx))
+        verify_tree_theorem(ctx, ctx.graph)
 
 
 def test_forest_theorem_on_matching():
@@ -233,7 +233,7 @@ def test_forest_theorem_on_matching():
     from mckaygraphs.chartable import Irrep
 
     graph = build_mckay_graph(ct, Irrep(idx))
-    assert is_forest(graph.adjacency)
+    assert is_forest(graph.matrix)
     rec = verify_forest_theorem(ctx, graph)
     assert rec.passed
     assert rec.observed.count("hedgehog(1)") == 3
@@ -258,7 +258,7 @@ def test_reducible_self_dual_never_forest():
             if rho.irreducible:
                 continue
             graph = build_mckay_graph(ct, rho)
-            assert not is_forest(graph.adjacency)
+            assert not is_forest(graph.matrix)
 
 
 def test_sum_of_squares_bt_f4():
@@ -300,12 +300,12 @@ def test_construction_box_f4_spec_defect_is_isolated():
     # not a perfect square, so the old stated pair (D~4*, E~7) cannot occur
     assert sumsq % 8 == 0 and math.isqrt(sumsq // 8) ** 2 != sumsq // 8
     # the component is the binary dihedral D~6 graph with dims scaled by 3
-    bd4 = tautological_graph(fixture(BinaryDihedral(4)))
-    assert graph_isomorphic(comp.adjacency, bd4.adjacency)
+    bd4 = fixture(BinaryDihedral(4)).graph
+    assert graph_isomorphic(comp.adjacency, bd4.matrix)
     assert sorted(comp.dims) == sorted(index * d for d in bd4.dims)
     # the graph over the designated Q8 is the D~4 star: not the component
     h_graph, _ = restricted_graph(ctx.ct, H, rho)
-    assert not graph_isomorphic(comp.adjacency, h_graph.adjacency)
+    assert not graph_isomorphic(comp.adjacency, h_graph.matrix)
 
 
 def test_normal_tower_records():
@@ -365,6 +365,8 @@ def test_run_suite_parallel_matches_serial():
 
 @pytest.mark.parametrize("jobs, cpus, workers", [(64, 3, 3), (64, 64, 9), (2, 64, 2)])
 def test_run_suite_pool_is_bounded(monkeypatch, jobs, cpus, workers):
+    import concurrent.futures
+
     import mckaygraphs.verify as verify
 
     seen = []
@@ -384,7 +386,7 @@ def test_run_suite_pool_is_bounded(monkeypatch, jobs, cpus, workers):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     assert len(verify._cases_for("forests")) == 9
     report = verify.run_suite("forests", jobs=jobs)
