@@ -16,8 +16,8 @@ eigenvalue exponents.  The table holds each distinct value once, as a row
 of canonical coefficients (`cyclotomic`), and an r x r index of the rows,
 so equal values have equal indices.  A single character is an
 (r, phi(e)) coefficient array at a stated order e.  All arithmetic is
-int64 with the overflow bound asserted next to each product, or Python
-integers; no floating point is involved anywhere.
+int64 under a bound stated at each product (`modp.exact_dtype`), or Python
+integers past it; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .groups import (
     quotient_group,
     subgroup_on,
 )
-from .modp import mul_mod, simultaneous_split
+from .modp import check_bound, exact_dtype, exact_matmul, mul_mod, simultaneous_split
 
 
 class NoSuitablePrime(Exception):
@@ -116,7 +116,7 @@ def _split_matrices(g: FiniteGroup, cd: ConjugacyData, p: int, rng: random.Rando
     orders = [cd.element_orders[rep] for rep in cd.reps]
     # its entries count class elements, so they are residues: 0 <= entry <= |G| < p
     yield _class_matrix(g, cd, orders.index(max(orders)))
-    assert g.order * (p - 1) < 2**63, "a combination's entries overflow int64"
+    check_bound(g.order * (p - 1), "a combination's entries")
     flat = cd.class_of[g.mul[g.inv[:, None], np.asarray(cd.reps)[None, :]]]
     assert r * r <= np.iinfo(flat.dtype).max
     flat *= r
@@ -251,8 +251,7 @@ def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
     red = np.array(_power_reductions(e)[:e], dtype=np.int64)  # x^s mod Phi_e
     width = max(degrees)
     radix = width + 1  # a cell codes as s radix + m, 1 <= m <= d; padding is 0
-    assert width * int(np.abs(red).max()) < 2**63, "a value's coefficients overflow int64"
-    assert phi * (p - 1) ** 2 < 2**63, "a value's residue overflows int64"
+    check_bound(width * int(np.abs(red).max()), "a value's coefficients")
     key_type = np.dtype((np.void, 8 * width))
     row_of_key: dict[bytes, int] = {}
     rows: list[np.ndarray] = []
@@ -326,8 +325,7 @@ def _lift(modular: np.ndarray, degrees: list[int], cd: ConjugacyData, p: int):
                 coeffs += m[:, None] * red[s]
                 residue += m * xi_arr[s] % p
             # the reduced coefficients at zeta_e -> xi give the residue of the cells
-            at_xi = (coeffs % p) @ xi_arr[:phi] % p
-            assert np.array_equal(at_xi, residue % p), "lift does not reduce back"
+            assert np.array_equal(residues(p, coeffs, e), residue % p), "lift does not reduce back"
             ids[new] = len(rows) + np.arange(new.size)
             row_of_key.update(zip(distinct[new].tolist(), ids[new].tolist()))
             rows.extend(coeffs)
@@ -399,11 +397,10 @@ def resolve_rho(ct: CharacterTable, sel: RhoSelector) -> Rho:
         # their value at class k; int64 while no partial sum can reach 2^63
         used = [i for i, m in enumerate(mults) if m]
         bound = sum(mults) * int(np.abs(ct.rows).max())
-        dtype = np.int64 if bound < 2**63 else object
-        weights = np.zeros((r, len(ct.rows)), dtype=dtype)
-        counts = np.array([mults[i] for i in used], dtype=dtype)[:, None]
+        weights = np.zeros((r, len(ct.rows)), dtype=exact_dtype(bound))
+        counts = np.array([mults[i] for i in used], dtype=weights.dtype)[:, None]
         np.add.at(weights, (np.arange(r)[None, :], ct.index[used]), counts)
-        chi = weights @ ct.rows.astype(dtype, copy=False)
+        chi = exact_matmul(weights, ct.rows, bound)
         dim = sum(m * d for m, d in zip(mults, ct.degrees))
         return Rho(chi=chi, order=ct.exponent, mults=mults, dim=dim)
     raise TypeError(f"not a selector: {sel!r}")
@@ -465,12 +462,11 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     """
     p, table = ct.prime, ct.modular
     deg = np.array(ct.degrees, dtype=np.int64)
-    dtype = np.int64 if sum(ct.degrees) * rho.dim < 2**63 else object
-    total = np.zeros((ct.r, ct.r), dtype=dtype)
+    total = np.zeros((ct.r, ct.r), dtype=exact_dtype(sum(ct.degrees) * rho.dim))
     for m, count in enumerate(rho.mults):
         if count:
             part = multiplicities(ct, table * table[m] % p, deg * deg[m], p)
-            total += count * part.astype(dtype)
+            total += count * part.astype(total.dtype)
     return total
 
 

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .modp import exact_dtype, exact_matmul
+
 
 def _prime_divisors(e: int) -> tuple[int, ...]:
     """The distinct primes dividing e, ascending, by trial division."""
@@ -44,6 +46,7 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_divisors(n) == (n,)
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
     """The smallest generator of F_p^x, p prime.  Callers that reduce through
     its powers (the quaternion carriers, the lift) depend on this choice."""
@@ -104,11 +107,10 @@ def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
 def reduced(rows: np.ndarray, e: int) -> np.ndarray:
     """The canonical coefficients (last axis phi(e) long) of the values that
     rows of Z[x]/(x^e - 1), at most e long, stand for: rows times x^k mod
-    Phi_e, in int64 while the bound below holds and in Python integers past
-    it."""
+    Phi_e, one `exact_matmul` under the bound below."""
     red = np.array(_power_reductions(e)[: rows.shape[-1]], dtype=np.int64)
     peak = int(np.abs(rows).max(initial=0)) * int(np.abs(red).max())
-    return (rows if len(red) * peak < 2**63 else rows.astype(object)) @ red
+    return exact_matmul(rows, red, len(red) * peak)
 
 
 def embed(coeffs: np.ndarray, o: int, e: int) -> np.ndarray:
@@ -133,7 +135,7 @@ def convolve(a: np.ndarray, b: np.ndarray, e: int, product=np.multiply, terms: i
     the output the whole convolution runs in Python integers."""
     peaks = [np.abs(x).reshape(-1, x.shape[-1]).max(axis=0, initial=0) for x in (a, b)]
     bound = terms * sum(peaks[0].tolist()) * sum(peaks[1].tolist())
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = exact_dtype(bound)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     sa, sb = (np.flatnonzero(peak).tolist() or [0] for peak in peaks)
     out = None

@@ -26,7 +26,7 @@ from .chartable import (
     rho_from_class_function,
 )
 from .groups import FiniteGroup, Subgroup, quotient_group
-from .modp import mul_mod
+from .modp import exact_dtype, exact_matmul, mul_mod
 from .shapes import OTHER, ShapeLabel, classify_component, forest_bit, graph_flags, weak_components
 
 
@@ -98,8 +98,7 @@ def build_mckay_graph(ct: CharacterTable, sel: RhoSelector | Rho) -> McKayGraph:
     components = weak_components(adj)
     # k = 1 trace identity: tr A = sum over classes of chi_rho, the rational
     # integer with coefficients (tr A, 0, ..., 0)
-    bound = ct.r * int(np.abs(rho.chi).max())
-    total = rho.chi.sum(axis=0, dtype=np.int64 if bound < 2**63 else object)
+    total = rho.chi.sum(axis=0, dtype=exact_dtype(ct.r * int(np.abs(rho.chi).max())))
     assert total[0] == np.trace(adj) and not total[1:].any(), (
         "trace differs from the character sum over classes"
     )
@@ -266,8 +265,9 @@ def _push_down(ct: CharacterTable, kernel: Subgroup, rho: Rho) -> tuple[Characte
     support = [m for m, count in enumerate(rho.mults) if count]
     rows = ct.modular[np.ix_(support, at_quotient)]
     mults = multiplicities(ct_q, rows, [ct.degrees[m] for m in support], ct.prime)
-    counts = np.array([rho.mults[m] for m in support], dtype=object)
-    return ct_q, resolve_rho(ct_q, CharVector(tuple((counts @ mults).tolist())))
+    # sum_m count_m mult_mt <= sum_m count_m d_m = dim rho
+    pushed = exact_matmul([rho.mults[m] for m in support], mults, rho.dim)
+    return ct_q, resolve_rho(ct_q, CharVector(tuple(pushed.tolist())))
 
 
 def principal_component_isomorphism_check(decomp: ComponentDecomposition) -> bool:

@@ -983,9 +983,11 @@ def _dispatch(spec: GroupSpec) -> FiniteGroup:
 def tables_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     if a.order != b.order:
         return False
-    orders_a, orders_b = a.element_orders, b.element_orders
-    if not np.array_equal(np.sort(orders_a), np.sort(orders_b)):
+    def profile(g):  # its (element order, |C(x)|) pairs, |C(x)| = #{y : xy = yx}
+        return np.sort(g.element_orders * (g.order + 1) + (g.mul == g.mul.T).sum(axis=1))
+    if not np.array_equal(profile(a), profile(b)):
         return False
+    orders_b = b.element_orders
     embedding = _group_embedding(
         a, lambda o: np.flatnonzero(orders_b == o).tolist(), lambda u, v: int(b.mul[u, v]), 0
     )

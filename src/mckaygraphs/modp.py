@@ -3,7 +3,8 @@
 Includes the simultaneous eigenspace splitting used by the modular
 character-table computation: a commuting family of matrices that is
 diagonalizable over F_p splits an invariant subspace into one-dimensional
-common eigenspaces.
+common eigenspaces.  `exact_dtype`, `check_bound` and `exact_matmul` are
+the package's one rule for when int64 is exact.
 """
 
 from __future__ import annotations
@@ -19,9 +20,21 @@ def _inv_mod(v: int, p: int) -> int:
     return pow(int(v) % p, p - 2, p)
 
 
-def check_bound(n: int, p: int) -> None:
-    """A sum of n products of residues must fit in int64."""
-    assert n * (p - 1) ** 2 < 2**63, f"{n} products mod {p} overflow int64"
+def exact_dtype(bound: int):
+    """int64 when `bound`, stated by the caller, bounds every entry and partial
+    sum below 2^63, else Python integers (dtype object).  A product of n terms
+    has n max|a| max|b| (Dumas, Giorgi and Pernet, ACM TOMS 2008)."""
+    return np.int64 if bound < 2**63 else object
+
+
+def check_bound(bound: int, what: str) -> None:
+    """Assert that int64 holds a computation bounded by `bound`."""
+    assert exact_dtype(bound) is np.int64, f"{what} reach {bound}, past int64"
+
+
+def exact_matmul(a, b, bound: int) -> np.ndarray:
+    """a @ b in `exact_dtype(bound)`, for a bound on its entries and partial sums."""
+    return np.asarray(a, dtype=exact_dtype(bound)) @ np.asarray(b, dtype=exact_dtype(bound))
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -32,7 +45,7 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     BLAS product would be exact at these sizes (n (p-1)^2 < 2^53), but was
     measured slower on 2 cores: threaded OpenBLAS took about 16 ms per
     128 x 128 product, against 0.2 ms on one thread."""
-    check_bound(a.shape[-1], p)
+    check_bound(a.shape[-1] * (p - 1) ** 2, "the residue product's sums")
     return np.ascontiguousarray(a) @ np.asfortranarray(b) % p
 
 
@@ -86,7 +99,7 @@ def _hessenberg(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Upper Hessenberg h and transform u with a @ u == u @ h mod p."""
     h = a.copy() % p
     n = h.shape[0]
-    check_bound(n, p)
+    check_bound(n * (p - 1) ** 2, "the column updates' sums")
     u = np.eye(n, dtype=np.int64)
     for j in range(n - 2):
         col = h[j + 1 :, j]
@@ -110,7 +123,7 @@ def _hessenberg(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of an upper Hessenberg h, lowest degree first."""
     n = h.shape[0]
-    check_bound(n, p)
+    check_bound(n * (p - 1) ** 2, "the recurrence's sums")
     # polys[k, :k + 1] = charpoly of the leading k x k block
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
@@ -153,7 +166,7 @@ def _block_eigenvectors(h: np.ndarray, roots: list[int], p: int) -> tuple[np.nda
     over F_p.
     """
     n = h.shape[0]
-    check_bound(n + 1, p)
+    check_bound((n + 1) * (p - 1) ** 2, "the row residuals' sums")
     lam = np.array(roots, dtype=np.int64)
     x = np.zeros((0, n), dtype=np.int64)
     which = np.zeros(0, dtype=np.int64)

@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .modp import exact_dtype
+
 
 @dataclass(frozen=True)
 class ShapeLabel:
@@ -65,7 +67,8 @@ def classify_component(adj) -> ShapeLabel:
     if n == 0 or not (a == a.T).all():
         return OTHER  # empty or not symmetric
     loops = a.diagonal()
-    degs = (a.sum(axis=1) + loops).tolist()  # undirected degree, loops counted twice
+    wide = a.astype(exact_dtype((n + 1) * int(np.abs(a).max())), copy=False)
+    degs = (wide.sum(axis=1) + wide.diagonal()).tolist()  # undirected, loops counted twice
     # cycles (multigraph sense): every vertex of undirected degree 2
     if all(d == 2 for d in degs) and not (a > 2).any():
         # includes the loop vertex (n=1) and the doubled edge (n=2)

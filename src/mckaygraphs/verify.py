@@ -68,6 +68,7 @@ from .groups import (
     quotient_group,
     tables_isomorphic,
 )
+from .modp import exact_dtype, exact_matmul
 from .shapes import (
     ShapeLabel,
     bipartition,
@@ -217,7 +218,7 @@ def _char_power_sums(chi: np.ndarray, e: int, kmax: int) -> list[int]:
     for k in range(1, kmax + 1):
         if k > 1:
             power = reduced(convolve(power, chi, e), e)
-        total = power.sum(axis=0, dtype=object)
+        total = power.sum(axis=0, dtype=exact_dtype(len(power) * int(np.abs(power).max())))
         assert not total[1:].any(), "power sum over classes must be a rational integer"
         sums.append(int(total[0]))
     return sums
@@ -266,15 +267,12 @@ def center_criterion_holds(ctx: FixtureContext) -> bool:
 
 
 def _power_traces(a: np.ndarray, kmax: int) -> list[int]:
-    """tr(A^k) for k = 1..kmax from one chain of products A^k = A^(k-1) A, in
-    int64 while the entries (nonnegative) bound the next product's trace
-    below 2^63, then in exact Python integers."""
+    """tr(A^k) for k = 1..kmax from one chain of products A^k = A^(k-1) A; A is
+    nonnegative, so n^2 max(A^(k-1)) max(A) bounds all of the next product."""
     n = a.shape[0]
     power, traces = a, [int(np.trace(a))]
     for _ in range(kmax - 1):
-        if power.dtype != object and int(power.max()) * int(a.max()) * n * n >= 2**63:
-            power, a = power.astype(object), a.astype(object)
-        power = power @ a
+        power = exact_matmul(power, a, n * n * int(power.max()) * int(a.max()))
         traces.append(int(np.trace(power)))
     return traces
 

@@ -236,3 +236,9 @@ def test_layout_leaves_int64_past_two_to_the_63():
     doubled = as_coeffs([big + big], 4)  # its coefficients reach 2^63
     assert doubled.dtype == object
     assert tuple(embed(doubled, 4, 8)[0]) == (big + big).embed(8).coeffs
+    # reduced's gate, len(red) max|rows| max|red| = 4 top: int64 below 2^61,
+    # and at 2^62 the coefficients 2 top = 2^63 would wrap
+    for top in (2**61 - 1, 2**62):
+        canon = reduced(np.array([[top, top, -top, -top]], dtype=np.int64), 4)
+        assert canon.tolist() == [[2 * top, 2 * top]]
+        assert canon.dtype == (np.int64 if top < 2**61 else object)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
@@ -532,11 +533,40 @@ def test_heisenberg_matches_plus_type():
         heis = build_group(Heisenberg(2, n))
         plus = build_group(Extraspecial2(n, "+"))
         assert tables_isomorphic(heis, plus)
-    # same order and element-order statistics (every element of order 3), so
-    # the search over generator images runs and must reject every choice
+    # same order and element-order statistics (every element of order 3); the
+    # centralizer orders differ, since one group is abelian
     heis, elemab = build_group(Heisenberg(3, 1)), build_group(ElemAb(3, 3))
     assert not tables_isomorphic(heis, elemab)
     assert not tables_isomorphic(elemab, heis)
+
+
+def test_centralizer_orders_reject_before_the_search():
+    # 124^3 choices of generator images with element orders alone
+    heis, elemab = build_group(Heisenberg(5, 1)), build_group(ElemAb(5, 3))
+    start = time.perf_counter()
+    assert not tables_isomorphic(heis, elemab)
+    assert time.perf_counter() - start < 2
+
+
+def test_search_rejects_equal_order_and_centralizer_profiles():
+    # Z4 x| Z4 (b a b^-1 = a^-1, element a^i b^j at i + 4 j) against Q8 x Z2:
+    # both have a center of order 4 holding the 3 involutions and 12 elements
+    # of order 4 with |C(x)| = 8, but only Q8 x Z2 has G/G' = (Z2)^3
+    ij = [(x % 4, x // 4) for x in range(16)]
+    mul = np.array(
+        [[(i + (-1) ** j * k) % 4 + 4 * ((j + l) % 4) for k, l in ij] for i, j in ij],
+        dtype=np.int32,
+    )
+    semi = as_table(mul, "z4:z4")
+    semi.validate()
+    q8z2 = build_group(Product(BinaryDihedral(2), Cyclic(2)))
+    profiles = [
+        sorted(zip(g.element_orders.tolist(), (g.mul == g.mul.T).sum(axis=1).tolist()))
+        for g in (semi, q8z2)
+    ]
+    assert profiles[0] == profiles[1]
+    assert not tables_isomorphic(semi, q8z2) and not tables_isomorphic(q8z2, semi)
+    assert tables_isomorphic(semi, semi) and tables_isomorphic(q8z2, q8z2)
 
 
 def test_central_product_center_collapses():

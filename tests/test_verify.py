@@ -118,11 +118,19 @@ def test_trace_identity_bt_cubes_vanish():
 
 
 def test_power_traces_continue_exactly_past_the_int64_guard():
-    # entries near 2^20 put tr(A^4) near 2^86: the chain must leave int64
-    a = np.array([[0, 2**20, 3], [2**20 - 1, 1, 2**19], [5, 2**20 + 7, 0]], dtype=np.int64)
-    traces = _power_traces(a, 6)
-    assert traces == [circuit_count(a.tolist(), k) for k in range(1, 7)]
-    assert traces[-1] > 2**63
+    for a, kmax in [
+        # entries near 2^20 put tr(A^4) near 2^86: the chain must leave int64
+        ([[0, 2**20, 3], [2**20 - 1, 1, 2**19], [5, 2**20 + 7, 0]], 6),
+        # A^2 has entries 2^40, so n^2 max(A^2) max(A) = tr(A^3) = 2^63 exactly:
+        # without the n^2 the next product would stay in int64 and wrap
+        ([[2**19] * 4] * 4, 4),
+        # one vertex: int64 up to A^2 = 2^60, Python integers from A^3 on
+        ([[2**30]], 5),
+    ]:
+        a = np.array(a, dtype=np.int64)
+        traces = _power_traces(a, kmax)
+        assert traces == [circuit_count(a.tolist(), k) for k in range(1, kmax + 1)]
+        assert traces[-1] > 2**63
 
 
 def test_edge_count_q8_and_bt():
