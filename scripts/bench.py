@@ -13,7 +13,8 @@ even pairs the working tree first.  One traced run per side
 (--seed 7 --seconds 1 --trace 1) gives the per-layer figures.  Table-only
 runs time the split and the lift of TABLE_SPECS's groups on their own, through
 perfbench's tracer, with a limit of TABLE_LIMIT_S per table; a side that
-exceeds it is recorded as "timeout".  The result goes to BENCH_<LABEL>.json at the repository root.
+exceeds it is recorded as "timeout".  They also time `build_group` and take
+its tracemalloc peak on a second build.  The result goes to BENCH_<LABEL>.json at the repository root.
 Run it with nothing else busy on the machine.
 """
 
@@ -47,16 +48,24 @@ TABLE_LIMIT_S = 120.0
 # Times one character table with perfbench's tracer, so that split_s, table_s
 # and lift_s are the benchmark's modp.split_s, chartable.table_s and
 # chartable.lift_s; split_s includes building the class matrices, which the
-# split consumes lazily.
+# split consumes lazily.  build_s is one untraced build_group; build_peak_mb is
+# the tracemalloc peak of a second one.
 TABLE_PROBE = r"""
-import json, sys
+import json, sys, time, tracemalloc
 sys.path.insert(0, "perfbench")
 # the tracer wraps every module it names, so all of them must be imported
 from mckaygraphs import chartable, cli, verify
 from mckaygraphs.groups import build_group, conjugacy
 from spans import Tracer, layer_sums
 
-g = build_group(cli.parse_group_spec(sys.argv[1]))
+spec = cli.parse_group_spec(sys.argv[1])
+start = time.perf_counter()
+g = build_group(spec)
+build_s = time.perf_counter() - start
+tracemalloc.start()
+build_group(spec)
+build_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
 cd = conjugacy(g)
 tracer = Tracer()
 tracer.install()
@@ -66,6 +75,8 @@ print(json.dumps({
     "table_s": sums["chartable.table_s"],
     "split_s": sums["modp.split_s"],
     "lift_s": sums["chartable.lift_s"],
+    "build_s": build_s,
+    "build_peak_mb": build_peak_mb,
 }))
 """
 
@@ -208,12 +219,13 @@ def main() -> int:
                         break
                 tables[spec][who] = "timeout" if "timeout" in runs else {
                     stage: round(statistics.median(r[stage] for r in runs), 4)
-                    for stage in ("table_s", "split_s", "lift_s")
+                    for stage in ("table_s", "split_s", "lift_s", "build_s", "build_peak_mb")
                 }
                 print(f"table {spec} {who}: {tables[spec][who]}", file=sys.stderr)
         doc["tables"] = {
             "command": f"compute_character_table alone, median of {TABLE_RUNS} runs per side, "
-            f"limit {TABLE_LIMIT_S:g} s",
+            f"limit {TABLE_LIMIT_S:g} s; build_s and build_peak_mb (tracemalloc, MiB) from "
+            "build_group",
             "specs": tables,
         }
 

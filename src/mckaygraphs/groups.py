@@ -199,18 +199,35 @@ class FiniteGroup:
     def validate(self) -> None:
         """Latin square, identity, inverses, and Light's associativity test over
         a generating set S: the s with (xs)y = x(sy) for all x, y are closed
-        under products, so if S passes, every element of the table does."""
+        under products, so if S passes, every element of the table does.  The
+        sorts and gathers run over blocks of rows, or of columns, so no
+        temporary is larger than a block."""
         n = self.order
         mul = self.mul
         idx = np.arange(n)
         assert np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)
-        assert np.array_equal(np.sort(mul, axis=1), np.tile(idx, (n, 1)))
-        assert np.array_equal(np.sort(mul, axis=0), np.tile(idx[:, None], (1, n)))
+        blocks = _row_blocks(n)
+        for block in blocks:
+            assert np.all(np.sort(mul[block], axis=1) == idx), "not a Latin square: rows"
+            assert np.all(np.sort(mul[:, block], axis=0) == idx[:, None]), "not a Latin square: columns"
         assert np.all(mul[idx, self.inv] == 0) and np.all(mul[self.inv, idx] == 0)
         for s in _greedy_generators(self):
-            # rows x of (xs)y and of x(sy); take gathers columns faster than indexing
-            left, right = mul[mul[:, s]], np.take(mul, mul[s], axis=1)
-            assert np.array_equal(left, right), "associativity failed"
+            col, row = mul[:, s], mul[s]
+            for block in blocks:
+                # rows x of (xs)y and of x(sy); take gathers columns faster than indexing
+                left, right = mul[col[block]], np.take(mul[block], row, axis=1)
+                assert np.array_equal(left, right), "associativity failed"
+
+
+# about 2^16 entries per block, so a block's sort or gather allocates about
+# 0.5 MB however large the table
+_BLOCK_ENTRIES = 2**16
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive rows of an n x n array, about _BLOCK_ENTRIES entries a block."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _inverses_from_table(mul: np.ndarray) -> np.ndarray:
@@ -283,14 +300,28 @@ def _close_and_build(gens, carrier: str, cap: int, mulfun, namer=None) -> Finite
 # carrier builders
 
 
+def _cyclic_table(n: int) -> np.ndarray:
+    idx = np.arange(n, dtype=np.int32)
+    mul = idx[:, None] + idx
+    mul %= n
+    return mul
+
+
+def _product_table(amul: np.ndarray, bmul: np.ndarray) -> np.ndarray:
+    """The table of A x B on the indices x |B| + y, written into one int32 array."""
+    na, nb = len(amul), len(bmul)
+    mul = np.empty((na, nb, na, nb), dtype=np.int32)
+    np.add((amul * nb)[:, None, :, None], bmul[None, :, None, :], out=mul)
+    return mul.reshape(na * nb, na * nb)
+
+
 def _build_cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
-    mul = (idx[:, None] + idx[None, :]) % n
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return FiniteGroup(
         order=n,
-        mul=mul.astype(np.int32),
-        inv=((-idx) % n).astype(np.int32),
+        mul=_cyclic_table(n),
+        inv=(-idx) % n,
         carrier=f"cyclic:{n}",
         element_names=names,
         payload=list(range(n)),
@@ -387,18 +418,23 @@ def _digits(p: int, n: int) -> np.ndarray:
     return np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
 
 
+def _elemab_table(p: int, n: int) -> np.ndarray:
+    """F_p^n in lexicographic order as Z_p x F_p^(n-1), one digit at a time;
+    each table is p^2 times the size of the one before."""
+    mul, cyc = np.zeros((1, 1), dtype=np.int32), _cyclic_table(p)
+    for _ in range(n):
+        mul = _product_table(cyc, mul)
+    return mul
+
+
 def _build_elemab(p: int, n: int) -> FiniteGroup:
     digits = _digits(p, n)
     elems = [tuple(v) for v in digits.tolist()]
-    size = p**n
-    weights = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    summed = (digits[:, None, :] + digits[None, :, :]) % p
-    mul = (summed @ weights).astype(np.int32)
-    invs = ((-digits) % p @ weights).astype(np.int32)
+    weights = p ** np.arange(n - 1, -1, -1)
     return FiniteGroup(
-        order=size,
-        mul=mul,
-        inv=invs,
+        order=p**n,
+        mul=_elemab_table(p, n),
+        inv=((-digits) % p @ weights).astype(np.int32),
         carrier=f"elemab:{p}:{n}",
         element_names=[str(v) for v in elems],
         payload=elems,
@@ -409,16 +445,15 @@ def _build_heisenberg(p: int, n: int) -> FiniteGroup:
     digits = _digits(p, n)
     vecs = [tuple(v) for v in digits.tolist()]
     elems = [(a, b, c) for a in vecs for b in vecs for c in range(p)]
-    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1.b2), digits mod p
+    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1.b2), digits mod p,
+    # on the axes (a1, b1, c1, a2, b2, c2) of the index (a q + b) p + c
     q, size = len(vecs), len(elems)
-    vadd = (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(n - 1, -1, -1)
-    dot = digits @ digits.T % p
-    i = np.arange(size)
-    a, b, c = i // (q * p), i // p % q, i % p
-    mul = (
-        (vadd[a[:, None], a[None, :]] * q + vadd[b[:, None], b[None, :]]) * p
-        + (c[:, None] + c[None, :] + dot[a[:, None], b[None, :]]) % p
-    ).astype(np.int32)
+    vadd, c = _elemab_table(p, n), np.arange(p)
+    central = (digits @ digits.T)[:, None, :, None] + c[:, None, None] + c  # (a1, c1, b2, c2)
+    mul = np.empty((q, q, p, q, q, p), dtype=np.int32)
+    np.add((vadd * (q * p))[:, None, None, :, None, None], (vadd * p)[None, :, None, None, :, None], out=mul)
+    mul += central[:, None, :, None, :, :] % p
+    mul = mul.reshape(size, size)
     return FiniteGroup(
         order=size,
         mul=mul,
@@ -430,19 +465,14 @@ def _build_heisenberg(p: int, n: int) -> FiniteGroup:
 
 
 def build_product(a: FiniteGroup, b: FiniteGroup, carrier: Optional[str] = None) -> FiniteGroup:
-    na, nb = a.order, b.order
-    n = na * nb
-    mul = (
-        a.mul[:, None, :, None].astype(np.int64) * nb + b.mul[None, :, None, :]
-    ).reshape(n, n).astype(np.int32)
-    inv = (a.inv.astype(np.int64)[:, None] * nb + b.inv[None, :]).reshape(n).astype(np.int32)
+    n = a.order * b.order
     names = [
         f"({x},{y})" for x in a.element_names for y in b.element_names
     ]
     return FiniteGroup(
         order=n,
-        mul=mul,
-        inv=inv,
+        mul=_product_table(a.mul, b.mul),
+        inv=(a.inv[:, None] * b.order + b.inv).reshape(n).astype(np.int32),
         carrier=carrier or f"product({a.carrier},{b.carrier})",
         element_names=names,
     )
@@ -479,7 +509,7 @@ def build_semidirect(
     # (a, i)(b, j) = (ab, alpha_{b^-1}(i) j): row block a, column block b
     twist = k.mul[act[g.inv]].transpose(1, 0, 2)  # (i, b, j) -> alpha_{b^-1}(i) * j
     mul = np.empty((ng, nk, ng, nk), dtype=np.int32)
-    np.add((g.mul.astype(np.int64) * nk)[:, None, :, None], twist[None], out=mul, casting="unsafe")
+    np.add((g.mul * nk)[:, None, :, None], twist[None], out=mul)
     mul = mul.reshape(n, n)
     names = [f"({x};{y})" for x in g.element_names for y in k.element_names]
     return FiniteGroup(
@@ -572,12 +602,14 @@ class Subgroup:
 
 def _close(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     """The elements of the subgroup generated by the mask `inside`, which it
-    marks in place: products of the member set with itself until it stops
-    growing (in a finite group that also closes inverses)."""
+    marks in place: products of the member set with itself, a block of rows
+    at a time, until it stops growing (in a finite group that also closes
+    inverses)."""
     inside[0] = True
     while True:
         arr = np.flatnonzero(inside)
-        inside[g.mul[np.ix_(arr, arr)]] = True
+        for block in _row_blocks(len(arr)):
+            inside[g.mul[np.ix_(arr[block], arr)]] = True
         if inside.sum() == len(arr):
             return arr
 
@@ -675,7 +707,11 @@ def normal_subgroups(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[i
 
 
 def central_product(a: FiniteGroup, b: FiniteGroup, carrier: str) -> FiniteGroup:
-    """(A x B) / <(z_A, z_B)> for the unique central involutions z_A, z_B."""
+    """(A x B) / <(z_A, z_B)> for the unique central involutions z_A, z_B,
+    built on coset representatives without A x B: the coset of (x, y), at
+    index x |B| + y, is {(x, y), (x z_A, y z_B)}.  Its least index is its
+    representative, and the representatives in index order are the quotient's
+    elements, as quotient_group numbers them."""
 
     def central_involution(grp: FiniteGroup) -> int:
         cands = [
@@ -687,13 +723,25 @@ def central_product(a: FiniteGroup, b: FiniteGroup, carrier: str) -> FiniteGroup
         return cands[0]
 
     za, zb = central_involution(a), central_involution(b)
-    prod = build_product(a, b)
-    z = za * b.order + zb
-    sub = subgroup_from_elements(prod, [z])
-    assert sub.order == 2 and sub.normal
-    grp, _ = quotient_group(prod, sub)
-    grp.carrier = carrier
-    return grp
+    nb = b.order
+    partner = (a.mul[:, za, None] * nb + b.mul[:, zb]).ravel()
+    reps = np.flatnonzero(np.arange(len(partner)) < partner)
+    m = len(reps)
+    coset_of = np.empty(len(partner), dtype=np.int32)
+    coset_of[reps] = coset_of[partner[reps]] = np.arange(m, dtype=np.int32)
+    ra, rb = np.divmod(reps, nb)
+    qmul = np.empty((m, m), dtype=np.int32)
+    for block in _row_blocks(m):
+        qmul[block] = coset_of[a.mul[ra[block]][:, ra] * nb + b.mul[rb[block]][:, rb]]
+    return FiniteGroup(
+        order=m,
+        mul=qmul,
+        inv=coset_of[a.inv[ra] * nb + b.inv[rb]],
+        carrier=carrier,
+        element_names=[
+            f"[({a.element_names[x]},{b.element_names[y]})]" for x, y in zip(ra.tolist(), rb.tolist())
+        ],
+    )
 
 
 def _build_extraspecial(n: int, variant: str) -> FiniteGroup:

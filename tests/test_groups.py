@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tablegroups import central_product_by_quotient, elemab_by_digit_sums, extraspecial_by_quotient
 from tuplegraphs import centralizer
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -27,6 +29,7 @@ from mckaygraphs.groups import (
     _derive_action,
     _extend_hom,
     _greedy_generators,
+    _row_blocks,
     abelian_homs,
     build_group,
     build_product,
@@ -168,6 +171,25 @@ def test_validate_rejects_a_loop_above_order_256():
         big.validate()
 
 
+def swapped(g, a, b):
+    """g's table with the entries at the cells a and b exchanged."""
+    mul = g.mul.copy()
+    mul[a], mul[b] = mul[b], mul[a]
+    return FiniteGroup(order=g.order, mul=mul, inv=g.inv, carrier="swapped", element_names=g.element_names)
+
+
+def test_validate_reaches_the_last_row_and_column_blocks():
+    g = build_group(Dihedral(160))
+    n = g.order
+    assert n == 320 and len(_row_blocks(n)) > 1
+    # a swap in the last row leaves every row a permutation and breaks two
+    # columns of the last block; a swap in the last column the other way round
+    with pytest.raises(AssertionError, match="not a Latin square: columns"):
+        swapped(g, (n - 1, n - 2), (n - 1, n - 1)).validate()
+    with pytest.raises(AssertionError, match="not a Latin square: rows"):
+        swapped(g, (n - 2, n - 1), (n - 1, n - 1)).validate()
+
+
 def tuple_heisenberg_product(p):
     """The Heisenberg product on (a, b, c) tuples, digit by digit."""
 
@@ -183,7 +205,7 @@ def tuple_heisenberg_product(p):
     return mulfun
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 3), (2, 4)])
 def test_heisenberg_table_matches_tuple_product(p, n):
     g = build_group(Heisenberg(p, n))
     elems = g.payload
@@ -576,6 +598,60 @@ def test_central_product_center_collapses():
     assert cp.order == 32
     cd = conjugacy(cp)
     assert len(cd.center) == 2
+
+
+def same_table(g, want):
+    for key in ("mul", "inv"):
+        got, expected = getattr(g, key), getattr(want, key)
+        assert got.dtype == expected.dtype == np.int32 and np.array_equal(got, expected)
+    assert g.element_names == want.element_names and g.carrier == want.carrier
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("variant", ["+", "-"])
+def test_extraspecial_matches_the_quotient_route(variant, n):
+    same_table(build_group(Extraspecial2(n, variant)), extraspecial_by_quotient(n, variant))
+
+
+def test_central_product_matches_the_quotient_route():
+    d4, q8 = build_group(Dihedral(4)), build_group(BinaryDihedral(2))
+    same_table(central_product(d4, q8, "cp"), central_product_by_quotient(d4, q8, "cp"))
+    same_table(central_product(q8, d4, "cp"), central_product_by_quotient(q8, d4, "cp"))
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7) for n in range(1, 11) if p**n <= 1024])
+def test_elemab_matches_the_digit_sums(p, n):
+    g, want = build_group(ElemAb(p, n)), elemab_by_digit_sums(p, n)
+    same_table(g, want)
+    assert g.payload == want.payload
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Cyclic(1024),
+        Dihedral(512),
+        BinaryDihedral(256),
+        ElemAb(2, 10),
+        ElemAb(3, 6),
+        Heisenberg(2, 4),
+        Extraspecial2(4, "+"),
+        Extraspecial2(4, "-"),
+        Product(BinaryPoly("I"), Cyclic(8)),
+        Semidirect(Dihedral(128), Cyclic(3)),
+    ],
+    ids=spec_text,
+)
+def test_build_peak_is_a_small_multiple_of_the_table(spec):
+    # every table is written at its final size, and validate works in blocks
+    tracemalloc.start()
+    try:
+        g = build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order >= 512
+    assert peak <= 3.5 * g.mul.nbytes + 2**20, f"peak {peak} bytes for a {g.mul.nbytes}-byte table"
 
 
 def test_semidirect_has_normal_kernel():
