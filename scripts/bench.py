@@ -54,8 +54,7 @@ TABLE_PROBE = r"""
 import json, sys, time, tracemalloc
 sys.path.insert(0, "perfbench")
 # the tracer wraps every module it names, so all of them must be imported
-from mckaygraphs import chartable, cli, verify
-from mckaygraphs.groups import build_group, conjugacy
+from mckaygraphs import build_group, chartable, cli, conjugacy, verify
 from spans import Tracer, layer_sums
 
 spec = cli.parse_group_spec(sys.argv[1])

@@ -30,7 +30,7 @@ def pullback_selector(spec_str: str) -> str:
         compute_character_table,
         resolve_rho,
     )
-    from mckaygraphs.groups import build_group, conjugacy
+    from mckaygraphs import build_group, conjugacy
     from mckaygraphs.verify import pullback_rho
 
     spec = parse_group_spec(spec_str)

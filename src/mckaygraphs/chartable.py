@@ -91,36 +91,29 @@ class CharacterTable:
         return len(self.degrees)
 
 
-def _class_matrix(g: FiniteGroup, cd: ConjugacyData, i: int) -> np.ndarray:
-    """Matrix of multiplication by the i-th class sum, oriented so that the
-    vectors (omega(c_k))_k of central characters are column eigenvectors."""
-    r = cd.r
-    # row k over j counts {x in C_i : x^-1 z_k in C_j}
-    prods = g.mul[g.inv[cd.classes[i]][:, None], np.asarray(cd.reps)[None, :]]
-    flat = cd.class_of[prods] + r * np.arange(r)[None, :]
-    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r).T
-
-
 def _split_matrices(g: FiniteGroup, cd: ConjugacyData, p: int, rng: random.Random):
-    """The matrices that split the class algebra, built as they are drawn.
+    """The matrices that split the class algebra, built as they are drawn, with
+    the vectors (omega(c_k))_k of central characters as column eigenvectors.
 
     First the class matrix of an element of largest order, which alone
     splits the non-linear characters of a dihedral group.  Then at most r
     random combinations sum_i c_i C_i of all the class matrices (Schneider
     1990); the eigenvalues of one fail to separate two central characters
     with probability 1/p.
-    Each combination is one int64 scatter-add of the class weights over
-    flat[x, k] = r class(x^-1 z_k) + k, made once for all of them.
+    All are read off flat[x, k] = r class(x^-1 z_k) + k, made once: the class
+    matrix of C_i counts the entries of the rows x in C_i, and a combination
+    is one int64 scatter-add of the class weights over all the rows.
     """
     r = cd.r
-    orders = [cd.element_orders[rep] for rep in cd.reps]
-    # its entries count class elements, so they are residues: 0 <= entry <= |G| < p
-    yield _class_matrix(g, cd, orders.index(max(orders)))
     check_bound(g.order * (p - 1), "a combination's entries")
     flat = cd.class_of[g.mul[g.inv[:, None], np.asarray(cd.reps)[None, :]]]
     assert r * r <= np.iinfo(flat.dtype).max
     flat *= r
     flat += np.arange(r, dtype=flat.dtype)
+    orders = [cd.element_orders[rep] for rep in cd.reps]
+    # its entries count class elements, so they are residues: 0 <= entry <= |G| < p
+    top = cd.classes[orders.index(max(orders))]
+    yield np.bincount(flat[top].ravel(), minlength=r * r).reshape(r, r)
     for _ in range(r):
         weights = np.array([rng.randrange(p) for _ in range(r)], dtype=np.int64)
         mat = np.zeros(r * r, dtype=np.int64)
@@ -483,6 +476,28 @@ def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
     sub = subgroup_on(ct.group, elems)
     assert sub.normal
     return sub
+
+
+def normal_subgroups(ct: CharacterTable, min_order: int = 1) -> list[Subgroup]:
+    """Every normal subgroup of order at least min_order, sorted by (order,
+    elements).  Each is an intersection of kernels of irreducible characters
+    (Isaacs, Character Theory of Finite Groups, ch. 2), so the class masks of
+    the kernels are closed under & one kernel at a time.  A mask below
+    min_order is dropped with all it could lead to: intersections only shrink."""
+    sizes = np.array(ct.conj.sizes, dtype=np.int64)
+    kernels = ct.index == ct.index[:, :1]  # index equality is value equality
+    found = [np.ones(ct.r, dtype=bool)]
+    seen = {found[0].tobytes()}
+    for kernel in kernels:
+        meets = np.array(found) & kernel
+        for mask in meets[meets @ sizes >= min_order]:
+            if mask.tobytes() not in seen:
+                seen.add(mask.tobytes())
+                found.append(mask)
+    found = [mask for mask in found if mask @ sizes >= min_order]  # the seed G, too
+    subs = [subgroup_on(ct.group, np.flatnonzero(mask[ct.conj.class_of])) for mask in found]
+    assert all(sub.normal for sub in subs)
+    return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
 def is_self_dual(ct: CharacterTable, chi) -> bool:

@@ -25,6 +25,7 @@ from .chartable import (
     compute_character_table,
     resolve_rho,
 )
+from .catalog import build_group
 from .graphs import build_mckay_graph, decompose_components
 from .groups import (
     BinaryDihedral,
@@ -38,7 +39,6 @@ from .groups import (
     Heisenberg,
     Product,
     Semidirect,
-    build_group,
     conjugacy,
     order_cap,
     spec_text,

@@ -29,8 +29,10 @@ from .chartable import (
     is_faithful,
     is_self_dual,
     kernel_of_character,
+    normal_subgroups,
     rho_from_class_function,
 )
+from .catalog import build_group, derive_cyclic_action, derive_elemab_action
 from .cyclotomic import convolve, embed, gram, reduced
 from .graphs import (
     ComponentDecomposition,
@@ -57,12 +59,8 @@ from .groups import (
     Semidirect,
     Subgroup,
     SubgroupNotFound,
-    build_group,
     build_semidirect,
     conjugacy,
-    derive_cyclic_action,
-    derive_elemab_action,
-    normal_subgroups,
     spec_text,
     subgroup_from_elements,
     quotient_group,
@@ -589,13 +587,13 @@ CONSTRUCTIONS = [
 
 
 def designated_normal_subgroup(
-    g: FiniteGroup, cd: ConjugacyData, order: int, nonabelian: Optional[bool] = None
+    ct: CharacterTable, order: int, nonabelian: Optional[bool] = None
 ) -> Subgroup:
-    subs = normal_subgroups(g, cd, order)
+    subs = [s for s in normal_subgroups(ct, order) if s.order == order]
     if nonabelian is not None:
         subs = [s for s in subs if s.group.is_abelian() != nonabelian]
     if not subs:
-        raise SubgroupNotFound(f"no normal subgroup of order {order} in {g.carrier}")
+        raise SubgroupNotFound(f"no normal subgroup of order {order} in {ct.group.carrier}")
     return subs[0]
 
 
@@ -646,7 +644,7 @@ def build_construction(fx: ConstructionFixture):
     """Assemble G' = G x| K for a designated normal H, with S(rho) resolved."""
     ctx = fixture(fx.gspec)
     rho = ctx.graph.rho
-    H = designated_normal_subgroup(ctx.group, ctx.cd, fx.h_order, fx.h_nonabelian)
+    H = designated_normal_subgroup(ctx.ct, fx.h_order, fx.h_nonabelian)
     if isinstance(fx.kernel, Cyclic):
         action = derive_cyclic_action(ctx.group, fx.kernel.n, H)
     else:
@@ -748,11 +746,11 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
 def verify_normal_tower() -> list[CheckRecord]:
     records = _Recorder()
     ctx = fixture(BinaryPoly("O"))
-    bo, cd = ctx.group, ctx.cd
+    bo = ctx.group
     q8 = build_group(BinaryDihedral(2))
     bt = build_group(BinaryPoly("T"))
-    sub8 = designated_normal_subgroup(bo, cd, 8)
-    sub24 = designated_normal_subgroup(bo, cd, 24)
+    sub8 = designated_normal_subgroup(ctx.ct, 8)
+    sub24 = designated_normal_subgroup(ctx.ct, 24)
     records.add(
         check_id="tower:subgroups",
         claim="the octahedral double cover contains normal copies of the quaternion and "
@@ -781,8 +779,7 @@ def verify_normal_tower() -> list[CheckRecord]:
         observed=f"order {q2.order}, abelian={q2.is_abelian()}",
         passed=q2.order == 6 and not q2.is_abelian(),
     )
-    cd24 = conjugacy(sub24.group)
-    inner8 = designated_normal_subgroup(sub24.group, cd24, 8)
+    inner8 = designated_normal_subgroup(compute_character_table(sub24.group), 8)
     q3, _ = quotient_group(sub24.group, inner8)
     records.add(
         check_id="tower:BT/Q8",

@@ -1,19 +1,25 @@
-"""The table builders that writing each Cayley table at its final size
-replaced, kept as the tests' oracle.
+"""Element-level group routines that faster or table-based ones replaced,
+kept as the tests' oracles.
 
 `central_product_by_quotient` forms the direct product A x B and divides it
 by <(z_A, z_B)> with `subgroup_from_elements` and `quotient_group`;
 `extraspecial_by_quotient` chains it as `groups._build_extraspecial` does.
 `elemab_by_digit_sums` adds the base-p digits of every pair of elements at
-once, through a (p^n, p^n, n) array.
+once, through a (p^n, p^n, n) array.  `normal_subgroups_by_joins` finds the
+normal subgroups from elements alone, where `chartable.normal_subgroups`
+reads them off the character table.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from mckaygraphs.groups import (
+    ConjugacyData,
     FiniteGroup,
+    Subgroup,
     _build_bindihedral,
     _build_cyclic,
     _build_dihedral,
@@ -21,6 +27,7 @@ from mckaygraphs.groups import (
     build_product,
     quotient_group,
     subgroup_from_elements,
+    subgroup_on,
 )
 
 
@@ -68,3 +75,29 @@ def elemab_by_digit_sums(p: int, n: int) -> FiniteGroup:
         element_names=[str(v) for v in elems],
         payload=elems,
     )
+
+
+def normal_subgroups_by_joins(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[Subgroup]:
+    """All normal subgroups (of one order, if given): the normal closures of
+    single classes, closed under joins with them (Hulpke, "Computing normal
+    subgroups", ISSAC 1998).  Normal subgroups A and B join to the set AB."""
+    closures = [
+        np.asarray(subgroup_from_elements(g, cl).elements, dtype=np.int64)
+        for cl in cd.classes
+    ]
+    found = {c.tobytes(): c for c in closures}
+    frontier = list(found.values())
+    while frontier:
+        joins = []
+        for a in frontier:
+            for b in closures:
+                inside = np.zeros(g.order, dtype=bool)
+                inside[g.mul[np.ix_(a, b)]] = True
+                ab = np.flatnonzero(inside)
+                if ab.tobytes() not in found:
+                    found[ab.tobytes()] = ab
+                    joins.append(ab)
+        frontier = joins
+    subs = [subgroup_on(g, a) for a in found.values() if target_order in (None, len(a))]
+    assert all(sub.normal for sub in subs)
+    return sorted(subs, key=lambda s: (s.order, s.elements))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import (
     FaithfulSelfDualMinDim,
     Irrep,
@@ -26,7 +27,6 @@ from mckaygraphs.groups import (
     BinaryPoly,
     Dihedral,
     Extraspecial2,
-    build_group,
     conjugacy,
     quotient_group,
 )

@@ -13,7 +13,6 @@ from mckaygraphs.chartable import (
     Irrep,
     LiftOutOfRange,
     SelectorEmpty,
-    _class_matrix,
     _lift,
     adjacency_matrix,
     compute_character_table,
@@ -22,12 +21,14 @@ from mckaygraphs.chartable import (
     is_self_dual,
     kernel_of_character,
     multiplicities,
+    normal_subgroups,
     residues,
     resolve_rho,
     rho_from_class_function,
 )
 from cycint import CycInt, as_coeffs, as_cycints, cyc_sum, table_values
 from tuplegraphs import centralizer
+from mckaygraphs.catalog import build_group
 from mckaygraphs.cyclotomic import _is_prime, _primitive_root, convolve, reduced
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -38,7 +39,6 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
-    build_group,
     conjugacy,
     spec_text,
     subgroup_from_elements,
@@ -51,6 +51,18 @@ def table(spec):
     g = build_group(spec)
     cd = conjugacy(g)
     return g, cd, compute_character_table(g, cd)
+
+
+def _class_matrix(g, cd, i):
+    """Matrix of multiplication by the i-th class sum, from the products of
+    that class alone, oriented so that the vectors (omega(c_k))_k of central
+    characters are column eigenvectors: the oracle for the matrices that
+    `_split_matrices` reads off one index of all the products."""
+    r = cd.r
+    # row k over j counts {x in C_i : x^-1 z_k in C_j}
+    prods = g.mul[g.inv[cd.classes[i]][:, None], np.asarray(cd.reps)[None, :]]
+    flat = cd.class_of[prods] + r * np.arange(r)[None, :]
+    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r).T
 
 
 def test_dixon_prime_choice():
@@ -141,8 +153,8 @@ def test_table_does_not_depend_on_the_seed(monkeypatch, spec):
 def test_cyclic_table_draws_one_matrix(monkeypatch):
     """An abelian group's characters are all linear, so its split draws no
     matrix.  In dihedral:9 the class of a rotation of order 9 separates the
-    four characters of degree 2, so the split draws that class matrix alone
-    and stops before it builds the index of the random combinations."""
+    four characters of degree 2, so the split draws that class matrix alone,
+    read off the index of the random combinations, and no combination."""
     split, drawn = chartable.simultaneous_split, []
     monkeypatch.setattr(
         chartable, "simultaneous_split", lambda mats, *a: split((drawn.append(m) or m for m in mats), *a)
@@ -350,9 +362,7 @@ def test_restriction_bo_to_bt_is_tautological():
     cdo = conjugacy(bo)
     cto = compute_character_table(bo, cdo)
     rho_o = resolve_rho(cto, FaithfulSelfDualMinDim())
-    from mckaygraphs.groups import normal_subgroups
-
-    bt_sub = normal_subgroups(bo, cdo, 24)[0]
+    bt_sub = normal_subgroups(cto, 24)[0]
     bt_ct = compute_character_table(bt_sub.group)
     restricted = restrict(cto, bt_sub, bt_ct, rho_o.chi)
     mults = modular_restriction(cto, bt_ct, restricted)
@@ -400,9 +410,7 @@ def test_subgroup_residues_in_the_larger_field():
     bo = build_group(BinaryPoly("O"))
     cdo = conjugacy(bo)
     cto = compute_character_table(bo, cdo)
-    from mckaygraphs.groups import normal_subgroups
-
-    bt_sub = normal_subgroups(bo, cdo, 24)[0]
+    bt_sub = normal_subgroups(cto, 24)[0]
     bt_ct = compute_character_table(bt_sub.group)
     assert bt_ct.exponent != cto.exponent
     rho = resolve_rho(cto, FaithfulSelfDualMinDim())

@@ -188,14 +188,16 @@ def test_usage_errors_exit_2_with_one_line(argv, cap, monkeypatch, capsys):
     ],
 )
 def test_intransitive_elemab_actions_exit_2_before_any_search(spec, monkeypatch, capsys):
-    # p^n - 1 must divide |G| for G to be transitive on the nonzero vectors
-    from mckaygraphs import groups
+    # p^n - 1 must divide |G| for G to be transitive on the nonzero vectors,
+    # which is checked before GL_n(F_p) is listed or any table is built
+    from mckaygraphs import catalog
 
     def unreachable(*args, **kwargs):
         raise AssertionError("searched although the orders rule out the action")
 
-    monkeypatch.setattr(groups, "_gl_permutations", unreachable)
-    monkeypatch.setattr(groups, "normal_subgroups", unreachable)
+    monkeypatch.setattr(catalog, "_gl_permutations", unreachable)
+    monkeypatch.setattr(catalog, "normal_subgroups", unreachable)
+    monkeypatch.setattr(catalog, "compute_character_table", unreachable)
     assert main(["chartab", spec]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -210,11 +212,18 @@ def test_intransitive_elemab_actions_exit_2_before_any_search(spec, monkeypatch,
         ("semidirect(cyclic:24,elemab:5:2)", 600),
         # C_31 is transitive on F_2^5, but GL_5(F_2) has 2^25 matrices to list
         ("semidirect(cyclic:31,elemab:2:5)", None),
+        # acting groups with thousands of normal subgroups, of which only
+        # those of index dividing |GL_n(F_p)| are candidates
+        ("semidirect(elemab:2:8,elemab:3:1)", 768),
+        ("semidirect(elemab:2:7,elemab:3:1)", 384),
+        ("semidirect(elemab:3:5,elemab:2:2)", 972),
+        ("semidirect(extraspecial:+:3,elemab:3:1)", 384),
     ],
 )
 def test_elemab_actions_finish_in_bounded_time(spec, order):
     # one process each, run alone: GL_n(F_p) is listed as permutations in
-    # numpy and the normal subgroups come from joins, not from class subsets
+    # numpy, and the candidate kernels are the intersections of character
+    # kernels of order at least |G| / gcd(|G|, |GL_n(F_p)|)
     proc = subprocess.run(
         [sys.executable, "-m", "mckaygraphs.cli", "chartab", spec],
         capture_output=True,
@@ -231,8 +240,8 @@ def test_elemab_actions_finish_in_bounded_time(spec, order):
 
 def per_entry_document(spec):
     """chartab_document with one fresh cell per table entry."""
+    from mckaygraphs.catalog import build_group
     from mckaygraphs.chartable import compute_character_table
-    from mckaygraphs.groups import build_group
 
     doc = chartab_document(parse_group_spec(spec))
     ct = compute_character_table(build_group(parse_group_spec(spec)))
@@ -249,21 +258,23 @@ def test_shared_cells_dump_like_one_cell_per_entry(spec):
 
 # Every set operation of a graph or chartab command, as a subprocess: kernel
 # orbits and _right_kernel (extraspecial:+:3), the commutator subgroup and
-# quotients (the semidirect product by C_3 and the extraspecial build), and
-# the push-down quotient of the principal-component check.
+# quotients (the semidirect product by C_3 and the extraspecial build), the
+# normal subgroups of an acting group on F_2^2, and the push-down quotient of
+# the principal-component check.
 NO_MASKED_ARRAYS = """
 import sys
 from mckaygraphs import cli
 from mckaygraphs.chartable import compute_character_table, resolve_rho, Irrep
 from mckaygraphs.graphs import (
     build_mckay_graph, decompose_components, principal_component_isomorphism_check)
-from mckaygraphs.groups import build_group
+from mckaygraphs import build_group
 
 for argv in (
     ["graph", "extraspecial:+:3", "--rho", "faithful-selfdual-min", "--components"],
     ["graph", "semidirect(dihedral:3,cyclic:3)", "--rho", "irrep:1", "--components"],
     ["chartab", "semidirect(cyclic:4,cyclic:5)"],
     ["chartab", "elemab:2:4"],  # abelian: every character linear, no split
+    ["chartab", "semidirect(binary:T,elemab:2:2)"],  # normal subgroups from kernels
 ):
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
 ct = compute_character_table(build_group(cli.parse_group_spec("dihedral:6")))

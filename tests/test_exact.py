@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cycint import CycInt, as_cycints
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import (
     CharVector,
     adjacency_matrix,
@@ -23,7 +24,7 @@ from mckaygraphs.graphs import (
     decompose_components,
     principal_component_isomorphism_check,
 )
-from mckaygraphs.groups import Cyclic, Dihedral, build_group
+from mckaygraphs.groups import Cyclic, Dihedral
 from mckaygraphs.modp import check_bound, exact_dtype, exact_matmul
 from mckaygraphs.verify import _char_power_sums
 

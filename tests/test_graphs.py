@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cycint import CycInt, as_coeffs, as_cycints, table_values
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -30,7 +31,6 @@ from mckaygraphs.groups import (
     ElemAb,
     Product,
     Semidirect,
-    build_group,
     conjugacy,
     quotient_group,
 )

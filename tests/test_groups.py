@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tablegroups import central_product_by_quotient, elemab_by_digit_sums, extraspecial_by_quotient
+from tablegroups import (
+    central_product_by_quotient,
+    elemab_by_digit_sums,
+    extraspecial_by_quotient,
+    normal_subgroups_by_joins,
+)
 from tuplegraphs import centralizer
+from mckaygraphs.catalog import _derive_action, build_group, derive_cyclic_action, derive_elemab_action
+from mckaygraphs.chartable import compute_character_table, normal_subgroups
 from mckaygraphs.groups import (
     BinaryDihedral,
     BinaryPoly,
@@ -26,21 +33,16 @@ from mckaygraphs.groups import (
     OrderCapExceeded,
     Product,
     Semidirect,
-    _derive_action,
     _extend_hom,
     _greedy_generators,
     _row_blocks,
     abelian_homs,
-    build_group,
     build_product,
     build_semidirect,
     central_product,
-    derive_cyclic_action,
-    derive_elemab_action,
     commutator_subgroup,
     conjugacy,
     expanded_order,
-    normal_subgroups,
     order_cap,
     quotient_group,
     spec_text,
@@ -385,9 +387,9 @@ def test_quotients():
 
 def test_normal_tower_in_binary_octahedral():
     bo = build_group(BinaryPoly("O"))
-    cd = conjugacy(bo)
-    subs8 = normal_subgroups(bo, cd, 8)
-    subs24 = normal_subgroups(bo, cd, 24)
+    ct = compute_character_table(bo)
+    subs8 = [s for s in normal_subgroups(ct, 8) if s.order == 8]
+    subs24 = [s for s in normal_subgroups(ct, 24) if s.order == 24]
     assert len(subs8) == 1 and len(subs24) == 1
     assert tables_isomorphic(subs8[0].group, build_group(BinaryDihedral(2)))
     assert tables_isomorphic(subs24[0].group, build_group(BinaryPoly("T")))
@@ -419,21 +421,20 @@ def test_extraspecial_invariants():
 def normal_subgroups_by_class_subsets(g, cd, target_order=None):
     """All normal subgroups (of one order, if given), as the unions of classes
     that contain the identity and are closed under multiplication, found by a
-    depth-first walk over class subsets."""
+    depth-first walk over class subsets.  The walk decides the classes in
+    index order, so a branch ends as soon as a product of picked classes
+    lands in a class it has passed over."""
     results = {}
-    inside = np.zeros(g.order, dtype=bool)
-
-    def closed(picks):
-        inside[:] = False
-        for ci in picks:
-            inside[cd.classes[ci]] = True
-        elems = np.flatnonzero(inside)
-        return bool(np.all(inside[g.mul[np.ix_(elems, elems)]]))
-
     picks = [0]
 
     def walk(next_class, total):
-        if target_order in (None, total) and g.order % total == 0 and closed(picks):
+        picked = np.zeros(cd.r, dtype=bool)
+        picked[picks] = True
+        elems = np.flatnonzero(picked[cd.class_of])
+        hit = np.unique(cd.class_of[g.mul[np.ix_(elems, elems)]])
+        if np.any(~picked[hit] & (hit < next_class)):
+            return  # a product lies in a class the walk passed over
+        if target_order in (None, total) and g.order % total == 0 and picked[hit].all():
             sub = subgroup_from_elements(g, np.concatenate([cd.classes[ci] for ci in picks]))
             assert sub.order == total and sub.normal
             results[sub.elements] = sub
@@ -460,19 +461,27 @@ def normal_subgroups_by_class_subsets(g, cd, target_order=None):
         BinaryPoly("T"),
         BinaryPoly("O"),
         Semidirect(Cyclic(3), ElemAb(2, 2)),
+        Extraspecial2(2, "-"),  # 68 normal subgroups
+        ElemAb(2, 5),  # 374
     ],
     ids=spec_text,
 )
 def test_normal_subgroups_match_the_class_subset_walk(spec):
+    # intersections of character kernels against the element-level join
+    # closure and the class-subset walk, above every divisor of |G|
     g = _group(spec)
     cd = conjugacy(g)
+    ct = compute_character_table(g, cd)
     key = lambda subs: [(s.order, s.elements, s.normal) for s in subs]
-    found = normal_subgroups(g, cd)
-    assert key(found) == key(normal_subgroups_by_class_subsets(g, cd))
+    joins = normal_subgroups_by_joins(g, cd)
+    walk = normal_subgroups_by_class_subsets(g, cd)
+    assert key(joins) == key(walk)
     for order in (d for d in range(1, g.order + 1) if g.order % d == 0):
-        want = normal_subgroups_by_class_subsets(g, cd, order)
-        assert key(normal_subgroups(g, cd, order)) == key(want)
-        assert key(want) == key([s for s in found if s.order == order])
+        want = [s for s in walk if s.order >= order]
+        assert key(normal_subgroups(ct, order)) == key(want)
+        assert key([s for s in joins if s.order >= order]) == key(want)
+        assert key(normal_subgroups_by_class_subsets(g, cd, order)) == key([s for s in want if s.order == order])
+    assert normal_subgroups(ct, g.order + 1) == []
 
 
 def _det_mod(m, p):
@@ -508,7 +517,8 @@ def _gl_elements(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_gl_permutations_match_the_tuple_listing(p, n):
-    from mckaygraphs.groups import _gl_permutations, _mat_mul_mod, _permutation_orders
+    from mckaygraphs.catalog import _gl_permutations, _permutation_orders
+    from mckaygraphs.groups import _mat_mul_mod
 
     vecs = list(iproduct(range(p), repeat=n))
     vec_index = {v: i for i, v in enumerate(vecs)}
@@ -532,7 +542,7 @@ def test_gl_permutations_match_the_tuple_listing(p, n):
 
 
 def test_gl_listing_is_bounded():
-    from mckaygraphs.groups import _gl_permutations
+    from mckaygraphs.catalog import _gl_permutations
 
     assert len(_gl_permutations(2, 4)) == 20160
     with pytest.raises(InvalidAction, match="GL_5"):
@@ -726,7 +736,7 @@ def semidirect_oracle(g, k, action):
 def construction_action(fx):
     """The action `verify.build_construction` derives through the designated H."""
     ctx = fixture(fx.gspec)
-    h = designated_normal_subgroup(ctx.group, ctx.cd, fx.h_order, fx.h_nonabelian)
+    h = designated_normal_subgroup(ctx.ct, fx.h_order, fx.h_nonabelian)
     if isinstance(fx.kernel, Cyclic):
         return ctx.group, derive_cyclic_action(ctx.group, fx.kernel.n, h)
     return ctx.group, derive_elemab_action(ctx.group, fx.kernel.p, fx.kernel.n, h)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mckaygraphs.modp as modp
-from mckaygraphs.groups import Dihedral, build_group, conjugacy
+from mckaygraphs.catalog import build_group
+from mckaygraphs.groups import Dihedral, conjugacy
 from mckaygraphs.modp import (
     SplitIncomplete,
     _block_eigenvectors,

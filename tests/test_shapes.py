@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycint import as_coeffs, as_cycints, table_values
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import CharVector, Irrep, compute_character_table, resolve_rho
 from mckaygraphs.graphs import build_mckay_graph, graph_isomorphic
-from mckaygraphs.groups import BinaryPoly, Cyclic, Dihedral, ElemAb, Heisenberg, build_group
+from mckaygraphs.groups import BinaryPoly, Cyclic, Dihedral, ElemAb, Heisenberg
 from mckaygraphs.shapes import (
     bipartition,
     circuit_count,
@@ -408,7 +409,7 @@ def test_bipartite_graphs_have_symmetric_spectra():
     # odd-length circuit counts vanish on bipartite fixture graphs
     from mckaygraphs.chartable import FaithfulSelfDualMinDim, compute_character_table
     from mckaygraphs.graphs import build_mckay_graph
-    from mckaygraphs.groups import BinaryDihedral, BinaryPoly, Extraspecial2, build_group
+    from mckaygraphs.groups import BinaryDihedral, BinaryPoly, Extraspecial2
 
     for spec in (BinaryDihedral(3), BinaryPoly("T"), Extraspecial2(2, "-")):
         g = build_group(spec)

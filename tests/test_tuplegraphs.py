@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import mckaygraphs.graphs as graphs
 import tuplegraphs as oracle
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import Irrep, SelectorEmpty, compute_character_table
 from mckaygraphs.cli import _edge_entries, parse_group_spec, parse_rho_selector
 from mckaygraphs.graphs import McKayGraph, build_mckay_graph, disjoint_union, graph_isomorphic
-from mckaygraphs.groups import build_group, spec_text
+from mckaygraphs.groups import spec_text
 from mckaygraphs.shapes import (
     bipartition,
     circuit_count,

@@ -9,6 +9,7 @@ import pytest
 from cycint import CycInt, table_values
 from test_chartable import LADDER_SPECS
 from tuplegraphs import centralizer, is_forest
+from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import (
     CharVector,
     FaithfulSelfDualMinDim,
@@ -31,7 +32,6 @@ from mckaygraphs.groups import (
     Extraspecial2,
     Heisenberg,
     Product,
-    build_group,
     conjugacy,
     spec_text,
     tables_isomorphic,
