@@ -37,10 +37,13 @@ PARENT = "HEAD"
 PAIRS = 10
 SEED_BASE = 200
 TRACE_SEED = 7
-# dihedral:512 has a class matrix with repeated eigenvalues on the whole
-# space; extraspecial:-:4 is a 2-group, whose classes split it in halves
+# dihedral:512 splits its 255 non-linear central characters with one sweep of
+# one class matrix; product(dihedral:8,elemab:2:6) sweeps a 192-dimensional
+# subspace with 3 eigenvalues over 66 unreduced Hessenberg blocks;
+# extraspecial:-:4 is a 2-group, whose classes split it in halves
 TABLE_SPECS = [
-    "cyclic:128", "cyclic:256", "elemab:2:10", "cyclic:1024", "dihedral:512", "extraspecial:-:4",
+    "cyclic:128", "cyclic:256", "elemab:2:10", "cyclic:1024", "dihedral:512",
+    "product(dihedral:8,elemab:2:6)", "extraspecial:-:4",
 ]
 TABLE_RUNS = 3
 TABLE_LIMIT_S = 120.0

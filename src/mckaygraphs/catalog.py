@@ -28,27 +28,15 @@ from .groups import (
 
 
 def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> np.ndarray:
-    """Values in Z_m of a surjective homomorphism G -> Z_m (kernel sub, if given)."""
-    if sub is not None:
-        if not sub.normal:
-            raise InvalidAction("designated kernel subgroup is not normal")
-        q, coset_of = quotient_group(g, sub)
-        if q.order != m:
-            raise InvalidAction(f"quotient has order {q.order}, expected {m}")
-        gens = np.flatnonzero(q.element_orders == m)
-        if not gens.size:
-            raise InvalidAction("quotient is not cyclic")
-        gen = int(gens[0])
-        val = np.zeros(q.order, dtype=np.int64)
-        x = gen
-        k = 1
-        while x != 0:
-            val[x] = k
-            x = int(q.mul[x, gen])
-            k += 1
-        return val[coset_of]
-    ab, proj = quotient_group(g, commutator_subgroup(g, conjugacy(g)))
-    homs = abelian_homs(ab, m)
+    """Values in Z_m of the lexicographically least surjective homomorphism
+    G -> Z_m through G/sub, or through G/G' when no kernel sub is given.  A
+    designated G/sub must be abelian of order m, so that sub is the kernel."""
+    if sub is not None and not sub.normal:
+        raise InvalidAction("designated kernel subgroup is not normal")
+    q, proj = quotient_group(g, commutator_subgroup(g, conjugacy(g)) if sub is None else sub)
+    if sub is not None and (q.order != m or not q.is_abelian()):
+        raise InvalidAction(f"quotient has order {q.order}, expected an abelian group of order {m}")
+    homs = abelian_homs(q, m)
     onto = homs[np.gcd(np.gcd.reduce(homs, axis=1), m) == 1]
     if not len(onto):
         raise InvalidAction(f"no surjection of {g.carrier} onto a cyclic group of order {m}")

@@ -75,20 +75,6 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _right_kernel(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows forming a basis of {v : a @ v == 0 mod p}, and the free columns of
-    a, on which the rows are the identity."""
-    cols = a.shape[1]
-    red, pivots = _rref(a, p)
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False  # np.setdiff1d would import numpy.ma
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -red[:, free].T % p
-    return basis, free
-
-
 def _leading_one(rows: np.ndarray, p: int) -> np.ndarray:
     """Each nonzero row scaled so that its first nonzero entry is 1."""
     lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
@@ -200,7 +186,9 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
     """Split an invariant row-space by the eigenvalues of mat; None if no split.
 
     basis is the identity on the columns `pivots`, and so is every piece.
-    The pieces come in ascending order of eigenvalue."""
+    The pieces come in ascending order of eigenvalue, every eigenvector from
+    one `_block_eigenvectors` sweep, which raises SplitIncomplete when mat is
+    not diagonalizable on the subspace."""
     m = basis.shape[0]
     # a[:, i] = coordinates of basis[i] @ mat.T, read on the pivot columns
     a = mul_mod(mat[pivots], basis.T, p)
@@ -209,31 +197,17 @@ def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: in
         return None  # scalar action cannot split
     h, u = _hessenberg(a, p)
     roots = _poly_roots(_hessenberg_charpoly(h, p), p)
+    x, which = _block_eigenvectors(h, roots, p)
+    vecs = mul_mod(x, u.T, p)
+    assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[which, None] * vecs % p)
+    vecs = _leading_one(mul_mod(vecs, basis, p), p)
     pieces = []
-    if np.count_nonzero(h.diagonal(-1) == 0) < len(roots):
-        # no more unreduced blocks than eigenvalues: one sweep gives them all
-        x, which = _block_eigenvectors(h, roots, p)
-        vecs = mul_mod(x, u.T, p)
-        assert np.array_equal(mul_mod(vecs, a.T, p), np.array(roots)[which, None] * vecs % p)
-        vecs = _leading_one(mul_mod(vecs, basis, p), p)
-        for i in range(len(roots)):
-            rows = vecs[which == i]
-            if rows.shape[0] == 1:
-                pieces.append((rows, [int(np.argmax(rows[0] != 0))]))
-            else:
-                pieces.append(_rref(rows, p))  # a repeated eigenvalue
-        return pieces
-    total = 0
-    for lam in roots:
-        ker, free = _right_kernel((a - lam * np.eye(m, dtype=np.int64)) % p, p)
-        # ker is the identity on its free columns and basis on pivots, so
-        # their product is the identity on pivots[free]
-        sub = mul_mod(ker, basis, p)
-        pieces.append((sub, [pivots[c] for c in free]))
-        total += sub.shape[0]
-    if total != m:
-        # restriction not diagonalizable: the prime was unsuitable
-        raise SplitIncomplete(f"subspace of dimension {m} split into only {total}")
+    for i in range(len(roots)):
+        rows = vecs[which == i]
+        if rows.shape[0] == 1:
+            pieces.append((rows, [int(np.argmax(rows[0] != 0))]))
+        else:
+            pieces.append(_rref(rows, p))  # a repeated eigenvalue
     return pieces
 
 

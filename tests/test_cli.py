@@ -257,7 +257,7 @@ def test_shared_cells_dump_like_one_cell_per_entry(spec):
 
 
 # Every set operation of a graph or chartab command, as a subprocess: kernel
-# orbits and _right_kernel (extraspecial:+:3), the commutator subgroup and
+# orbits and the class-algebra split (extraspecial:+:3), the commutator subgroup and
 # quotients (the semidirect product by C_3 and the extraspecial build), the
 # normal subgroups of an acting group on F_2^2, and the push-down quotient of
 # the principal-component check.

@@ -680,6 +680,35 @@ def test_semidirect_requires_valid_action():
         build_group(Semidirect(BinaryPoly("T"), Cyclic(5)))
 
 
+def test_designated_kernel_must_give_a_cyclic_quotient_of_order_p_minus_1():
+    d8 = build_group(Dihedral(4))
+    center = subgroup_from_elements(d8, np.flatnonzero((d8.mul == d8.mul.T).all(axis=1)))
+    assert center.order == 2 and center.normal
+    reflection = next(
+        s for s in (subgroup_from_elements(d8, [x]) for x in range(d8.order)) if not s.normal
+    )
+    with pytest.raises(InvalidAction, match="not normal"):
+        derive_cyclic_action(d8, 3, reflection)
+    # D8/Z is the Klein four-group: of order 4, but not of order 2 or cyclic
+    with pytest.raises(InvalidAction, match="has order 4, expected an abelian group of order 2"):
+        derive_cyclic_action(d8, 3, center)
+    with pytest.raises(InvalidAction, match="no surjection"):
+        derive_cyclic_action(d8, 5, center)
+    # (S_3 x C_2)/C_2 is S_3, of order 6 but not abelian
+    s3c2 = build_group(Product(Dihedral(3), Cyclic(2)))
+    c2 = next(
+        s for s in (subgroup_from_elements(s3c2, [x]) for x in range(1, s3c2.order))
+        if s.order == 2 and s.normal
+    )
+    with pytest.raises(InvalidAction, match="has order 6, expected an abelian group of order 6"):
+        derive_cyclic_action(s3c2, 7, c2)
+    # with a kernel of index 2 the action exists, and its kernel is the one designated
+    c4 = next(s for s in (subgroup_from_elements(d8, [x]) for x in range(d8.order)) if s.order == 4)
+    action = derive_cyclic_action(d8, 3, c4)
+    fixed = [x for x in range(d8.order) if np.array_equal(action[x], np.arange(3))]
+    assert tuple(fixed) == c4.elements
+
+
 def test_explicit_action():
     # the Frobenius group of order 20: C_4 acting on C_5 by k -> 2k
     c2, c4, c5 = (build_group(Cyclic(n)) for n in (2, 4, 5))

@@ -3,6 +3,8 @@ import pytest
 
 import mckaygraphs.modp as modp
 from mckaygraphs.catalog import build_group
+from mckaygraphs.chartable import compute_character_table
+from mckaygraphs.cli import parse_group_spec
 from mckaygraphs.groups import Dihedral, conjugacy
 from mckaygraphs.modp import (
     SplitIncomplete,
@@ -10,9 +12,9 @@ from mckaygraphs.modp import (
     _hessenberg,
     _hessenberg_charpoly,
     _poly_roots,
-    _right_kernel,
     _rref,
     _split_subspace,
+    mul_mod,
     simultaneous_split,
 )
 
@@ -56,12 +58,24 @@ def test_charpoly_against_determinants():
             assert val == ref
 
 
+def right_kernel(a, p):
+    """Rows forming a basis of {v : a @ v == 0 mod p}, and the free columns of
+    a, on which the rows are the identity."""
+    cols = a.shape[1]
+    red, pivots = _rref(a, p)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
+    return basis, free
+
+
 def test_rref_and_kernel():
     p = 7
     a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=np.int64)
     red, pivots = _rref(a, p)
     assert pivots == [0, 1]
-    ker, free = _right_kernel(a, p)
+    ker, free = right_kernel(a, p)
     assert ker.shape[0] == 1 and free.tolist() == [2] and ker[0, 2] == 1
     assert np.all((a @ ker[0]) % p == 0)
 
@@ -124,7 +138,7 @@ def random_similarity(rng, n, p):
 def kernel_eigenvectors(a, roots, p):
     """The oracle: one RREF kernel of a - lam per root."""
     n = a.shape[0]
-    return [_right_kernel((a - lam * np.eye(n, dtype=np.int64)) % p, p)[0] for lam in roots]
+    return [right_kernel((a - lam * np.eye(n, dtype=np.int64)) % p, p)[0] for lam in roots]
 
 
 def normalized(v, p):
@@ -172,13 +186,15 @@ def conjugated_diagonal(rng, eigs, p):
     return s @ np.diag(eigs) % p @ sinv % p
 
 
-def check_pieces(pieces, a, roots, p):
+def check_pieces(pieces, a, roots, p, basis=None):
     """The pieces come in ascending eigenvalue order, each is the identity on
     its pivots (all the split reads of it) and spans the kernel oracle's
-    eigenspace."""
+    eigenspace, read through `basis` when a acts on a subspace's coordinates."""
     assert len(pieces) == len(roots)
     for (b, piv), ker in zip(pieces, kernel_eigenvectors(a, roots, p)):
         assert np.array_equal(b[:, piv], np.eye(len(piv), dtype=np.int64))
+        if basis is not None:
+            ker = mul_mod(ker, basis, p)
         assert np.array_equal(_rref(b, p)[0], _rref(ker, p)[0])
 
 
@@ -186,7 +202,6 @@ def test_hessenberg_eigenvectors_match_kernels(monkeypatch):
     p = 10007
     rng = np.random.default_rng(29)
     sweeps = counted(monkeypatch, "_block_eigenvectors")
-    kernels = counted(monkeypatch, "_right_kernel")
     for n in (2, 3, 7, 16, 29, 40):
         eigs = rng.choice(p, n, replace=False)
         a = conjugated_diagonal(rng, eigs, p)
@@ -204,15 +219,15 @@ def test_hessenberg_eigenvectors_match_kernels(monkeypatch):
             assert np.array_equal(normalized(v, p), normalized(oracle[i][0], p))
         # the split takes the sweep, in ascending order of eigenvalue
         sweeps.clear()
-        kernels.clear()
         pieces = _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
-        assert len(sweeps) == 1 and not kernels
+        assert len(sweeps) == 1
         assert [tuple(b[0]) for b, _ in pieces] == [tuple(normalized(k[0], p)) for k in oracle]
 
 
-@pytest.mark.parametrize("case", ["block-diagonal", "repeated"])
-def test_split_falls_back_to_kernels(monkeypatch, case):
-    """More unreduced Hessenberg blocks than eigenvalues: one kernel per root."""
+@pytest.mark.parametrize("case", ["block-diagonal", "repeated", "many-blocks"])
+def test_sweep_takes_more_blocks_than_roots(monkeypatch, case):
+    """A diagonalizable matrix whose Hessenberg form has more unreduced blocks
+    than eigenvalues is split by the one sweep, like any other."""
     p = 101
     rng = np.random.default_rng(31)
     if case == "block-diagonal":
@@ -220,18 +235,56 @@ def test_split_falls_back_to_kernels(monkeypatch, case):
         a[:2, :2] = conjugated_diagonal(rng, [3, 5], p)
         a[2:4, 2:4] = conjugated_diagonal(rng, [5, 3], p)
         a[4, 4] = 3
+        eigs = [3, 5, 5, 3, 3]
+    elif case == "repeated":
+        eigs = [4, 9, 4, 9, 4]
+        a = conjugated_diagonal(rng, eigs, p)
     else:
-        a = conjugated_diagonal(rng, [4, 9, 4, 9, 4], p)
+        # the minimal polynomial has degree 2, so every block has size <= 2
+        eigs = [2] * 7 + [7] * 6
+        a = conjugated_diagonal(rng, rng.permutation(eigs), p)
     h, _ = _hessenberg(a, p)
     roots = _poly_roots(_hessenberg_charpoly(h, p), p)
-    assert roots == [3, 5] if case == "block-diagonal" else roots == [4, 9]
+    assert roots == sorted(set(eigs))
     assert blocks(h) > len(roots)
+    if case == "many-blocks":
+        assert blocks(h) >= 7
     sweeps = counted(monkeypatch, "_block_eigenvectors")
-    kernels = counted(monkeypatch, "_right_kernel")
-    pieces = _split_subspace(np.eye(5, dtype=np.int64), list(range(5)), a, p)
-    assert not sweeps and len(kernels) == len(roots)
-    assert [b.shape[0] for b, _ in pieces] == [3, 2]
+    n = len(eigs)
+    pieces = _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
+    assert len(sweeps) == 1
+    assert [b.shape[0] for b, _ in pieces] == [eigs.count(x) for x in roots]
     check_pieces(pieces, a, roots, p)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "product(binary:T,cyclic:3)",
+        "product(dihedral:5,dihedral:5)",
+        "product(binary:T,heis:3:1)",
+        "product(dihedral:6,elemab:2:6)",
+    ],
+)
+def test_table_splits_match_kernels(monkeypatch, spec):
+    """Every split a table makes spans the kernel oracle's eigenspaces, root by
+    root; each of these tables splits some subspace whose action has more
+    Hessenberg blocks than eigenvalues."""
+    checked = []
+
+    def split(basis, pivots, mat, p):
+        pieces = _split_subspace(basis, pivots, mat, p)
+        if pieces is not None:
+            a = mul_mod(mat[pivots], basis.T, p)
+            h, _ = _hessenberg(a, p)
+            roots = _poly_roots(_hessenberg_charpoly(h, p), p)
+            check_pieces(pieces, a, roots, p, basis)
+            checked.append(blocks(h) > len(roots))
+        return pieces
+
+    monkeypatch.setattr(modp, "_split_subspace", split)
+    compute_character_table(build_group(parse_group_spec(spec)))
+    assert any(checked)
 
 
 @pytest.mark.parametrize("case", ["nested", "coupled"])
@@ -259,10 +312,9 @@ def test_sweep_matches_kernels_on_derogatory_matrices(monkeypatch, case):
     assert roots == sorted(set(int(x) for x in eigs))
     assert 4 <= blocks(h) <= len(roots)
     sweeps = counted(monkeypatch, "_block_eigenvectors")
-    kernels = counted(monkeypatch, "_right_kernel")
     n = len(eigs)
     pieces = _split_subspace(np.eye(n, dtype=np.int64), list(range(n)), a, p)
-    assert len(sweeps) == 1 and not kernels
+    assert len(sweeps) == 1
     assert [b.shape[0] for b, _ in pieces] == [eigs.count(x) for x in roots]
     check_pieces(pieces, a, roots, p)
     # a subspace that is not the whole space gives the same eigenspaces
