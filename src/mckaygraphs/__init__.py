@@ -1,4 +1,15 @@
-"""Exact-arithmetic McKay graphs of small finite groups."""
+"""Exact-arithmetic McKay graphs of small finite groups.
+
+The F_p matrix products (`modp.mul_mod`) run in float64 BLAS, exact below
+2^53, at sizes where OpenBLAS's thread pool costs more than it saves, so the
+package asks for one BLAS thread before numpy is imported.  A caller that set
+OPENBLAS_NUM_THREADS keeps its value; one that imported numpy first keeps
+numpy's threads, and its products are as exact, only slower.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .chartable import (
     CharacterTable,

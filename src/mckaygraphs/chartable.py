@@ -16,14 +16,17 @@ eigenvalue exponents.  The table holds each distinct value once, as a row
 of canonical coefficients (`cyclotomic`), and an r x r index of the rows,
 so equal values have equal indices.  A single character is an
 (r, phi(e)) coefficient array at a stated order e.  All arithmetic is
-int64 under a bound stated at each product (`modp.exact_dtype`), or Python
-integers past it; no floating point is involved anywhere.
+exact: int64 under a bound stated at each product (`modp.exact_dtype`), or
+Python integers past it.  The one floating-point step is `modp.mul_mod`'s
+float64 product of residue matrices, exact because it runs only while
+n (p-1)^2 < 2^53, so that every partial sum is an integer float64 holds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 from typing import Optional, Union
 
@@ -90,6 +93,22 @@ class CharacterTable:
     def r(self) -> int:
         return len(self.degrees)
 
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """The class-weighted dual of `modular`, built once (`class_weighted_dual`)."""
+        return class_weighted_dual(self.modular, self.conj, self.group.order, self.prime)
+
+
+def class_weighted_dual(table: np.ndarray, cd: ConjugacyData, order: int, p: int) -> np.ndarray:
+    """W[k, j] = h_k chi_j(k*) / |G| mod p for the residue table T (irreducibles
+    x classes), so that rows @ W mod p decomposes residue rows of characters
+    over Irr(G).  float64, the operand `mul_mod` multiplies in; exact, since
+    every entry is a residue below p."""
+    w = table[:, cd.inverse_class]
+    w *= np.array(cd.sizes, dtype=np.int64) * pow(order, p - 2, p) % p
+    w %= p
+    return w.T.astype(np.float64)
+
 
 def _split_matrices(g: FiniteGroup, cd: ConjugacyData, p: int, rng: random.Random):
     """The matrices that split the class algebra, built as they are drawn, with
@@ -150,6 +169,7 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     # of peak RSS
     mats = _split_matrices(g, cd, p, random.Random(p))
     vectors = simultaneous_split(mats, p, basis, pivots.tolist())
+    del mats, basis  # the generator holds the |G| x r class index; neither is needed again
     assert np.all(vectors[:, 0]), "eigenvector vanishes at the identity class"
 
     # central characters omega, normalized at the identity class
@@ -176,6 +196,7 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     rows, index = _distinct(np.concatenate([lifted, values]), np.concatenate([index, len(lifted) + linear]))
     modular = np.concatenate([modular, residues(p, values, e)[linear]])
     degrees += [1] * len(linear)
+    del linear  # r x r at an abelian group, like the table's own arrays
 
     # by degree, then by the values in class order: the rows are sorted, so
     # their indices order the values as their coefficient tuples do
@@ -187,10 +208,7 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     assert sum(d * d for d in degrees) == n, "degree squares must sum to |G|"
     one = np.flatnonzero((rows[:, 0] == 1) & ~rows[:, 1:].any(axis=1))  # the row of 1
     trivial = int(np.flatnonzero((index == one).all(axis=1))[0])
-    # modular row orthogonality: sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij
-    gram = mul_mod(modular * h[None, :] % p, modular[:, invmap].T, p)
-    assert np.array_equal(gram, (n % p) * np.eye(r, dtype=np.int64) % p)
-    return CharacterTable(
+    ct = CharacterTable(
         group=g,
         conj=cd,
         prime=p,
@@ -201,6 +219,10 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
         modular=modular,
         trivial_index=trivial,
     )
+    # modular row orthogonality, sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij:
+    # the table's own rows have identity multiplicities
+    assert np.array_equal(mul_mod(modular, ct.dual, p), np.eye(r, dtype=np.int64))
+    return ct
 
 
 def _distinct(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,16 +438,18 @@ def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.nda
     """Multiplicities over Irr(H), H = ct.group, of characters of H given as
     residue rows mod p on H's classes; dims are their degrees.
 
-    m = rows diag(h) T[:, inv]^T / |H| mod p, for T the table of H mod p.
+    m = rows W mod p, for W the class-weighted dual of H's table mod p: the
+    table's own at its prime, built once, and built for the call at another.
     Lift bound: each row is a genuine character of degree D < p, so each
     multiplicity lies in [0, D] and its residue is the integer.  Exact check:
     sum_t m_t deg psi_t = D for every row, or InternalNonInteger.
     """
-    cd = ct.conj
-    table = ct.modular if p == ct.prime else residues(p, ct.rows, ct.exponent)[ct.index]
-    h = np.array(cd.sizes, dtype=np.int64)
-    num = mul_mod(rows * h % p, table[:, cd.inverse_class].T, p)
-    mults = num * pow(ct.group.order, p - 2, p) % p
+    if p == ct.prime:
+        dual = ct.dual
+    else:
+        table = residues(p, ct.rows, ct.exponent)[ct.index]
+        dual = class_weighted_dual(table, ct.conj, ct.group.order, p)
+    mults = mul_mod(rows, dual, p)
     dims = np.asarray(dims, dtype=np.int64)
     bad = np.flatnonzero(mults @ np.array(ct.degrees, dtype=np.int64) != dims)
     if bad.size:
@@ -455,11 +479,21 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     """
     p, table = ct.prime, ct.modular
     deg = np.array(ct.degrees, dtype=np.int64)
-    total = np.zeros((ct.r, ct.r), dtype=exact_dtype(sum(ct.degrees) * rho.dim))
+    dtype = exact_dtype(sum(ct.degrees) * rho.dim)
+    total = None
     for m, count in enumerate(rho.mults):
         if count:
-            part = multiplicities(ct, table * table[m] % p, deg * deg[m], p)
-            total += count * part.astype(total.dtype)
+            # residues in float64, the operand type of `mul_mod`, which then copies none
+            rows = table * table[m]
+            rows %= p
+            rows = rows.astype(np.float64)
+            part = multiplicities(ct, rows, deg * deg[m], p).astype(dtype, copy=False)
+            del rows
+            part *= count
+            if total is None:
+                total = part
+            else:
+                total += part
     return total
 
 

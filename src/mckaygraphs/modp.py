@@ -4,7 +4,8 @@ Includes the simultaneous eigenspace splitting used by the modular
 character-table computation: a commuting family of matrices that is
 diagonalizable over F_p splits an invariant subspace into one-dimensional
 common eigenspaces.  `exact_dtype`, `check_bound` and `exact_matmul` are
-the package's one rule for when int64 is exact.
+the package's one rule for when int64 is exact, and `mul_mod` its one rule
+for when float64 is.
 """
 
 from __future__ import annotations
@@ -38,15 +39,24 @@ def exact_matmul(a, b, bound: int) -> np.ndarray:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue matrices, with the int64 bound asserted.
+    """a @ b mod p for residue matrices (entries in [0, p), int64 or float64).
 
-    numpy's integer matmul has no BLAS; from n = 512 on it runs several times
-    faster on a row-major left and a column-major right operand.  A float64
-    BLAS product would be exact at these sizes (n (p-1)^2 < 2^53), but was
-    measured slower on 2 cores: threaded OpenBLAS took about 16 ms per
-    128 x 128 product, against 0.2 ms on one thread."""
-    check_bound(a.shape[-1] * (p - 1) ** 2, "the residue product's sums")
-    return np.ascontiguousarray(a) @ np.asfortranarray(b) % p
+    While n (p-1)^2 < 2^53 every product and partial sum is an integer below
+    2^53, which float64 holds exactly in any summation order, so the product
+    is one float64 BLAS call, converted back to int64 and reduced.  Past 2^53
+    it is numpy's int64 matmul under `check_bound`, which has no BLAS and from
+    n = 512 on runs several times faster on a row-major left and a
+    column-major right operand.  The package asks for one OpenBLAS thread on
+    import: on 2 cores, threaded OpenBLAS took 11-15 ms per product at
+    n = 128-256, against 0.3-1.8 ms on one thread."""
+    bound = a.shape[-1] * (p - 1) ** 2
+    if bound < 2**53:
+        out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    else:
+        check_bound(bound, "the residue product's sums")
+        out = np.ascontiguousarray(a, dtype=np.int64) @ np.asfortranarray(b, dtype=np.int64)
+    out %= p
+    return out
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -154,32 +164,36 @@ def _block_eigenvectors(h: np.ndarray, roots: list[int], p: int) -> tuple[np.nda
     n = h.shape[0]
     check_bound((n + 1) * (p - 1) ** 2, "the row residuals' sums")
     lam = np.array(roots, dtype=np.int64)
-    x = np.zeros((0, n), dtype=np.int64)
-    which = np.zeros(0, dtype=np.int64)
-    end = n
+    # rows :begun are the eigenvectors so far, then one candidate per root;
+    # an unreduced block has at most one eigenvector per root, so begun <= n
+    x = np.zeros((n + lam.size, n), dtype=np.int64)
+    which = np.zeros(n + lam.size, dtype=np.int64)
+    begun, end = 0, n
     for top in [*(np.flatnonzero(h.diagonal(-1) == 0)[::-1] + 1).tolist(), 0]:
-        begun = which.size
-        x = np.concatenate([x, np.zeros((lam.size, n), dtype=np.int64)])
-        x[begun:, end - 1] = 1
-        mu = np.concatenate([lam[which], lam])
+        live, root = x[: begun + lam.size], which[: begun + lam.size]
+        live[begun:] = 0
+        live[begun:, end - 1] = 1
+        root[begun:] = np.arange(lam.size)
+        mu = lam[root]
         for i in range(end - 1, top, -1):
-            s = (x[:, i:] @ h[i, i:] - mu * x[:, i]) % p
-            x[:, i - 1] = -s * _inv_mod(h[i, i - 1], p) % p
-        res = (x[:, top:] @ h[top, top:] - mu * x[:, top]) % p
-        older, own = res[:begun], res[begun:]
-        if np.any(older[own[which] == 0]):
+            s = (live[:, i:] @ h[i, i:] - mu * live[:, i]) % p
+            live[:, i - 1] = -s * _inv_mod(h[i, i - 1], p) % p
+        res = (live[:, top:] @ h[top, top:] - mu * live[:, top]) % p
+        older, own, back = res[:begun], res[begun:], root[:begun]
+        if np.any(older[own[back] == 0]):
             # an eigenvalue of this block whose eigenvector from below cannot continue
             raise SplitIncomplete("a repeated eigenvalue has a Jordan block")
         inv = np.array([_inv_mod(v, p) if v else 0 for v in own.tolist()], dtype=np.int64)
-        fix = -older * inv[which] % p
-        x[:begun] = (x[:begun] + fix[:, None] * x[begun:][which]) % p
+        fix = -older * inv[back] % p
+        live[:begun] = (live[:begun] + fix[:, None] * live[begun:][back]) % p
         fresh = np.flatnonzero(own == 0)
-        x = np.concatenate([x[:begun], x[begun:][fresh]])
-        which = np.concatenate([which, fresh])
+        live[begun : begun + fresh.size] = live[begun:][fresh]
+        which[begun : begun + fresh.size] = fresh
+        begun += fresh.size
         end = top
-    if which.size != n:
-        raise SplitIncomplete(f"{which.size} eigenvectors over F_{p} in dimension {n}")
-    return x, which
+    if begun != n:
+        raise SplitIncomplete(f"{begun} eigenvectors over F_{p} in dimension {n}")
+    return x[:n], which[:n]
 
 
 def _split_subspace(basis: np.ndarray, pivots: list[int], mat: np.ndarray, p: int):

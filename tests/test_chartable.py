@@ -43,8 +43,9 @@ from mckaygraphs.groups import (
     spec_text,
     subgroup_from_elements,
 )
-from mckaygraphs.modp import simultaneous_split
-from mckaygraphs.verify import SWEEP_SPECS, _exact_multiplicities, fixture
+from mckaygraphs.modp import mul_mod, simultaneous_split
+from mckaygraphs.verify import IDENTITY_FIXTURES, SWEEP_SPECS, _exact_multiplicities, fixture
+from test_modp import int64_mul_mod
 
 
 def table(spec):
@@ -594,6 +595,30 @@ def test_multiplicities_reject_a_spoiled_row(k):
     rows[4, k] = (rows[4, k] + 1) % p
     with pytest.raises(InternalNonInteger):
         multiplicities(ct, rows, ct.degrees, p)
+
+
+def gather_products(ct, rows):
+    """rows diag(h) T[:, inv]^T mod p in int64, gathered per call: the
+    formula the class-weighted dual replaced, |G| times the multiplicities."""
+    p, h = ct.prime, np.array(ct.conj.sizes, dtype=np.int64)
+    return int64_mul_mod(rows * h % p, ct.modular[:, ct.conj.inverse_class].T, p)
+
+
+@pytest.mark.parametrize("spec", [*IDENTITY_FIXTURES, Cyclic(1024)], ids=spec_text)
+def test_dual_matches_the_gather_formula(spec):
+    """The Gram product of the table against its dual, and the multiplicities
+    of the products chi_i chi_m that the adjacency decomposes, equal the
+    gather formula over |G|."""
+    ct = table(spec)[2]
+    p, n, r = ct.prime, ct.group.order, ct.r
+    assert ct.dual.dtype == np.float64
+    gram = gather_products(ct, ct.modular)
+    assert np.array_equal(gram, n % p * np.eye(r, dtype=np.int64))
+    assert np.array_equal(mul_mod(ct.modular, ct.dual, p) * n % p, gram)
+    m = r - 1  # the last irreducible, one of largest degree
+    rows = ct.modular * ct.modular[m] % p
+    mults = multiplicities(ct, rows, np.array(ct.degrees) * ct.degrees[m], p)
+    assert np.array_equal(mults * n % p, gather_products(ct, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,13 @@ def test_char_power_sums_match_cycint_sums(spec, big, rest, kmax):
 
 
 def test_int64_gates_live_in_modp():
-    """2**63 is written only in modp, and the exact layers never pick Python
-    integers by hand.  shapes keeps its object arithmetic, the independent
-    check of circuit counts and Perron-Frobenius vectors."""
+    """2**63 and the float64 bound 2**53 are written only in modp, and the
+    exact layers never pick Python integers by hand.  shapes keeps its object
+    arithmetic, the independent check of circuit counts and Perron-Frobenius
+    vectors."""
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         if path.name != "modp.py":
-            assert "2**63" not in text, path.name
+            assert "2**63" not in text and "2**53" not in text, path.name
         if path.stem in ("chartable", "cyclotomic", "graphs", "verify"):
             assert not re.search(r"dtype=object|astype\(object\)", text), path.name

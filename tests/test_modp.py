@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mckaygraphs.modp as modp
 from mckaygraphs.catalog import build_group
@@ -14,9 +20,12 @@ from mckaygraphs.modp import (
     _poly_roots,
     _rref,
     _split_subspace,
+    check_bound,
     mul_mod,
     simultaneous_split,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def whole_space(n):
@@ -42,6 +51,86 @@ def det_mod(a, p):
             if a[i, c]:
                 a[i] = (a[i] - a[i, c] * inv % p * a[c]) % p
     return det % p
+
+
+def int64_mul_mod(a, b, p):
+    """a @ b mod p in int64, every partial sum asserted below 2^63: the oracle
+    of `mul_mod`, which multiplies in float64 below 2^53; in the layout of
+    its int64 product, the faster one from n = 512 on."""
+    check_bound(a.shape[-1] * (p - 1) ** 2, "the oracle's sums")
+    return np.ascontiguousarray(a, dtype=np.int64) @ np.asfortranarray(b, dtype=np.int64) % p
+
+
+def python_mul_mod(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b.tolist())] for row in a.tolist()]
+
+
+# n (p - 1)^2 against 2^53: 2053 stays far below it up to n = 1024; 65537
+# crosses it between n = 2^21 - 1 and 2^21; 67108859, the largest prime below
+# 2^26, between n = 2 and 3; 2^31 - 1 is above it from n = 1 (and past 2^63
+# from n = 3)
+GATE_SIZES = {
+    2053: st.integers(1, 1024),
+    65537: st.sampled_from([1, 2**21 - 1, 2**21, 2**21 + 1]),
+    67108859: st.integers(1, 3),
+    2**31 - 1: st.integers(1, 2),
+}
+
+
+def gate_case(p):
+    """(p, n, m, k) for an m x n by n x k product; one row and column at the
+    large n."""
+    shape = lambda n: st.integers(1, 3) if n <= 1024 else st.just(1)
+    return GATE_SIZES[p].flatmap(lambda n: st.tuples(st.just(p), st.just(n), shape(n), shape(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(GATE_SIZES)).flatmap(gate_case),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=(65537, 2**21 - 1, 1, 1), top=True, seed=0)
+@example(case=(65537, 2**21, 1, 1), top=True, seed=0)
+@example(case=(67108859, 2, 3, 3), top=True, seed=0)
+@example(case=(67108859, 3, 3, 3), top=True, seed=0)
+def test_mul_mod_matches_the_int64_and_python_oracles(case, top, seed):
+    """Both sides of the float64 gate, with entries anywhere in [0, p) or in
+    its top 1000, where the sums are largest; the int64 product runs exactly
+    when n (p - 1)^2 reaches 2^53, and only it calls `check_bound`."""
+    p, n, m, k = case
+    rng = np.random.default_rng(seed)
+    low = max(0, p - 1000) if top else 0
+    a, b = rng.integers(low, p, (m, n)), rng.integers(low, p, (n, k))
+    gated = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modp, "check_bound", lambda bound, what: gated.append(bound) or check_bound(bound, what))
+        out = mul_mod(a, b, p)
+    assert out.dtype == np.int64
+    assert bool(gated) == (n * (p - 1) ** 2 >= 2**53)
+    assert np.array_equal(out, int64_mul_mod(a, b, p))
+    if n <= 1024:
+        assert out.tolist() == python_mul_mod(a, b, p)
+
+
+def test_mul_mod_is_exact_where_float64_is_not():
+    p = 2**31 - 1
+    a, b = np.array([[p - 1]]), np.array([[p - 2]])
+    assert int(float(p - 1) * float(p - 2)) != (p - 1) * (p - 2)  # 62 bits, rounded
+    assert mul_mod(a, b, p)[0, 0] == (p - 1) * (p - 2) % p
+    with pytest.raises(AssertionError, match="past int64"):
+        mul_mod(np.full((1, 3), p - 1), np.full((3, 1), p - 1), p)
+
+
+@pytest.mark.parametrize("given_threads, threads", [(None, "1"), ("2", "2")])
+def test_import_asks_for_one_blas_thread_unless_the_caller_chose(given_threads, threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    if given_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = given_threads
+    code = "import os, sys, mckaygraphs; assert 'numpy' in sys.modules; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == threads
 
 
 def test_charpoly_against_determinants():
