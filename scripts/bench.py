@@ -14,10 +14,7 @@ even pairs the working tree first.  One traced run per side
 runs time the split and the lift of TABLE_SPECS's groups on their own, through
 perfbench's tracer, with a limit of TABLE_LIMIT_S per table; a side that
 exceeds it is recorded as "timeout".  They also time `build_group` and take
-its tracemalloc peak on a second build.  A Tier-1 probe runs TIER1 (the
-ROADMAP's Tier-1 command, with --durations=10) in TIER1_PAIRS alternating
-pairs and records each run's wall time, pytest summary line and ten slowest
-tests.  The result goes to BENCH_<LABEL>.json at the repository root.
+its tracemalloc peak on a second build.  The result goes to BENCH_<LABEL>.json at the repository root.
 Run it with nothing else busy on the machine.
 """
 
@@ -27,12 +24,10 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +47,6 @@ TABLE_SPECS = [
 ]
 TABLE_RUNS = 3
 TABLE_LIMIT_S = 120.0
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
-TIER1_PAIRS = 3
 
 # Times one character table with perfbench's tracer, so that split_s, table_s
 # and lift_s are the benchmark's modp.split_s, chartable.table_s and
@@ -114,24 +107,6 @@ def table_probe(tree: Path, spec: str):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"error: table of {spec} exited {proc.returncode} in {tree}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def tier1_probe(tree: Path) -> dict:
-    """One Tier-1 run in `tree`: wall time, exit code, pytest's summary line
-    and its --durations list."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-    )
-    wall = time.perf_counter() - start
-    lines = proc.stdout.strip().splitlines()
-    return {
-        "wall_s": round(wall, 2),
-        "exit": proc.returncode,
-        "summary": lines[-1] if lines else "",
-        "slowest": [line for line in lines if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)],
-    }
 
 
 def summary(runs: list[float]) -> dict:
@@ -254,19 +229,6 @@ def main() -> int:
             f"limit {TABLE_LIMIT_S:g} s; build_s and build_peak_mb (tracemalloc, MiB) from "
             "build_group",
             "specs": tables,
-        }
-
-        tier1 = {"parent": [], "change": []}
-        for pair in range(1, TIER1_PAIRS + 1):
-            for who in (["parent", "change"] if pair % 2 else ["change", "parent"]):
-                tier1[who].append(tier1_probe(trees[who]))
-                print(f"tier-1 pair {pair} {who}: {tier1[who][-1]['wall_s']} s, "
-                      f"{tier1[who][-1]['summary']}", file=sys.stderr)
-        doc["tier1"] = {
-            "command": "PYTHONPATH=src python " + " ".join(TIER1)
-            + f", {TIER1_PAIRS} alternating pairs",
-            **{who: {"wall_s": summary([run["wall_s"] for run in runs]), "runs": runs}
-               for who, runs in tier1.items()},
         }
 
     out = ROOT / f"BENCH_{args.label}.json"

@@ -18,7 +18,7 @@ so equal values have equal indices.  A single character is an
 (r, phi(e)) coefficient array at a stated order e.  All arithmetic is
 exact: int64 under a bound stated at each product (`modp.exact_dtype`), or
 Python integers past it.  The one floating-point step is `modp.mul_mod`'s
-float64 product of residue matrices, exact because it runs only while
+float64 product of residue matrices, exact under its asserted
 n (p-1)^2 < 2^53, so that every partial sum is an integer float64 holds.
 """
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import isqrt
 from typing import Optional, Union
 
@@ -92,11 +91,6 @@ class CharacterTable:
     @property
     def r(self) -> int:
         return len(self.degrees)
-
-    @cached_property
-    def dual(self) -> np.ndarray:
-        """The class-weighted dual of `modular`, built once (`class_weighted_dual`)."""
-        return class_weighted_dual(self.modular, self.conj, self.group.order, self.prime)
 
 
 def class_weighted_dual(table: np.ndarray, cd: ConjugacyData, order: int, p: int) -> np.ndarray:
@@ -208,7 +202,11 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
     assert sum(d * d for d in degrees) == n, "degree squares must sum to |G|"
     one = np.flatnonzero((rows[:, 0] == 1) & ~rows[:, 1:].any(axis=1))  # the row of 1
     trivial = int(np.flatnonzero((index == one).all(axis=1))[0])
-    ct = CharacterTable(
+    # modular row orthogonality, sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij:
+    # the table's own rows have identity multiplicities
+    gram = mul_mod(modular, class_weighted_dual(modular, cd, n, p), p)
+    assert np.array_equal(gram, np.eye(r, dtype=np.int64))
+    return CharacterTable(
         group=g,
         conj=cd,
         prime=p,
@@ -219,10 +217,6 @@ def compute_character_table(g: FiniteGroup, cd: Optional[ConjugacyData] = None) 
         modular=modular,
         trivial_index=trivial,
     )
-    # modular row orthogonality, sum_k h_k chi_i(k) chi_j(k*) = |G| delta_ij:
-    # the table's own rows have identity multiplicities
-    assert np.array_equal(mul_mod(modular, ct.dual, p), np.eye(r, dtype=np.int64))
-    return ct
 
 
 def _distinct(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,18 +432,15 @@ def multiplicities(ct: CharacterTable, rows: np.ndarray, dims, p: int) -> np.nda
     """Multiplicities over Irr(H), H = ct.group, of characters of H given as
     residue rows mod p on H's classes; dims are their degrees.
 
-    m = rows W mod p, for W the class-weighted dual of H's table mod p: the
-    table's own at its prime, built once, and built for the call at another.
+    m = rows W mod p, for W the class-weighted dual of H's table mod p, built
+    for the call: kept on every cached table, the r x r float64 duals would
+    stay resident.
     Lift bound: each row is a genuine character of degree D < p, so each
     multiplicity lies in [0, D] and its residue is the integer.  Exact check:
     sum_t m_t deg psi_t = D for every row, or InternalNonInteger.
     """
-    if p == ct.prime:
-        dual = ct.dual
-    else:
-        table = residues(p, ct.rows, ct.exponent)[ct.index]
-        dual = class_weighted_dual(table, ct.conj, ct.group.order, p)
-    mults = mul_mod(rows, dual, p)
+    table = ct.modular if p == ct.prime else residues(p, ct.rows, ct.exponent)[ct.index]
+    mults = mul_mod(rows, class_weighted_dual(table, ct.conj, ct.group.order, p), p)
     dims = np.asarray(dims, dtype=np.int64)
     bad = np.flatnonzero(mults @ np.array(ct.degrees, dtype=np.int64) != dims)
     if bad.size:
@@ -479,21 +470,14 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
     """
     p, table = ct.prime, ct.modular
     deg = np.array(ct.degrees, dtype=np.int64)
-    dtype = exact_dtype(sum(ct.degrees) * rho.dim)
-    total = None
+    total = np.zeros((ct.r, ct.r), dtype=exact_dtype(sum(ct.degrees) * rho.dim))
     for m, count in enumerate(rho.mults):
         if count:
-            # residues in float64, the operand type of `mul_mod`, which then copies none
             rows = table * table[m]
             rows %= p
-            rows = rows.astype(np.float64)
-            part = multiplicities(ct, rows, deg * deg[m], p).astype(dtype, copy=False)
-            del rows
+            part = multiplicities(ct, rows, deg * deg[m], p).astype(total.dtype, copy=False)
             part *= count
-            if total is None:
-                total = part
-            else:
-                total += part
+            total += part
     return total
 
 

@@ -41,20 +41,16 @@ def exact_matmul(a, b, bound: int) -> np.ndarray:
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue matrices (entries in [0, p), int64 or float64).
 
-    While n (p-1)^2 < 2^53 every product and partial sum is an integer below
-    2^53, which float64 holds exactly in any summation order, so the product
-    is one float64 BLAS call, converted back to int64 and reduced.  Past 2^53
-    it is numpy's int64 matmul under `check_bound`, which has no BLAS and from
-    n = 512 on runs several times faster on a row-major left and a
-    column-major right operand.  The package asks for one OpenBLAS thread on
-    import: on 2 cores, threaded OpenBLAS took 11-15 ms per product at
-    n = 128-256, against 0.3-1.8 ms on one thread."""
+    One float64 BLAS product, converted back to int64 and reduced: exact
+    under the asserted n (p-1)^2 < 2^53, since every product and partial sum
+    is then an integer below 2^53, which float64 holds in any summation
+    order.  p is a Dixon prime, about 2|G|, so the bound holds far past the
+    order cap.  The package asks for one OpenBLAS thread on import: on 2
+    cores, threaded OpenBLAS took 11-15 ms per product at n = 128-256,
+    against 0.3-1.8 ms on one thread."""
     bound = a.shape[-1] * (p - 1) ** 2
-    if bound < 2**53:
-        out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
-    else:
-        check_bound(bound, "the residue product's sums")
-        out = np.ascontiguousarray(a, dtype=np.int64) @ np.asfortranarray(b, dtype=np.int64)
+    assert bound < 2**53, f"the residue product's sums reach {bound}, past float64's integers"
+    out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
     out %= p
     return out
 

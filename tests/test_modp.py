@@ -55,71 +55,61 @@ def det_mod(a, p):
 
 def int64_mul_mod(a, b, p):
     """a @ b mod p in int64, every partial sum asserted below 2^63: the oracle
-    of `mul_mod`, which multiplies in float64 below 2^53; in the layout of
-    its int64 product, the faster one from n = 512 on."""
+    of `mul_mod`, which multiplies in float64."""
     check_bound(a.shape[-1] * (p - 1) ** 2, "the oracle's sums")
-    return np.ascontiguousarray(a, dtype=np.int64) @ np.asfortranarray(b, dtype=np.int64) % p
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % p
 
 
 def python_mul_mod(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b.tolist())] for row in a.tolist()]
 
 
-# n (p - 1)^2 against 2^53: 2053 stays far below it up to n = 1024; 65537
-# crosses it between n = 2^21 - 1 and 2^21; 67108859, the largest prime below
-# 2^26, between n = 2 and 3; 2^31 - 1 is above it from n = 1 (and past 2^63
-# from n = 3)
-GATE_SIZES = {
+# n (p - 1)^2 against 2^53, the bound `mul_mod` asserts: 2053 stays far below
+# it up to n = 1024; 65537 reaches it at n = 2^21, and 67108859, the largest
+# prime below 2^26, at n = 3
+FLOAT_SIZES = {
     2053: st.integers(1, 1024),
-    65537: st.sampled_from([1, 2**21 - 1, 2**21, 2**21 + 1]),
-    67108859: st.integers(1, 3),
-    2**31 - 1: st.integers(1, 2),
+    65537: st.sampled_from([1, 2**21 - 1]),
+    67108859: st.integers(1, 2),
 }
 
 
-def gate_case(p):
+def float_case(p):
     """(p, n, m, k) for an m x n by n x k product; one row and column at the
     large n."""
     shape = lambda n: st.integers(1, 3) if n <= 1024 else st.just(1)
-    return GATE_SIZES[p].flatmap(lambda n: st.tuples(st.just(p), st.just(n), shape(n), shape(n)))
+    return FLOAT_SIZES[p].flatmap(lambda n: st.tuples(st.just(p), st.just(n), shape(n), shape(n)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    case=st.sampled_from(sorted(GATE_SIZES)).flatmap(gate_case),
+    case=st.sampled_from(sorted(FLOAT_SIZES)).flatmap(float_case),
     top=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(case=(65537, 2**21 - 1, 1, 1), top=True, seed=0)
-@example(case=(65537, 2**21, 1, 1), top=True, seed=0)
 @example(case=(67108859, 2, 3, 3), top=True, seed=0)
-@example(case=(67108859, 3, 3, 3), top=True, seed=0)
 def test_mul_mod_matches_the_int64_and_python_oracles(case, top, seed):
-    """Both sides of the float64 gate, with entries anywhere in [0, p) or in
-    its top 1000, where the sums are largest; the int64 product runs exactly
-    when n (p - 1)^2 reaches 2^53, and only it calls `check_bound`."""
+    """Up to the largest n below the float64 bound, with entries anywhere in
+    [0, p) or in its top 1000, where the sums are largest."""
     p, n, m, k = case
     rng = np.random.default_rng(seed)
     low = max(0, p - 1000) if top else 0
     a, b = rng.integers(low, p, (m, n)), rng.integers(low, p, (n, k))
-    gated = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modp, "check_bound", lambda bound, what: gated.append(bound) or check_bound(bound, what))
-        out = mul_mod(a, b, p)
+    out = mul_mod(a, b, p)
     assert out.dtype == np.int64
-    assert bool(gated) == (n * (p - 1) ** 2 >= 2**53)
     assert np.array_equal(out, int64_mul_mod(a, b, p))
     if n <= 1024:
         assert out.tolist() == python_mul_mod(a, b, p)
 
 
-def test_mul_mod_is_exact_where_float64_is_not():
-    p = 2**31 - 1
-    a, b = np.array([[p - 1]]), np.array([[p - 2]])
-    assert int(float(p - 1) * float(p - 2)) != (p - 1) * (p - 2)  # 62 bits, rounded
-    assert mul_mod(a, b, p)[0, 0] == (p - 1) * (p - 2) % p
-    with pytest.raises(AssertionError, match="past int64"):
-        mul_mod(np.full((1, 3), p - 1), np.full((3, 1), p - 1), p)
+@pytest.mark.parametrize("p, n", [(65537, 2**21), (67108859, 3), (2**31 - 1, 1)])
+def test_mul_mod_refuses_sums_past_the_float64_bound(p, n):
+    """At the first n with n (p - 1)^2 >= 2^53 the product is refused, not
+    rounded; 2^31 - 1 is past the bound at n = 1."""
+    a, b = np.broadcast_to(np.int64(p - 1), (1, n)), np.broadcast_to(np.int64(p - 1), (n, 1))
+    with pytest.raises(AssertionError, match="past float64"):
+        mul_mod(a, b, p)
 
 
 @pytest.mark.parametrize("given_threads, threads", [(None, "1"), ("2", "2")])
