@@ -18,7 +18,9 @@ and of `cyclic:2` with 5 * 10^18 trivial constituents, whose entries fit in
 int64 but whose trace does not, and of `cyclic:64` with the regular rho
 (`charvec:` of 64 ones), whose character sums every row of the table, then
 the DOT export of `cyclic:3` with rho = 1 + 2 chi_2, whose looped edges
-carry a label and `dir=none`, and `chartab` of a nested spec, of
+carry a label and `dir=none`, the DOT export with components of
+`elemab:2:10` with rho = chi_1, whose 512 components are 2-vertex stars,
+one gather and one block shared by all, and `chartab` of a nested spec, of
 `product(dihedral:5,dihedral:5)` and of `product(binary:T,heis:3:1)`, whose
 splits meet more unreduced Hessenberg blocks than eigenvalues, and last
 `verify --suite all --out json`, hashed with every `seconds` set to 0 and the
@@ -67,6 +69,7 @@ def commands() -> list[list[str]]:
         ]
     ]
     cmds.append(["graph", "cyclic:3", "--rho", "charvec:1,0,2"])
+    cmds.append(["graph", "elemab:2:10", "--rho", "irrep:1", "--components"])
     cmds.append(["chartab", "product(semidirect(dihedral:8,cyclic:3),cyclic:2)"])
     cmds += [["chartab", s] for s in ("product(dihedral:5,dihedral:5)", "product(binary:T,heis:3:1)")]
     cmds.append(["verify", "--suite", "all", "--out", "json"])

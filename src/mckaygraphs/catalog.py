@@ -158,11 +158,18 @@ def _derive_action(g: FiniteGroup, kspec: GroupSpec, k: FiniteGroup) -> list[np.
 # the entry point
 
 
+# An int32 Cayley table takes 4 n^2 bytes.  The bound admits n <= 4096, whose
+# character table needs about 1.5 GB if cyclic, by a scaled estimate.
+_CAYLEY_TABLE_BOUND = 2**26
+
+
 def build_group(spec: GroupSpec, cap: Optional[int] = None) -> FiniteGroup:
     cap = order_cap() if cap is None else cap
     n = expanded_order(spec)
     if n > cap:
         raise OrderCapExceeded(f"{spec_text(spec)} has order {n} > cap {cap}")
+    if (size := 4 * n * n) > _CAYLEY_TABLE_BOUND:
+        raise OrderCapExceeded(f"{spec_text(spec)} needs a {size}-byte Cayley table > {_CAYLEY_TABLE_BOUND}")
     g = _dispatch(spec)
     g.validate()
     return g

@@ -485,11 +485,15 @@ def adjacency_matrix(ct: CharacterTable, rho: Rho) -> np.ndarray:
 # either way equal values have equal rows.
 
 
-def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
-    """Union of the classes where the character attains its identity value;
-    a character kernel is a normal subgroup, so no closure is needed."""
+def kernel_classes(ct: CharacterTable, chi) -> np.ndarray:
+    """Mask of the classes where the character attains its identity value."""
     chi = np.asarray(chi).reshape(ct.r, -1)
-    at_one = np.flatnonzero((chi == chi[0]).all(axis=1))
+    return (chi == chi[0]).all(axis=1)
+
+
+def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
+    """The classes of `kernel_classes`: a kernel is normal, so no closure is needed."""
+    at_one = np.flatnonzero(kernel_classes(ct, chi))
     elems = np.sort(np.concatenate([ct.conj.classes[k] for k in at_one]))
     sub = subgroup_on(ct.group, elems)
     assert sub.normal
@@ -525,5 +529,4 @@ def is_self_dual(ct: CharacterTable, chi) -> bool:
 
 def is_faithful(ct: CharacterTable, chi) -> bool:
     """No non-identity class attains the identity value, so the kernel is trivial."""
-    chi = np.asarray(chi).reshape(ct.r, -1)
-    return not (chi[1:] == chi[0]).all(axis=1).any()
+    return np.count_nonzero(kernel_classes(ct, chi)) == 1

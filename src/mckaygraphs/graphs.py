@@ -39,9 +39,9 @@ class McKayGraph:
     """The multiplicity matrix is stored once, as the array `matrix`, which
     every graph routine reads: int64, or Python integers (dtype object) once
     sum d * dim rho reaches 2^63.  The flags, weak components and forest bit
-    are computed when the graph is built; `component_shapes` labels the
-    components on first read.  Equality skips `matrix`, which ct and rho
-    determine."""
+    are computed when the graph is built; `component_blocks` and
+    `component_shapes` read the components on first use.  Equality skips
+    `matrix`, which ct and rho determine."""
 
     ct: CharacterTable
     rho: Rho
@@ -66,24 +66,32 @@ class McKayGraph:
         """Sum of all off-diagonal entries: 2 * #edges for undirected graphs."""
         return int(self.matrix.sum() - np.trace(self.matrix))
 
-    def induced(self, vertices) -> np.ndarray:
-        """Adjacency of the subgraph on the given vertices, in their order."""
-        return self.matrix[np.ix_(vertices, vertices)]
+    @cached_property
+    def component_blocks(self) -> tuple[list[np.ndarray], list[int]]:
+        """The distinct induced blocks of the components, read-only, and the
+        number of each component's block; block 0 is the first component's.
+        One fancy index gathers the components of one size, and one `tolist`
+        reads their values as keys: an object array's bytes would be pointers."""
+        comps, blocks, number = self.components, [], {}
+        block_of = [0] * len(comps)
+        for size in dict.fromkeys(map(len, comps)):
+            members = [i for i, comp in enumerate(comps) if len(comp) == size]
+            v = np.array([comps[i] for i in members])
+            gathered = self.matrix[v[:, :, None], v[:, None, :]]
+            gathered.flags.writeable = False
+            for i, block, values in zip(members, gathered, gathered.reshape(len(v), -1).tolist()):
+                block_of[i] = number.setdefault(tuple(values), len(number))  # s^2 values fix s
+                if block_of[i] == len(blocks):
+                    blocks.append(block)
+        return blocks, block_of
 
     @cached_property
     def component_shapes(self) -> list[ShapeLabel]:
-        """The shape of each component, in the order of `components`.  Each
-        distinct induced block is classified once, keyed by its values: the
-        bytes of an object array would be pointers."""
-        label_of: dict[tuple, ShapeLabel] = {}
-        shapes = []
-        for comp in self.components:
-            block = self.induced(comp)
-            key = tuple(block.ravel().tolist())  # n^2 values fix n
-            if key not in label_of:
-                label_of[key] = classify_component(block)
-            shapes.append(label_of[key])
-        return shapes
+        """The shape of each component, in the order of `components`: each
+        distinct block is classified once."""
+        blocks, block_of = self.component_blocks
+        labels = [classify_component(block) for block in blocks]
+        return [labels[b] for b in block_of]
 
     @property
     def shape(self) -> ShapeLabel:
@@ -147,7 +155,7 @@ def dual_check(ct: CharacterTable, sel: RhoSelector) -> bool:
 @dataclass
 class Component:
     vertices: tuple[int, ...]  # irreducible indices of the parent table
-    adjacency: np.ndarray  # the block of the graph's matrix
+    adjacency: np.ndarray  # the graph's read-only block, shared by equal components
     dims: tuple[int, ...]
     shape: ShapeLabel  # read from the graph's component_shapes
     principal: bool
@@ -211,8 +219,9 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
         for t in orbit:
             orbit_of_irrN[t] = oi
     restricted = _restrictions(ct, kernel, ct_n)
+    blocks, block_of = graph.component_blocks
     components = []
-    for comp, shape in zip(comps, graph.component_shapes):
+    for comp, b, shape in zip(comps, block_of, graph.component_shapes):
         orbit_indices = set()
         for v in comp:
             support = set(np.flatnonzero(restricted[v]).tolist())
@@ -233,7 +242,7 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
         components.append(
             Component(
                 vertices=tuple(comp),
-                adjacency=graph.induced(comp),
+                adjacency=blocks[b],
                 dims=tuple(graph.dims[v] for v in comp),
                 shape=shape,
                 principal=graph.trivial_vertex in comp,
@@ -279,7 +288,7 @@ def principal_component_isomorphism_check(decomp: ComponentDecomposition) -> boo
     if not graph_isomorphic(graph_q.matrix, principal.adjacency):
         return False
     for comp in decomp.components:
-        if comp is principal:
+        if comp.adjacency is principal.adjacency:  # one shared block
             continue
         if 1 in comp.dims and not graph_isomorphic(comp.adjacency, principal.adjacency):
             return False
@@ -342,21 +351,22 @@ def graph_isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
                 return False
         return ra[v][v] == rb[w][w]
 
-    def backtrack(idx: int) -> bool:
-        if idx == n:
+    # one iterator of candidates per level: recursion passes Python's limit near n = 1000
+    stack = [iter(range(n))]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:  # back from a level that found no image
+            used.remove(mapping.pop(v))
+        w = next((w for w in stack[-1] if w not in used and consistent(v, w)), None)
+        if w is None:
+            stack.pop()
+        elif len(stack) == n:
             return True
-        v = order[idx]
-        for w in range(n):
-            if w not in used and consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if backtrack(idx + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return backtrack(0)
+        else:
+            mapping[v] = w
+            used.add(w)
+            stack.append(iter(range(n)))
+    return False
 
 
 def disjoint_union(blocks) -> np.ndarray:

@@ -8,8 +8,9 @@ integer eigenvector) are kept as an independent cross-check.
 Every routine reads an adjacency as one n x n numpy array, int64 or, past
 int64, Python integers of dtype object.  Degrees, loops, symmetry and edge
 counts are array expressions; the walks read each vertex's neighbour list,
-taken from the array once.  `McKayGraph.component_shapes` keeps the label of
-each component, so a graph's components are classified once.
+taken from the array once.  `McKayGraph.component_blocks` gathers a graph's
+components one size at a time and keeps each distinct block once, read-only;
+`component_shapes` classifies each distinct block once.
 """
 
 from __future__ import annotations

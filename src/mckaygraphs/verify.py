@@ -28,7 +28,7 @@ from .chartable import (
     compute_character_table,
     is_faithful,
     is_self_dual,
-    kernel_of_character,
+    kernel_classes,
     normal_subgroups,
     rho_from_class_function,
 )
@@ -464,9 +464,10 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         raise ClassificationViolated(
             f"{spec_text(ctx.spec)}: forest with rho not irreducible self-dual"
         )
-    kernel = kernel_of_character(ct, rho.chi)
-    quotient_order = ctx.group.order // kernel.order
-    comps, labels = graph.components, graph.component_shapes
+    # |N| sums the sizes of the classes in the kernel of rho: no subgroup is built
+    kernel_order = int(kernel_classes(ct, rho.chi) @ np.array(ct.conj.sizes, dtype=np.int64))
+    quotient_order = ctx.group.order // kernel_order
+    labels = graph.component_shapes
     star_exp: Optional[int] = None
     for label in labels:
         if label.kind == "affine_e" or (label.kind == "affine_d" and not label.hedgehog_alias):
@@ -480,14 +481,12 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         if n != 1:
             star_exp = n
     if star_exp is not None:
-        first = graph.induced(comps[0])
-        for comp in comps[1:]:
-            sub = graph.induced(comp)
-            # equal adjacencies are isomorphic
-            if not np.array_equal(sub, first) and not graph_isomorphic(first, sub):
-                raise ClassificationViolated(
-                    f"{spec_text(ctx.spec)}: 4^{star_exp} star present but components differ"
-                )
+        # equal blocks are equal adjacencies: only the distinct ones are compared
+        first, *others = graph.component_blocks[0]
+        if not all(graph_isomorphic(first, block) for block in others):
+            raise ClassificationViolated(
+                f"{spec_text(ctx.spec)}: 4^{star_exp} star present but components differ"
+            )
     for label in labels:
         if label.kind in ("affine_d", "affine_e"):
             if quotient_order % label.dynkin_group_order:
@@ -499,7 +498,7 @@ def verify_forest_theorem(ctx: FixtureContext, graph: McKayGraph) -> CheckRecord
         check_id=f"forest[{spec_text(ctx.spec)}|dim{rho.dim}]",
         claim="forest components are affine D/E or 4^n stars; star forests are uniform; "
         "|G/N| divisible by each matched group order",
-        inputs=f"{spec_text(ctx.spec)}, components={len(comps)}",
+        inputs=f"{spec_text(ctx.spec)}, components={len(labels)}",
         expected="no classification escape",
         observed=",".join(label.short() for label in labels),
         passed=True,

@@ -204,6 +204,29 @@ def test_intransitive_elemab_actions_exit_2_before_any_search(spec, monkeypatch,
     assert len(err.strip().splitlines()) == 1 and "does not divide" in err
 
 
+def test_a_cayley_table_over_the_byte_bound_exits_2_before_any_build(monkeypatch, capsys):
+    # under a raised cap, cyclic:30000 would need a 3.6 GB int32 Cayley table
+    import tracemalloc
+
+    from mckaygraphs import catalog
+
+    def unreachable(spec):
+        raise AssertionError("built a group whose table is over the bound")
+
+    monkeypatch.setattr(catalog, "_dispatch", unreachable)
+    monkeypatch.setenv("MCKAY_ORDER_CAP", "100000")
+    tracemalloc.start()
+    try:
+        code = main(["chartab", "cyclic:30000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "spec, order",
     [

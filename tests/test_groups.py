@@ -96,6 +96,8 @@ def test_order_cap():
         build_group(Cyclic(7), cap=5)
     with pytest.raises(OrderCapExceeded):
         build_group(Extraspecial2(5, "+"))  # order 2048 > default cap
+    # a raised cap builds what the Cayley table's byte bound admits
+    assert build_group(Cyclic(2048), cap=4096).order == 2048
 
 
 def test_table_is_group():

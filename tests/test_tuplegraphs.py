@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mckaygraphs.graphs as graphs
+import mckaygraphs.verify as verify
 import tuplegraphs as oracle
 from mckaygraphs.catalog import build_group
 from mckaygraphs.chartable import Irrep, SelectorEmpty, compute_character_table
@@ -20,8 +21,10 @@ from mckaygraphs.shapes import (
     bipartition,
     circuit_count,
     classify_component,
+    graph_flags,
     pf_integer_vector_check,
     template_marking,
+    weak_components,
 )
 from mckaygraphs.verify import IDENTITY_FIXTURES, SWEEP_SPECS, _forest_candidates, fixture, run_suite
 
@@ -138,7 +141,11 @@ def test_random_multigraphs_past_int64_match_the_tuple_oracles(m, dims, rng):
 
 
 def test_each_distinct_block_is_classified_once(monkeypatch):
-    calls, per_graph = [], []
+    """Each distinct block of a graph is classified once, on the first read
+    of its labels.  On every graph `run_suite("all")` builds, each
+    component's block is its `np.ix_` block and its label is the tuple
+    oracle's."""
+    calls, per_graph, built = [], [], []
 
     def counted(block):
         calls.append(block)
@@ -150,26 +157,97 @@ def test_each_distinct_block_is_classified_once(monkeypatch):
         per_graph.append((graph, calls[start:]))
         return shapes
 
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
     original = McKayGraph.__dict__["component_shapes"].func
     prop = cached_property(traced)
     prop.__set_name__(McKayGraph, "component_shapes")
     monkeypatch.setattr(McKayGraph, "component_shapes", prop)
     monkeypatch.setattr(graphs, "classify_component", counted)
+    build = graphs.build_mckay_graph
+    for module in (graphs, verify):
+        monkeypatch.setattr(module, "build_mckay_graph", recorded)
     assert run_suite("all").passed
     # every call comes from a graph's first read of its labels
-    assert sum(len(blocks) for _, blocks in per_graph) == len(calls)
+    assert sum(len(classified) for _, classified in per_graph) == len(calls)
     assert len({id(graph) for graph, _ in per_graph}) == len(per_graph)
-    for graph, blocks in per_graph:
-        distinct = []
-        for comp in graph.components:
-            block = graph.induced(comp)
-            if not any(np.array_equal(block, d) for d in distinct):
-                distinct.append(block)
-        assert len(blocks) == len(distinct)
-        assert all(
-            not np.array_equal(blocks[i], blocks[j])
-            for i in range(len(blocks))
-            for j in range(i)
-        )
+    for graph, classified in per_graph:
+        blocks = graph.component_blocks[0]
+        assert len(classified) == len(blocks) and all(c is b for c, b in zip(classified, blocks))
     # equal blocks of one graph share one label
     assert len(calls) < sum(len(graph.components) for graph, _ in per_graph)
+    assert {id(graph) for graph, _ in per_graph} <= {id(graph) for graph in built}
+    for graph in built:
+        blocks, block_of = graph.component_blocks
+        expected = [oracle.block(graph.matrix, comp) for comp in graph.components]
+        assert len(blocks) == len({tuple(e.ravel().tolist()) for e in expected})
+        for e, b in zip(expected, block_of):
+            assert blocks[b].dtype == e.dtype and np.array_equal(blocks[b], e)
+        assert graph.component_shapes == [
+            oracle.classify_component(oracle.adjacency(e)) for e in expected
+        ]
+
+
+@st.composite
+def block_diagonals(draw):
+    """A block-diagonal adjacency of up to 8 blocks, drawn from a pool of up
+    to 3 weakly connected blocks on 1-4 vertices so that blocks repeat, with
+    its vertices renumbered: int64, or dtype object with entries past 2^63."""
+    big = draw(st.booleans())
+    entries = st.sampled_from([1, 2, 3, *BIG] if big else [1, 2, 3])
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.integers(1, 4))
+        part = np.zeros((s, s), dtype=object)
+        for v in range(1, s):  # a spanning tree, each edge one way or both
+            u = draw(st.integers(0, v - 1))
+            part[u, v] = draw(entries)
+            part[v, u] = draw(entries) if draw(st.booleans()) else 0
+        for _ in range(draw(st.integers(0, 3))):
+            part[draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))] = draw(entries)
+        pool.append(part)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    m = disjoint_union([pool[i] for i in picks]) if picks else np.zeros((0, 0), dtype=object)
+    order = draw(st.permutations(range(len(m))))
+    m = m[np.ix_(order, order)]
+    return m if big or draw(st.booleans()) else m.astype(np.int64)
+
+
+def bare_graph(m: np.ndarray) -> McKayGraph:
+    """A graph of the matrix alone: `component_blocks` reads only `matrix`
+    and `components`."""
+    flags = graph_flags(m)
+    components = weak_components(m)
+    return McKayGraph(
+        ct=None, rho=None, matrix=m, dims=(1,) * len(m), trivial_vertex=0,
+        undirected=flags[0], loopless=flags[1], simply_laced=flags[2],
+        components=components, forest=False,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_diagonals())
+@example(np.zeros((0, 0), dtype=np.int64))
+@example(np.zeros((0, 0), dtype=object))
+@example(np.array([[0]], dtype=np.int64))
+@example(np.array([[2**64]], dtype=object))
+def test_component_blocks_match_the_ix_blocks(m):
+    graph = bare_graph(m)
+    blocks, block_of = graph.component_blocks
+    assert len(block_of) == len(graph.components)
+    assert not block_of or block_of[0] == 0
+    assert all(
+        not (blocks[i].shape == blocks[j].shape and np.array_equal(blocks[i], blocks[j]))
+        for i in range(len(blocks))
+        for j in range(i)
+    )
+    for comp, b in zip(graph.components, block_of):
+        expected = oracle.block(m, comp)
+        assert blocks[b].dtype == m.dtype and np.array_equal(blocks[b], expected)
+    assert sorted(set(block_of)) == list(range(len(blocks)))
+    for block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 7

@@ -16,6 +16,8 @@ from mckaygraphs.chartable import (
     Irrep,
     compute_character_table,
     is_self_dual,
+    kernel_classes,
+    kernel_of_character,
     resolve_rho,
 )
 from mckaygraphs.graphs import (
@@ -245,6 +247,24 @@ def test_forest_theorem_on_matching():
     rec = verify_forest_theorem(ctx, graph)
     assert rec.passed
     assert rec.observed.count("hedgehog(1)") == 3
+
+
+def test_forest_kernel_order_is_the_kernel_class_sizes():
+    """`verify_forest_theorem` reads |N| as the sum of the class sizes of
+    `kernel_classes`.  On every forest candidate of the sweep that is the
+    order of `kernel_of_character`, and the number of elements where the
+    character's value index is the identity's."""
+    proper = 0
+    for spec in SWEEP_SPECS:
+        ct = fixture(spec).ct
+        sizes = np.array(ct.conj.sizes, dtype=np.int64)
+        for m in _forest_candidates(ct):
+            chi = resolve_rho(ct, Irrep(m)).chi
+            order = int(kernel_classes(ct, chi) @ sizes)
+            values = ct.index[m][ct.conj.class_of]  # element 0 is the identity
+            assert order == kernel_of_character(ct, chi).order == np.count_nonzero(values == values[0])
+            proper += 1 < order
+    assert proper  # kernels of more than one class are met
 
 
 def test_reducible_self_dual_never_forest():

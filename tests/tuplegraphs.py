@@ -3,15 +3,17 @@ as the tests' oracle.
 
 A graph here is its adjacency as a tuple of rows of Python integers, read
 entry by entry: `adjacency(m)` and `induced(m, vertices)` make one from an
-array.  `classify_component`, `bipartition`, `circuit_count`,
-`template_marking`, `pf_integer_vector_check`, `graph_isomorphic`,
-`disjoint_union` and `edge_entries` are the pure-Python versions of
+array.  `block(m, vertices)`, one `np.ix_` gather per component, is the
+oracle of `McKayGraph.component_blocks`.  `classify_component`,
+`bipartition`, `circuit_count`, `template_marking`, `pf_integer_vector_check`,
+`graph_isomorphic`, `disjoint_union` and `edge_entries` are the pure-Python versions of
 `mckaygraphs.shapes`, `mckaygraphs.graphs` and `mckaygraphs.cli._edge_entries`.
 `is_forest`, `is_tree` and `centralizer` are helpers only the tests reach.
 """
 
 from __future__ import annotations
 
+import sys
 from math import gcd, lcm
 from typing import Optional
 
@@ -24,8 +26,13 @@ def adjacency(m) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, np.asarray(m).tolist()))
 
 
+def block(m, vertices) -> np.ndarray:
+    """The array adjacency of the subgraph on the given vertices, in their order."""
+    return np.asarray(m)[np.ix_(vertices, vertices)]
+
+
 def induced(m, vertices) -> tuple[tuple[int, ...], ...]:
-    return adjacency(np.asarray(m)[np.ix_(vertices, vertices)])
+    return adjacency(block(m, vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +318,13 @@ def graph_isomorphic(a, b) -> bool:
                 used.remove(w)
         return False
 
-    return backtrack(0)
+    # one frame per vertex: a graph near the order cap passes the default limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 100))
+    try:
+        return backtrack(0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def disjoint_union(adjs) -> tuple[tuple[int, ...], ...]:
