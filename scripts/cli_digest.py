@@ -16,8 +16,10 @@ groups whose restrictions to the kernel of rho have many classes, and of
 `dihedral:5` with a multiplicity of 10^20, whose adjacency outgrows int64,
 and of `cyclic:2` with 5 * 10^18 trivial constituents, whose entries fit in
 int64 but whose trace does not, and of `cyclic:64` with the regular rho
-(`charvec:` of 64 ones), whose character sums every row of the table, then
-the DOT export of `cyclic:3` with rho = 1 + 2 chi_2, whose looped edges
+(`charvec:` of 64 ones), whose character sums every row of the table, and
+of `dihedral:512` with rho = chi_2, whose kernel C_512 has 257 orbits (255 of
+size 2 and 2 of size 1), each matched to one of the graph's 257 components,
+then the DOT export of `cyclic:3` with rho = 1 + 2 chi_2, whose looped edges
 carry a label and `dir=none`, the DOT export with components of
 `elemab:2:10` with rho = chi_1, whose 512 components are 2-vertex stars,
 one gather and one block shared by all, and `chartab` of a nested spec, of
@@ -66,6 +68,7 @@ def commands() -> list[list[str]]:
             ("dihedral:5", "charvec:100000000000000000000,0,1,0"),
             ("cyclic:2", "charvec:0,5000000000000000000"),
             ("cyclic:64", "charvec:" + ",".join(["1"] * 64)),
+            ("dihedral:512", "irrep:2"),
         ]
     ]
     cmds.append(["graph", "cyclic:3", "--rho", "charvec:1,0,2"])

@@ -177,12 +177,13 @@ class ComponentDecomposition:
         return next(c for c in self.components if c.principal)
 
 
-def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Orbits of G on Irr(N) under conjugation, via class permutations.
+def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> np.ndarray:
+    """The orbits of G on Irr(N) under conjugation, as one label per
+    irreducible theta of N: the least irreducible theta is moved to.
 
     Row x of the gather is the permutation of N's classes by conjugation with
-    x; the distinct ones form a group, so an orbit is one step of them.  Rows
-    of Irr(N) are keyed by their residues."""
+    x; the distinct ones form a group, so the least image of theta is the
+    least member of its orbit.  Rows of Irr(N) are keyed by their residues."""
     cd_n = ct_n.conj
     local = np.full(g.order, -1, dtype=np.int64)
     local[list(sub.elements)] = np.arange(sub.order)
@@ -193,7 +194,7 @@ def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> list[
     perms, _ = np.unique(cd_n.class_of[local[conj]], axis=0, return_index=True)
     key_index = {row.tobytes(): i for i, row in enumerate(ct_n.modular)}
     moves = [[key_index[row.tobytes()] for row in ct_n.modular[:, perm]] for perm in perms]
-    return sorted({tuple(sorted(set(images))) for images in zip(*moves)})
+    return np.min(moves, axis=0)
 
 
 def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np.ndarray:
@@ -208,36 +209,25 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
     kernel = kernel_of_character(ct, graph.rho.chi)
     # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table
     ct_n = ct if kernel.order == ct.group.order else compute_character_table(kernel.group)
-    orbits = _kernel_orbits(ct_n, kernel, ct.group)
+    least = _kernel_orbits(ct_n, kernel, ct.group)
+    labels = sorted(set(least.tolist()))
+    orbits = [tuple(np.flatnonzero(least == t).tolist()) for t in labels]
     if len(comps) != len(orbits):
         raise OrbitMismatch(
             f"{len(comps)} components vs {len(orbits)} orbits on Irr(N)"
         )
-    # support of the restriction of each vertex must be exactly one orbit
-    orbit_of_irrN = {}
-    for oi, orbit in enumerate(orbits):
-        for t in orbit:
-            orbit_of_irrN[t] = oi
-    restricted = _restrictions(ct, kernel, ct_n)
+    # every vertex restricts onto exactly the orbit of the first theta it meets
+    support = _restrictions(ct, kernel, ct_n) != 0
+    on = least[support.argmax(axis=1)]
+    if not (support == (least == on[:, None])).all():
+        raise OrbitMismatch("a vertex does not restrict onto exactly one full orbit")
+    orbit_of = np.searchsorted(labels, on)
     blocks, block_of = graph.component_blocks
     components = []
     for comp, b, shape in zip(comps, block_of, graph.component_shapes):
-        orbit_indices = set()
-        for v in comp:
-            support = set(np.flatnonzero(restricted[v]).tolist())
-            touched = {orbit_of_irrN[t] for t in support}
-            if len(touched) != 1:
-                raise OrbitMismatch(
-                    f"vertex {v} restricts onto {len(touched)} orbits"
-                )
-            if support != set(orbits[next(iter(touched))]):
-                raise OrbitMismatch(
-                    f"vertex {v} is not supported on its full orbit"
-                )
-            orbit_indices |= touched
-        if len(orbit_indices) != 1:
+        oi = int(orbit_of[comp[0]])
+        if (orbit_of[comp] != oi).any():
             raise OrbitMismatch("component straddles several orbits")
-        oi = orbit_indices.pop()
         rep_deg = ct_n.degrees[orbits[oi][0]]
         components.append(
             Component(

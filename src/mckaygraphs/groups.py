@@ -590,7 +590,6 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
 
 @dataclass
 class Subgroup:
-    parent: FiniteGroup
     elements: tuple[int, ...]
     normal: bool
     group: FiniteGroup  # induced group on the sorted elements
@@ -640,7 +639,7 @@ def subgroup_on(g: FiniteGroup, arr: np.ndarray) -> Subgroup:
         carrier=f"{g.carrier}|sub{len(arr)}",
         element_names=[g.element_names[i] for i in sorted_elems],
     )
-    return Subgroup(parent=g, elements=sorted_elems, normal=normal, group=induced)
+    return Subgroup(elements=sorted_elems, normal=normal, group=induced)
 
 
 def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:

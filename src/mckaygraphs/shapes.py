@@ -8,9 +8,11 @@ integer eigenvector) are kept as an independent cross-check.
 Every routine reads an adjacency as one n x n numpy array, int64 or, past
 int64, Python integers of dtype object.  Degrees, loops, symmetry and edge
 counts are array expressions; the walks read each vertex's neighbour list,
-taken from the array once.  `McKayGraph.component_blocks` gathers a graph's
-components one size at a time and keeps each distinct block once, read-only;
-`component_shapes` classifies each distinct block once.
+taken from the array once.  The forest bit is Euler's count alone: a simple
+undirected graph is a forest exactly when |V| = |E| + #components.
+`McKayGraph.component_blocks` gathers a graph's components one size at a time
+and keeps each distinct block once, read-only; `component_shapes` classifies
+each distinct block once.
 """
 
 from __future__ import annotations
@@ -229,38 +231,11 @@ def components_strongly_connected(adj) -> bool:
     return np.array_equal(_least_reached(a), weak) and np.array_equal(_least_reached(a.T), weak)
 
 
-def _union_find_acyclic(n: int, us: list[int], ws: list[int]) -> bool:
-    """An edge u-w whose ends already share a root closes a circuit."""
-    parent = list(range(n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, w in zip(us, ws):
-        ru, rw = root(u), root(w)
-        if ru == rw:
-            return False
-        parent[ru] = rw
-    return True
-
-
 def forest_bit(a: np.ndarray, flags, components) -> bool:
     """Is the graph of the n x n array `a` a forest, given its `graph_flags`
-    and `weak_components`?
-
-    A forest has at most n - 1 edges, so union-find runs only when E <= n - 1;
-    the Euler count |V| = |E| + #components cross-checks its answer."""
-    if not all(flags):
-        return False
-    n = len(a)
-    u, w = np.nonzero(np.triu(a, 1))
-    edges = len(u)
-    acyclic = edges == 0 or (edges < n and _union_find_acyclic(n, u.tolist(), w.tolist()))
-    assert acyclic == (n == edges + len(components))
-    return acyclic
+    and `weak_components`?  A simple graph has |E| >= |V| - #components
+    edges, with equality exactly when it has no circuit (Euler)."""
+    return all(flags) and len(a) == np.count_nonzero(np.triu(a, 1)) + len(components)
 
 
 def bipartition(adj) -> Optional[list[int]]:

@@ -1,5 +1,7 @@
 import random
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from mckaygraphs.chartable import (
 from cycint import CycInt, as_coeffs, as_cycints, cyc_sum, table_values
 from tuplegraphs import centralizer
 from mckaygraphs.catalog import build_group
+from mckaygraphs.cli import parse_group_spec
 from mckaygraphs.cyclotomic import _is_prime, _primitive_root, convolve, reduced
 from mckaygraphs.groups import (
     BinaryDihedral,
@@ -47,6 +50,9 @@ from mckaygraphs.groups import (
 from mckaygraphs.modp import mul_mod, simultaneous_split
 from mckaygraphs.verify import IDENTITY_FIXTURES, SWEEP_SPECS, _exact_multiplicities, fixture
 from test_modp import int64_mul_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from cli_digest import commands  # noqa: E402
 
 
 def table(spec):
@@ -699,3 +705,40 @@ def test_lift_rejects_a_spoiled_row(k):
     spoiled[3, k] = (spoiled[3, k] + 1) % ct.prime
     with pytest.raises(LiftOutOfRange):
         _lift(spoiled, ct.degrees, cd, ct.prime)
+
+
+# ---------------------------------------------------------------------------
+# direct products against the Kronecker table of their factors
+
+PRODUCT_SPECS = sorted(
+    {spec_text(s) for s in SWEEP_SPECS if isinstance(s, Product)}
+    | {cmd[1] for cmd in commands() if cmd[1].startswith("product(")}
+    | {"product(binary:I,cyclic:8)", "product(dihedral:8,elemab:2:6)"}
+)
+
+
+def kronecker_table(spec: Product, ct) -> list[tuple[int, list[int]]]:
+    """Irr(A x B) = {alpha x beta} (Isaacs, ch. 4), built from the factors'
+    tables: each irreducible's degree and its values at the classes of the
+    product's table `ct`, whose element x |B| + y is the pair (x, y).  Each
+    pair of distinct factor values is multiplied once, exactly, at the
+    product's exponent."""
+    a, b = (compute_character_table(build_group(s)) for s in (spec.left, spec.right))
+    left = [CycInt(a.exponent, row).embed(ct.exponent) for row in a.rows.tolist()]
+    right = [CycInt(b.exponent, row).embed(ct.exponent) for row in b.rows.tolist()]
+    cells = np.array([(x * y).coeffs for x in left for y in right], dtype=object)
+    reps = np.asarray(ct.conj.reps)
+    nb = b.group.order
+    at_a = a.index[:, a.conj.class_of[reps // nb]]
+    at_b = b.index[:, b.conj.class_of[reps % nb]]
+    pairs = (at_a[:, None, :] * len(right) + at_b[None, :, :]).reshape(-1, len(reps))
+    degrees = np.multiply.outer(a.degrees, b.degrees).ravel().tolist()
+    return list(zip(degrees, cells[pairs].reshape(len(pairs), -1).tolist()))
+
+
+@pytest.mark.parametrize("text", PRODUCT_SPECS)
+def test_product_tables_are_the_kronecker_tables(text):
+    spec = parse_group_spec(text)
+    ct = compute_character_table(build_group(spec))
+    values = ct.rows[ct.index].reshape(ct.r, -1).tolist()
+    assert sorted(kronecker_table(spec, ct)) == sorted(zip(ct.degrees, values))

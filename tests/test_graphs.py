@@ -14,7 +14,9 @@ from mckaygraphs.chartable import (
     rho_from_class_function,
 )
 from mckaygraphs.cli import parse_group_spec
+import mckaygraphs.graphs as graphs
 from mckaygraphs.graphs import (
+    OrbitMismatch,
     _push_down,
     _restrictions,
     build_mckay_graph,
@@ -167,6 +169,74 @@ def test_semidirect_bo_c3_two_components():
     assert len(decomp.components) == 2
     orbit_sizes = sorted(c.orbit_size for c in decomp.components)
     assert orbit_sizes == [1, 2]  # trivial orbit and the two nontrivial characters
+
+
+def sign_graph():
+    """D_8 with a nontrivial linear rho: components {1, rho}, the other two
+    linear characters, and the 2-dimensional one with its loop, matched to
+    orbits of sizes 1, 1 and 2 on the irreducibles of the kernel."""
+    ct = compute_character_table(build_group(Dihedral(4)))
+    sign = next(i for i in range(ct.r) if ct.degrees[i] == 1 and i != ct.trivial_index)
+    return build_mckay_graph(ct, Irrep(sign))
+
+
+def sign_parts():
+    """The two 2-vertex components, the vertex of the 2-dimensional
+    irreducible, and the orbit of size 2 it restricts onto."""
+    decomp = decompose_components(sign_graph())
+    pairs = [c.vertices for c in decomp.components if len(c.vertices) == 2]
+    wide = next(c for c in decomp.components if c.orbit_size == 2)
+    return pairs, wide.vertices[0], decomp.orbits[wide.orbit_index]
+
+
+def corrupt_restrictions(monkeypatch, vertex, theta, value):
+    real = graphs._restrictions
+
+    def corrupted(*args):
+        rows = real(*args).copy()
+        rows[vertex, theta] = value
+        return rows
+
+    monkeypatch.setattr(graphs, "_restrictions", corrupted)
+
+
+def test_orbit_mismatch_on_the_component_count():
+    graph = sign_graph()
+    first, second, *rest = graph.components
+    graph.components = [sorted(first + second), *rest]
+    with pytest.raises(OrbitMismatch):
+        decompose_components(graph)
+
+
+def test_orbit_mismatch_on_a_vertex_over_two_orbits(monkeypatch):
+    _, _, pair_orbit = sign_parts()
+    graph = sign_graph()
+    corrupt_restrictions(monkeypatch, graph.trivial_vertex, pair_orbit[0], 1)
+    with pytest.raises(OrbitMismatch):
+        decompose_components(graph)
+
+
+def test_orbit_mismatch_on_a_vertex_over_part_of_an_orbit(monkeypatch):
+    _, wide, pair_orbit = sign_parts()
+    corrupt_restrictions(monkeypatch, wide, pair_orbit[0], 0)
+    with pytest.raises(OrbitMismatch):
+        decompose_components(sign_graph())
+
+
+def test_orbit_mismatch_on_a_component_over_two_orbits():
+    ((a0, a1), (b0, b1)), wide, _ = sign_parts()
+    graph = sign_graph()
+    graph.components = [[a0, b0], [a1, b1], [wide]]
+    with pytest.raises(OrbitMismatch):
+        decompose_components(graph)
+
+
+def test_orbit_mismatch_on_a_matching_that_is_not_a_bijection():
+    ((a0, a1), _), wide, _ = sign_parts()
+    graph = sign_graph()
+    graph.components = [[a0], [a1], [wide]]
+    with pytest.raises(OrbitMismatch):
+        decompose_components(graph)
 
 
 def test_graph_isomorphism_basics():

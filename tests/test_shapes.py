@@ -16,6 +16,7 @@ from mckaygraphs.shapes import (
     circuit_count,
     classify_component,
     components_strongly_connected,
+    forest_bit,
     graph_flags,
     pf_integer_vector_check,
     template_marking,
@@ -522,6 +523,9 @@ def test_shape_facts_match_the_oracles(adj, form):
     assert weak_components(given_adj) == components_oracle(adj)
     assert is_forest(given_adj) == forest_oracle(adj)
     assert is_tree(given_adj) == tree_oracle(adj)
+    if form != "tuples":
+        flags, comps = graph_flags(given_adj), weak_components(given_adj)
+        assert forest_bit(given_adj, flags, comps) == forest_oracle(adj)
     if not symmetric_oracle(adj):
         assert classify_component(given_adj).kind == "other"
 

@@ -450,7 +450,8 @@ def test_construction_kernel_and_scaled_marking():
 def test_forest_screen_is_sound(spec):
     """The screen's residues are the trace and the entry sum of every fully
     built McKay matrix, mod p, and every self-dual irreducible it drops has a
-    graph that is not a forest."""
+    graph that is not a forest.  Every graph's forest bit, Euler's count,
+    equals the tuple oracle's union-find."""
     ct = fixture(spec).ct
     sums = trace_and_total(ct, list(range(ct.r)))
     candidates = set(_forest_candidates(ct))
@@ -458,5 +459,6 @@ def test_forest_screen_is_sound(spec):
         graph = build_mckay_graph(ct, Irrep(m))
         p = ct.prime
         assert sums[m].tolist() == [int(np.trace(graph.matrix)) % p, int(graph.matrix.sum()) % p]
+        assert graph.forest == is_forest(graph.matrix)
         if is_self_dual(ct, ct.index[m]) and m not in candidates:
             assert not graph.forest

@@ -8,7 +8,9 @@ oracle of `McKayGraph.component_blocks`.  `classify_component`,
 `bipartition`, `circuit_count`, `template_marking`, `pf_integer_vector_check`,
 `graph_isomorphic`, `disjoint_union` and `edge_entries` are the pure-Python versions of
 `mckaygraphs.shapes`, `mckaygraphs.graphs` and `mckaygraphs.cli._edge_entries`.
-`is_forest`, `is_tree` and `centralizer` are helpers only the tests reach.
+`is_forest` and `is_tree` read the tuple flags and run union-find over the
+upper triangle: the oracle of `shapes.forest_bit`, which is Euler's count.
+`centralizer` is a helper only the tests reach.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from mckaygraphs.shapes import OTHER, ShapeLabel, forest_bit, graph_flags, weak_components
+from mckaygraphs.shapes import OTHER, ShapeLabel
 
 
 def adjacency(m) -> tuple[tuple[int, ...], ...]:
@@ -162,15 +164,42 @@ def _classify_odd_tail(adj, loop_vertex) -> ShapeLabel:
         visited.add(cur)
 
 
+def _union_find_trees(adj) -> Optional[int]:
+    """The number of trees of a forest, None for any other graph.  The tuple
+    flags come first (symmetric, loopless, simply laced), then union-find over
+    the upper triangle: an edge u-w whose ends already share a root closes a
+    circuit."""
+    n = len(adj)
+    if any(adj[v][v] for v in range(n)):
+        return None
+    if any(adj[v][w] != adj[w][v] or adj[v][w] > 1 for v in range(n) for w in range(v + 1, n)):
+        return None
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    trees = n
+    for u in range(n):
+        for w in range(u + 1, n):
+            if adj[u][w]:
+                ru, rw = root(u), root(w)
+                if ru == rw:
+                    return None
+                parent[ru] = rw
+                trees -= 1
+    return trees
+
+
 def is_forest(adj) -> bool:
-    a = np.asarray(adj).reshape(len(adj), len(adj))
-    return forest_bit(a, graph_flags(a), weak_components(a))
+    return _union_find_trees(adjacency(adj)) is not None
 
 
 def is_tree(adj) -> bool:
-    a = np.asarray(adj).reshape(len(adj), len(adj))
-    components = weak_components(a)
-    return len(components) == 1 and forest_bit(a, graph_flags(a), components)
+    return _union_find_trees(adjacency(adj)) == 1
 
 
 def bipartition(adj) -> Optional[list[int]]:
