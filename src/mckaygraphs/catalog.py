@@ -16,10 +16,10 @@ from .cyclotomic import _is_prime, _primitive_root
 from .groups import (
     BinaryDihedral, BinaryPoly, Cyclic, Dihedral, ElemAb, Extraspecial2, FiniteGroup,
     GroupBuildError, GroupSpec, Heisenberg, InvalidAction, OrderCapExceeded, Product, Semidirect,
-    Subgroup, _build_binary, _build_bindihedral, _build_cyclic, _build_dihedral, _build_elemab,
+    _build_binary, _build_bindihedral, _build_cyclic, _build_dihedral, _build_elemab,
     _build_extraspecial, _build_heisenberg, _digits, _group_embedding, abelian_homs, build_product,
-    build_semidirect, commutator_subgroup, conjugacy, expanded_order, order_cap, quotient_group,
-    spec_text,
+    build_semidirect, commutator_subgroup, conjugacy, expanded_order, is_normal, order_cap,
+    quotient_group, spec_text,
 )
 
 
@@ -27,11 +27,11 @@ from .groups import (
 # canonical semidirect actions
 
 
-def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> np.ndarray:
+def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[np.ndarray]) -> np.ndarray:
     """Values in Z_m of the lexicographically least surjective homomorphism
     G -> Z_m through G/sub, or through G/G' when no kernel sub is given.  A
     designated G/sub must be abelian of order m, so that sub is the kernel."""
-    if sub is not None and not sub.normal:
+    if sub is not None and not is_normal(g, sub):
         raise InvalidAction("designated kernel subgroup is not normal")
     q, proj = quotient_group(g, commutator_subgroup(g, conjugacy(g)) if sub is None else sub)
     if sub is not None and (q.order != m or not q.is_abelian()):
@@ -44,7 +44,7 @@ def _surjection_onto_cyclic(g: FiniteGroup, m: int, sub: Optional[Subgroup]) -> 
 
 
 def derive_cyclic_action(
-    g: FiniteGroup, p: int, sub: Optional[Subgroup] = None
+    g: FiniteGroup, p: int, sub: Optional[np.ndarray] = None
 ) -> list[np.ndarray]:
     """Action of G on C_p through a surjection G -> F_p^x (kernel sub if given)."""
     chi = _surjection_onto_cyclic(g, p - 1, sub)
@@ -99,12 +99,12 @@ def _permutation_orders(perms: np.ndarray) -> np.ndarray:
 
 
 def derive_elemab_action(
-    g: FiniteGroup, p: int, n: int, sub: Optional[Subgroup] = None
+    g: FiniteGroup, p: int, n: int, sub: Optional[np.ndarray] = None
 ) -> list[np.ndarray]:
     """Action of G on F_p^n via a quotient embedded in GL_n(F_p), transitive on
     the nonzero vectors."""
     # orbit-stabilizer: a transitive quotient has order divisible by the orbit
-    quotient = g.order // (1 if sub is None else sub.order)
+    quotient = g.order // (1 if sub is None else len(sub))
     if quotient % (p**n - 1):
         raise InvalidAction(
             f"{g.carrier} cannot act transitively on the {p**n - 1} nonzero vectors"
@@ -119,7 +119,7 @@ def derive_elemab_action(
     else:
         # |G/N| divides both |G| and |GL_n(F_p)|, so |N| >= |G| / gcd(|G|, |GL_n(F_p)|)
         found = normal_subgroups(compute_character_table(g), g.order // gcd(g.order, len(gl)))
-        candidates = sorted(found, key=lambda s: (-s.order, s.elements))
+        candidates = sorted(found, key=lambda s: (-len(s), s.tolist()))
     for h in candidates:
         q, coset_of = quotient_group(g, h)
         # an embedding has order dividing |GL|, and a transitive one order divisible by p^n - 1

@@ -35,12 +35,10 @@ from .cyclotomic import _is_prime, _power_reductions, _primitive_root, euler_phi
 from .groups import (
     ConjugacyData,
     FiniteGroup,
-    Subgroup,
     abelian_homs,
     commutator_subgroup,
     conjugacy,
     quotient_group,
-    subgroup_on,
 )
 from .modp import check_bound, exact_dtype, exact_matmul, mul_mod, simultaneous_split
 
@@ -491,21 +489,19 @@ def kernel_classes(ct: CharacterTable, chi) -> np.ndarray:
     return (chi == chi[0]).all(axis=1)
 
 
-def kernel_of_character(ct: CharacterTable, chi) -> Subgroup:
-    """The classes of `kernel_classes`: a kernel is normal, so no closure is needed."""
-    at_one = np.flatnonzero(kernel_classes(ct, chi))
-    elems = np.sort(np.concatenate([ct.conj.classes[k] for k in at_one]))
-    sub = subgroup_on(ct.group, elems)
-    assert sub.normal
-    return sub
+def kernel_of_character(ct: CharacterTable, chi) -> np.ndarray:
+    """The sorted elements of the classes of `kernel_classes`: a union of
+    classes, so a normal subgroup with no closure needed."""
+    return np.flatnonzero(kernel_classes(ct, chi)[ct.conj.class_of])
 
 
-def normal_subgroups(ct: CharacterTable, min_order: int = 1) -> list[Subgroup]:
-    """Every normal subgroup of order at least min_order, sorted by (order,
-    elements).  Each is an intersection of kernels of irreducible characters
-    (Isaacs, Character Theory of Finite Groups, ch. 2), so the class masks of
-    the kernels are closed under & one kernel at a time.  A mask below
-    min_order is dropped with all it could lead to: intersections only shrink."""
+def normal_subgroups(ct: CharacterTable, min_order: int = 1) -> list[np.ndarray]:
+    """Every normal subgroup of order at least min_order, as its sorted
+    elements, sorted by (order, elements).  Each is an intersection of kernels
+    of irreducible characters (Isaacs, Character Theory of Finite Groups,
+    ch. 2), so the class masks of the kernels are closed under & one kernel at
+    a time.  A mask below min_order is dropped with all it could lead to:
+    intersections only shrink."""
     sizes = np.array(ct.conj.sizes, dtype=np.int64)
     kernels = ct.index == ct.index[:, :1]  # index equality is value equality
     found = [np.ones(ct.r, dtype=bool)]
@@ -517,9 +513,8 @@ def normal_subgroups(ct: CharacterTable, min_order: int = 1) -> list[Subgroup]:
                 seen.add(mask.tobytes())
                 found.append(mask)
     found = [mask for mask in found if mask @ sizes >= min_order]  # the seed G, too
-    subs = [subgroup_on(ct.group, np.flatnonzero(mask[ct.conj.class_of])) for mask in found]
-    assert all(sub.normal for sub in subs)
-    return sorted(subs, key=lambda s: (s.order, s.elements))
+    subs = [np.flatnonzero(mask[ct.conj.class_of]) for mask in found]
+    return sorted(subs, key=lambda s: (len(s), s.tolist()))
 
 
 def is_self_dual(ct: CharacterTable, chi) -> bool:

@@ -25,7 +25,7 @@ from .chartable import (
     resolve_rho,
     rho_from_class_function,
 )
-from .groups import FiniteGroup, Subgroup, quotient_group
+from .groups import FiniteGroup, induced_group, quotient_group
 from .modp import exact_dtype, exact_matmul, mul_mod
 from .shapes import OTHER, ShapeLabel, classify_component, forest_bit, graph_flags, weak_components
 
@@ -167,7 +167,7 @@ class Component:
 @dataclass
 class ComponentDecomposition:
     graph: McKayGraph
-    kernel: Subgroup
+    kernel: np.ndarray  # the sorted elements of N = ker rho
     kernel_table: CharacterTable
     orbits: list[tuple[int, ...]]  # orbits on Irr(N), as index tuples
     components: list[Component]
@@ -177,7 +177,7 @@ class ComponentDecomposition:
         return next(c for c in self.components if c.principal)
 
 
-def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> np.ndarray:
+def _kernel_orbits(ct_n: CharacterTable, sub: np.ndarray, g: FiniteGroup) -> np.ndarray:
     """The orbits of G on Irr(N) under conjugation, as one label per
     irreducible theta of N: the least irreducible theta is moved to.
 
@@ -186,8 +186,8 @@ def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> np.nd
     least member of its orbit.  Rows of Irr(N) are keyed by their residues."""
     cd_n = ct_n.conj
     local = np.full(g.order, -1, dtype=np.int64)
-    local[list(sub.elements)] = np.arange(sub.order)
-    reps = np.asarray(sub.elements)[cd_n.reps]
+    local[sub] = np.arange(len(sub))
+    reps = sub[cd_n.reps]
     xs = np.arange(g.order)
     conj = g.mul[g.mul[xs[:, None], reps[None, :]], g.inv[xs][:, None]]
     # the index form: a plain np.unique imports numpy.ma
@@ -197,10 +197,10 @@ def _kernel_orbits(ct_n: CharacterTable, sub: Subgroup, g: FiniteGroup) -> np.nd
     return np.min(moves, axis=0)
 
 
-def _restrictions(ct: CharacterTable, sub: Subgroup, ct_n: CharacterTable) -> np.ndarray:
+def _restrictions(ct: CharacterTable, sub: np.ndarray, ct_n: CharacterTable) -> np.ndarray:
     """Multiplicities over Irr(N) of every irreducible of G restricted to N:
     G's rows at N's classes, decomposed in G's field."""
-    at_sub = ct.conj.class_of[np.asarray(sub.elements)[ct_n.conj.reps]]
+    at_sub = ct.conj.class_of[sub[ct_n.conj.reps]]
     return multiplicities(ct_n, ct.modular[:, at_sub], ct.degrees, ct.prime)
 
 
@@ -208,7 +208,7 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
     ct, comps = graph.ct, graph.components
     kernel = kernel_of_character(ct, graph.rho.chi)
     # a kernel of order |G| is G on the elements 0..n-1 in order: G's own table
-    ct_n = ct if kernel.order == ct.group.order else compute_character_table(kernel.group)
+    ct_n = ct if len(kernel) == ct.group.order else compute_character_table(induced_group(ct.group, kernel))
     least = _kernel_orbits(ct_n, kernel, ct.group)
     labels = sorted(set(least.tolist()))
     orbits = [tuple(np.flatnonzero(least == t).tolist()) for t in labels]
@@ -253,7 +253,7 @@ def decompose_components(graph: McKayGraph) -> ComponentDecomposition:
     )
 
 
-def _push_down(ct: CharacterTable, kernel: Subgroup, rho: Rho) -> tuple[CharacterTable, Rho]:
+def _push_down(ct: CharacterTable, kernel: np.ndarray, rho: Rho) -> tuple[CharacterTable, Rho]:
     """rho as a representation of G/N, N inside its kernel, decomposed in G's
     field one constituent per row: each constituent has N in its kernel, so
     its value on a coset class is its value on the coset's first element."""
@@ -324,22 +324,27 @@ def graph_isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
         return False
     if n == 0:
         return True
-    ca = _refine_colors(*_arcs(a), [0] * n)
-    cb = _refine_colors(*_arcs(b), [0] * n)
+    (outa, ina), (outb, inb) = _arcs(a), _arcs(b)
+    ca = _refine_colors(outa, ina, [0] * n)
+    cb = _refine_colors(outb, inb, [0] * n)
     if sorted(ca) != sorted(cb):
         return False
     order = sorted(range(n), key=lambda v: (ca.count(ca[v]), ca[v], v))
-    ra, rb = a.tolist(), b.tolist()
+    loops_a, loops_b = np.diagonal(a).tolist(), np.diagonal(b).tolist()
     mapping: dict[int, int] = {}
     used = set()
 
     def consistent(v, w) -> bool:
-        if ca[v] != cb[w]:
-            return False
-        for v2, w2 in mapping.items():
-            if ra[v][v2] != rb[w][w2] or ra[v2][v] != rb[w2][w]:
-                return False
-        return ra[v][v] == rb[w][w]
+        """Equal colours and loops, and the mapped neighbours of v, in and
+        out, go to exactly the mapped neighbours of w, with equal multiplicities."""
+        return (
+            ca[v] == cb[w]
+            and loops_a[v] == loops_b[w]
+            and {(mapping[x], m) for x, m in outa[v] if x in mapping}
+            == {(y, m) for y, m in outb[w] if y in used}
+            and {(mapping[x], m) for x, m in ina[v] if x in mapping}
+            == {(y, m) for y, m in inb[w] if y in used}
+        )
 
     # one iterator of candidates per level: recursion passes Python's limit near n = 1000
     stack = [iter(range(n))]

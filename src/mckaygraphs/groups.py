@@ -178,7 +178,6 @@ class FiniteGroup:
     inv: np.ndarray  # (n,)
     carrier: str
     element_names: list[str]
-    payload: object = None  # carrier-specific element data
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -292,7 +291,6 @@ def _close_and_build(gens, carrier: str, cap: int, mulfun, namer=None) -> Finite
         inv=_inverses_from_table(mul),
         carrier=carrier,
         element_names=names,
-        payload=elems,
     )
 
 
@@ -324,7 +322,6 @@ def _build_cyclic(n: int) -> FiniteGroup:
         inv=(-idx) % n,
         carrier=f"cyclic:{n}",
         element_names=names,
-        payload=list(range(n)),
     )
 
 
@@ -437,7 +434,6 @@ def _build_elemab(p: int, n: int) -> FiniteGroup:
         inv=((-digits) % p @ weights).astype(np.int32),
         carrier=f"elemab:{p}:{n}",
         element_names=[str(v) for v in elems],
-        payload=elems,
     )
 
 
@@ -460,7 +456,6 @@ def _build_heisenberg(p: int, n: int) -> FiniteGroup:
         inv=_inverses_from_table(mul),
         carrier=f"heis:{p}:{n}",
         element_names=[f"{a}|{b}|{c}" for a, b, c in elems],
-        payload=elems,
     )
 
 
@@ -588,15 +583,11 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
 # subgroups and quotients
 
 
-@dataclass
-class Subgroup:
-    elements: tuple[int, ...]
-    normal: bool
-    group: FiniteGroup  # induced group on the sorted elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+def _members(g: FiniteGroup, elems) -> np.ndarray:
+    """The mask of the given elements among g's."""
+    inside = np.zeros(g.order, dtype=bool)
+    inside[elems] = True
+    return inside
 
 
 def _close(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
@@ -613,41 +604,40 @@ def _close(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
             return arr
 
 
-def subgroup_from_elements(g: FiniteGroup, elems) -> Subgroup:
-    """The subgroup generated by elems."""
-    inside = np.zeros(g.order, dtype=bool)
-    inside[np.asarray(elems, dtype=np.int64)] = True
-    return subgroup_on(g, _close(g, inside))
+def subgroup_from_elements(g: FiniteGroup, elems) -> np.ndarray:
+    """The sorted elements of the subgroup generated by elems."""
+    return _close(g, _members(g, np.asarray(elems, dtype=np.int64)))
 
 
-def subgroup_on(g: FiniteGroup, arr: np.ndarray) -> Subgroup:
-    """Subgroup on a sorted element array that is already closed (asserted)."""
-    mul, inv = g.mul, g.inv
-    inside = np.zeros(g.order, dtype=bool)
-    inside[arr] = True
-    # x h x^-1 for every x in G and h in arr: one (n, |H|) gather
-    normal = bool(np.all(inside[mul[mul[:, arr], inv[:, None]]]))
+def is_normal(g: FiniteGroup, elems: np.ndarray) -> bool:
+    """Is x h x^-1 in elems for every x in G and h in elems?  One (n, |H|) gather."""
+    return bool(np.all(_members(g, elems)[g.mul[g.mul[:, elems], g.inv[:, None]]]))
+
+
+def induced_group(g: FiniteGroup, elems: np.ndarray) -> FiniteGroup:
+    """The group on a sorted element array that is closed (asserted), its
+    elements numbered in that order."""
     local = np.full(g.order, -1, dtype=np.int32)
-    local[arr] = np.arange(len(arr), dtype=np.int32)
-    sub_mul = local[mul[np.ix_(arr, arr)]]
+    local[elems] = np.arange(len(elems), dtype=np.int32)
+    sub_mul = local[g.mul[np.ix_(elems, elems)]]
     assert np.all(sub_mul >= 0), "element set is not closed"
-    sorted_elems = tuple(int(x) for x in arr)
-    induced = FiniteGroup(
-        order=len(arr),
-        mul=sub_mul.astype(np.int32),
+    return FiniteGroup(
+        order=len(elems),
+        mul=sub_mul,
         inv=_inverses_from_table(sub_mul),
-        carrier=f"{g.carrier}|sub{len(arr)}",
-        element_names=[g.element_names[i] for i in sorted_elems],
+        carrier=f"{g.carrier}|sub{len(elems)}",
+        element_names=[g.element_names[i] for i in elems.tolist()],
     )
-    return Subgroup(elements=sorted_elems, normal=normal, group=induced)
 
 
-def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
-    """Coset group G/N plus the projection element -> coset index."""
-    if not sub.normal:
-        raise NotNormal(f"subgroup of order {sub.order} is not normal")
-    narr = np.array(sub.elements)
-    rep_of = np.min(g.mul[narr, :], axis=0)
+def quotient_group(g: FiniteGroup, elems: np.ndarray) -> tuple[FiniteGroup, np.ndarray]:
+    """Coset group G/N plus the projection element -> coset index, for N on
+    the element array elems, which must be normal and closed (asserted)."""
+    if not is_normal(g, elems):
+        raise NotNormal(f"subgroup of order {len(elems)} is not normal")
+    cosets = g.mul[elems, :]  # column x is the coset N x
+    assert np.all(_members(g, elems)[cosets[:, elems]]), "element set is not closed"
+    rep_of = np.min(cosets, axis=0)
     is_rep = np.zeros(g.order, dtype=bool)
     is_rep[rep_of] = True
     reps = np.flatnonzero(is_rep)
@@ -655,15 +645,15 @@ def quotient_group(g: FiniteGroup, sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
     qmul = coset_of[g.mul[np.ix_(reps, reps)]]
     grp = FiniteGroup(
         order=len(reps),
-        mul=qmul.astype(np.int32),
+        mul=qmul,
         inv=_inverses_from_table(qmul),
-        carrier=f"{g.carrier}/N{sub.order}",
+        carrier=f"{g.carrier}/N{len(elems)}",
         element_names=[f"[{g.element_names[int(r)]}]" for r in reps],
     )
     return grp, coset_of
 
 
-def commutator_subgroup(g: FiniteGroup, cd: ConjugacyData) -> Subgroup:
+def commutator_subgroup(g: FiniteGroup, cd: ConjugacyData) -> np.ndarray:
     """G', generated by the classes of the products c y, for y a class
     representative and c in the class of y^-1: c = x y^-1 x^-1 makes c y a
     commutator, and every commutator is conjugate to one of them.  That is n
@@ -672,7 +662,7 @@ def commutator_subgroup(g: FiniteGroup, cd: ConjugacyData) -> Subgroup:
     prods = g.mul[np.arange(g.order), np.asarray(cd.reps)[cd.class_of[g.inv]]]
     hit = np.zeros(cd.r, dtype=bool)
     hit[cd.class_of[prods]] = True
-    return subgroup_on(g, _close(g, hit[cd.class_of]))
+    return _close(g, hit[cd.class_of])
 
 
 # ---------------------------------------------------------------------------

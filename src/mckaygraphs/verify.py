@@ -57,10 +57,10 @@ from .groups import (
     Heisenberg,
     Product,
     Semidirect,
-    Subgroup,
     SubgroupNotFound,
     build_semidirect,
     conjugacy,
+    induced_group,
     spec_text,
     subgroup_from_elements,
     quotient_group,
@@ -380,7 +380,7 @@ def verify_bipartite_criterion(ctx: FixtureContext, graph: McKayGraph) -> CheckR
 def verify_sum_of_squares(decomp: ComponentDecomposition, label: str) -> CheckRecord:
     records = _Recorder()
     g_order = decomp.graph.ct.group.order
-    n_order = decomp.kernel.order
+    n_order = len(decomp.kernel)
     bad = []
     for c in decomp.components:
         lhs = sum(d * d for d in c.dims)
@@ -587,10 +587,10 @@ CONSTRUCTIONS = [
 
 def designated_normal_subgroup(
     ct: CharacterTable, order: int, nonabelian: Optional[bool] = None
-) -> Subgroup:
-    subs = [s for s in normal_subgroups(ct, order) if s.order == order]
+) -> np.ndarray:
+    subs = [s for s in normal_subgroups(ct, order) if len(s) == order]
     if nonabelian is not None:
-        subs = [s for s in subs if s.group.is_abelian() != nonabelian]
+        subs = [s for s in subs if induced_group(ct.group, s).is_abelian() != nonabelian]
     if not subs:
         raise SubgroupNotFound(f"no normal subgroup of order {order} in {ct.group.carrier}")
     return subs[0]
@@ -616,18 +616,18 @@ def _exact_multiplicities(ct: CharacterTable, chi: np.ndarray, order: int) -> tu
 
 
 def restricted_graph(
-    ct: CharacterTable, sub: Subgroup, rho: Rho
+    ct: CharacterTable, sub: np.ndarray, rho: Rho
 ) -> tuple[McKayGraph, CharacterTable]:
     """Graph of the restriction of rho, decomposed exactly, so that it stays
     independent of the modular table."""
-    sct = compute_character_table(sub.group)
-    chi = rho.chi[ct.conj.class_of[np.asarray(sub.elements)[sct.conj.reps]]]
+    sct = compute_character_table(induced_group(ct.group, sub))
+    chi = rho.chi[ct.conj.class_of[sub[sct.conj.reps]]]
     return build_mckay_graph(sct, CharVector(_exact_multiplicities(sct, chi, rho.order))), sct
 
 
 def dual_vector_stabilizer(
     g: FiniteGroup, kernel_group: FiniteGroup, action: list[np.ndarray]
-) -> Subgroup:
+) -> np.ndarray:
     """Stabilizer in G of one nontrivial character of the abelian kernel."""
     ct_k = compute_character_table(kernel_group)
     cd_k = ct_k.conj
@@ -680,20 +680,20 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
         check_id=f"construction[{fx.name}]:union",
         claim="twisted-product graph equals the disjoint union over G and the "
         "stabilizer of a nontrivial kernel character",
-        inputs=f"{fx.name}, stabilizer order {stab.order}",
+        inputs=f"{fx.name}, stabilizer order {len(stab)}",
         expected="isomorphic",
         observed="isomorphic" if iso else "NOT isomorphic",
         passed=iso,
     )
 
-    same = "equal to" if stab.elements == H.elements else "not equal to"
+    same = "equal to" if np.array_equal(stab, H) else "not equal to"
     records.add(
         check_id=f"construction[{fx.name}]:stabilizer",
         claim="the stabilizer of a nontrivial kernel character has the stated order",
-        inputs=f"{fx.name}, H order {H.order}",
+        inputs=f"{fx.name}, H order {len(H)}",
         expected=f"order {fx.stabilizer_order}",
-        observed=f"order {stab.order}, {same} H",
-        passed=stab.order == fx.stabilizer_order,
+        observed=f"order {len(stab)}, {same} H",
+        passed=len(stab) == fx.stabilizer_order,
     )
 
     shapes = tuple(sorted(c.shape.short() for c in decomp.components))
@@ -709,7 +709,7 @@ def verify_construction_531(fx: ConstructionFixture) -> list[CheckRecord]:
 
     records.append(verify_sum_of_squares(decomp, fx.name))
 
-    quotient_order = gp.order // decomp.kernel.order
+    quotient_order = gp.order // len(decomp.kernel)
     bad_div = []
     for label in graph.component_shapes:
         if label.kind in ("affine_d", "affine_e"):
@@ -750,15 +750,16 @@ def verify_normal_tower() -> list[CheckRecord]:
     bt = build_group(BinaryPoly("T"))
     sub8 = designated_normal_subgroup(ctx.ct, 8)
     sub24 = designated_normal_subgroup(ctx.ct, 24)
+    g8, g24 = induced_group(bo, sub8), induced_group(bo, sub24)
     records.add(
         check_id="tower:subgroups",
         claim="the octahedral double cover contains normal copies of the quaternion and "
         "tetrahedral double-cover subgroups",
         inputs="binary:O",
         expected="orders 8 and 24, isomorphic to the expected groups",
-        observed=f"orders {sub8.order},{sub24.order}; iso {tables_isomorphic(sub8.group, q8)},"
-        f"{tables_isomorphic(sub24.group, bt)}",
-        passed=tables_isomorphic(sub8.group, q8) and tables_isomorphic(sub24.group, bt),
+        observed=f"orders {len(sub8)},{len(sub24)}; iso {tables_isomorphic(g8, q8)},"
+        f"{tables_isomorphic(g24, bt)}",
+        passed=tables_isomorphic(g8, q8) and tables_isomorphic(g24, bt),
     )
     q1, _ = quotient_group(bo, sub24)
     records.add(
@@ -778,8 +779,8 @@ def verify_normal_tower() -> list[CheckRecord]:
         observed=f"order {q2.order}, abelian={q2.is_abelian()}",
         passed=q2.order == 6 and not q2.is_abelian(),
     )
-    inner8 = designated_normal_subgroup(compute_character_table(sub24.group), 8)
-    q3, _ = quotient_group(sub24.group, inner8)
+    inner8 = designated_normal_subgroup(compute_character_table(g24), 8)
+    q3, _ = quotient_group(g24, inner8)
     records.add(
         check_id="tower:BT/Q8",
         claim="the quaternion subgroup sits inside the tetrahedral one with cyclic quotient "

@@ -19,15 +19,15 @@ import numpy as np
 from mckaygraphs.groups import (
     ConjugacyData,
     FiniteGroup,
-    Subgroup,
     _build_bindihedral,
     _build_cyclic,
     _build_dihedral,
     _digits,
     build_product,
+    induced_group,
+    is_normal,
     quotient_group,
     subgroup_from_elements,
-    subgroup_on,
 )
 
 
@@ -44,7 +44,7 @@ def central_product_by_quotient(a: FiniteGroup, b: FiniteGroup, carrier: str) ->
     za, zb = central_involution(a), central_involution(b)
     prod = build_product(a, b)
     sub = subgroup_from_elements(prod, [za * b.order + zb])
-    assert sub.order == 2 and sub.normal
+    assert len(sub) == 2 and is_normal(prod, sub)
     grp, _ = quotient_group(prod, sub)
     grp.carrier = carrier
     return grp
@@ -64,7 +64,6 @@ def extraspecial_by_quotient(n: int, variant: str) -> FiniteGroup:
 
 def elemab_by_digit_sums(p: int, n: int) -> FiniteGroup:
     digits = _digits(p, n)
-    elems = [tuple(v) for v in digits.tolist()]
     weights = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     summed = (digits[:, None, :] + digits[None, :, :]) % p
     return FiniteGroup(
@@ -72,19 +71,16 @@ def elemab_by_digit_sums(p: int, n: int) -> FiniteGroup:
         mul=(summed @ weights).astype(np.int32),
         inv=((-digits) % p @ weights).astype(np.int32),
         carrier=f"elemab:{p}:{n}",
-        element_names=[str(v) for v in elems],
-        payload=elems,
+        element_names=[str(tuple(v)) for v in digits.tolist()],
     )
 
 
-def normal_subgroups_by_joins(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[Subgroup]:
+def normal_subgroups_by_joins(g: FiniteGroup, cd: ConjugacyData, target_order: Optional[int] = None) -> list[np.ndarray]:
     """All normal subgroups (of one order, if given): the normal closures of
     single classes, closed under joins with them (Hulpke, "Computing normal
-    subgroups", ISSAC 1998).  Normal subgroups A and B join to the set AB."""
-    closures = [
-        np.asarray(subgroup_from_elements(g, cl).elements, dtype=np.int64)
-        for cl in cd.classes
-    ]
+    subgroups", ISSAC 1998).  Normal subgroups A and B join to the set AB.
+    Each is returned as its sorted element array."""
+    closures = [subgroup_from_elements(g, cl) for cl in cd.classes]
     found = {c.tobytes(): c for c in closures}
     frontier = list(found.values())
     while frontier:
@@ -98,6 +94,8 @@ def normal_subgroups_by_joins(g: FiniteGroup, cd: ConjugacyData, target_order: O
                     found[ab.tobytes()] = ab
                     joins.append(ab)
         frontier = joins
-    subs = [subgroup_on(g, a) for a in found.values() if target_order in (None, len(a))]
-    assert all(sub.normal for sub in subs)
-    return sorted(subs, key=lambda s: (s.order, s.elements))
+    subs = [a for a in found.values() if target_order in (None, len(a))]
+    assert all(is_normal(g, sub) for sub in subs)
+    for sub in subs:
+        induced_group(g, sub)  # closed, or the assert in it fails
+    return sorted(subs, key=lambda s: (len(s), s.tolist()))
